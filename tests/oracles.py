@@ -59,6 +59,23 @@ def act_letterwise(text: str, x: int, y: int, q: int | None = None) -> tuple[int
     return x, y
 
 
+def orbit_size_mod_q(q: int) -> int:
+    """Size of the orbit of (0, 0) mod q: set closure under all four letters."""
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        nxt = []
+        for x, y in frontier:
+            for c in "UVuv":
+                px, py = step_point(c, x, y)
+                p = (px % q, py % q)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return len(seen)
+
+
 def brute_reduce(text: str) -> str:
     """Free reduction by repeated full scans."""
     inverse = {"U": "u", "u": "U", "V": "v", "v": "V"}

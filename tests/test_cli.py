@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -220,6 +221,15 @@ def test_core_command_rejects_bad_witness(capsys):
 def test_rank_command_rejects_bad_q(capsys):
     assert main(["rank", "--q", "1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_rank_command_refuses_huge_q_before_allocating(capsys):
+    # a q*q table at q = 10^6 would need 10^12 slots; the size guard answers first
+    start = time.monotonic()
+    assert main(["rank", "--q", "1000000"]) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_snf_command_rejects_ragged_matrix(capsys):

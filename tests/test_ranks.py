@@ -18,7 +18,7 @@ from parabolic.ranks import (
 from parabolic.schreier import build_mod_q
 from parabolic.words import EMPTY, Word
 
-from oracles import brute_reduce, determinantal_divisors, translation_m3
+from oracles import brute_reduce, determinantal_divisors, orbit_size_mod_q, translation_m3
 
 
 # ---------------------------------------------------------------- indices
@@ -33,8 +33,15 @@ def test_stabilizer_index_small_values():
 
 
 def test_stabilizer_index_matches_graph_size():
-    for q in range(2, 26):
+    for q in range(2, 101):
         assert stabilizer_index(q) == len(build_mod_q(q))
+
+
+def test_stabilizer_index_matches_four_letter_oracle():
+    # every q in 2..40, so every multiple of 4 in that range, where the
+    # orbit is half of (Z/q)^2
+    for q in range(2, 41):
+        assert stabilizer_index(q) == orbit_size_mod_q(q)
 
 
 def test_stabilizer_index_at_least_q():
@@ -45,6 +52,11 @@ def test_stabilizer_index_at_least_q():
 def test_stabilizer_index_rejects_small_q():
     with pytest.raises(ValueError):
         stabilizer_index(1)
+
+
+def test_stabilizer_index_size_guard():
+    with pytest.raises(ValueError, match="exceeds the guard 4096"):
+        stabilizer_index(4097)
 
 
 # ---------------------------------------------------------------- ranks
