@@ -30,6 +30,7 @@ from .ranks import (
     stabilizer_index,
 )
 from .schreier import (
+    _MAX_COUNT_MODULUS,
     build_ball,
     build_mod_q,
     certified_core,
@@ -113,8 +114,8 @@ def run_verification(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if q_max < 2:
-        raise ValueError(f"q_max must be >= 2, got {q_max}")
+    if not 2 <= q_max <= _MAX_COUNT_MODULUS:
+        raise ValueError(f"q_max must be in [2, {_MAX_COUNT_MODULUS}], got {q_max}")
     if not 4 <= depth <= 16:
         raise ValueError(f"depth must be in [4, 16], got {depth}")
     if sweep_len < 1:

@@ -43,6 +43,7 @@ def test_run_verification_parameter_guards():
     for bad in (
         dict(n_max=0),
         dict(q_max=1),
+        dict(q_max=4097),
         dict(depth=3),
         dict(depth=17),
         dict(sweep_len=0),
