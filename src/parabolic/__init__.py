@@ -57,6 +57,6 @@ from .schreier import (
     spanning_tree_generators,
     trace,
 )
-from .words import Letter, Word, WordSyntaxError, concat, enumerate_reduced, invert, parse, power
+from .words import Word, WordSyntaxError, concat, enumerate_reduced, invert, parse, power
 
 __version__ = "0.1.0"

@@ -38,10 +38,6 @@ class Vec2:
         self.y = y
         self.modulus = modulus
 
-    def reduce(self, q: int) -> Vec2:
-        _merge_modulus(self.modulus, q)
-        return Vec2(self.x, self.y, q)
-
     def __add__(self, other: Vec2) -> Vec2:
         q = _merge_modulus(self.modulus, other.modulus)
         return Vec2(self.x + other.x, self.y + other.y, q)

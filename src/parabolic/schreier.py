@@ -1,7 +1,10 @@
 """Orbital Schreier graphs of the affine action, exact and partial.
 
-Vertices are points of an orbit, edges are labeled by the positive
-generators U and V only; inverse letters traverse edges backwards.  Two
+Vertices are points of an orbit, numbered from 0.  A graph is stored as one
+vertex-id list per letter, as for the Schreier graph of a free-group action:
+edges["U"][v] and edges["V"][v] lead forward along the generators, and
+edges["u"] and edges["v"] are their inverse maps, so an inverse letter walks
+an edge backwards.  Exports list the positive (U, V) edges only.  Two
 builders are provided: the full orbit of (0, 0) modulo q, and the exact ball
 of given radius around (0, 0) in the infinite orbit.  A vertex of a partial
 graph is flagged complete when all four of its neighbours lie in the
@@ -24,74 +27,66 @@ _DOT_COLORS = {"U": "#1f77b4", "V": "#d62728"}
 
 
 class OrbitalGraph:
-    """Immutable labeled graph; per generator each vertex has at most one
-    outgoing and one incoming edge, as in a folded Stallings graph."""
+    """Immutable labeled graph: edges[c][v] is where letter c leads from v,
+    or None.  Only the U and V lists are passed in, and u and v are filled
+    as their inverses; per generator each vertex has at most one outgoing
+    and one incoming edge, as in a folded Stallings graph."""
 
-    __slots__ = ("vertices", "base", "modulus", "complete", "succ", "_pred", "_index")
+    __slots__ = ("vertices", "base", "modulus", "complete", "edges", "_index")
 
     def __init__(
         self,
         vertices: list[Vec2],
-        succ: list[tuple[int | None, int | None]],
+        succ_u: list[int | None],
+        succ_v: list[int | None],
         complete: list[bool],
         base: int = 0,
         modulus: int | None = None,
     ):
         n = len(vertices)
-        if not (len(succ) == len(complete) == n):
-            raise ValueError("vertices, succ and complete must have equal length")
+        if not (len(succ_u) == len(succ_v) == len(complete) == n):
+            raise ValueError("vertices, succ_u, succ_v and complete must have equal length")
         if not 0 <= base < n:
             raise ValueError(f"base {base} out of range")
         for v in vertices:
             if v.modulus != modulus:
                 raise ValueError(f"vertex {v!r} does not carry graph modulus {modulus}")
-        for pair in succ:
-            for t in pair:
-                if t is not None and not 0 <= t < n:
-                    raise ValueError(f"edge target {t} out of range")
+        edges = {"U": list(succ_u), "V": list(succ_v), "u": [None] * n, "v": [None] * n}
+        for gen, inv in (("U", "u"), ("V", "v")):
+            back = edges[inv]
+            for src, tgt in enumerate(edges[gen]):
+                if tgt is None:
+                    continue
+                if not 0 <= tgt < n:
+                    raise ValueError(f"edge target {tgt} out of range")
+                if back[tgt] is not None:
+                    raise ValueError(f"two {gen}-edges enter vertex {tgt}; graph is not folded")
+                back[tgt] = src
         self.vertices = list(vertices)
-        self.succ = [tuple(pair) for pair in succ]
+        self.edges = edges
         self.complete = list(complete)
         self.base = base
         self.modulus = modulus
         self._index = {(v.x, v.y): i for i, v in enumerate(vertices)}
         if len(self._index) != n:
             raise ValueError("duplicate vertex points")
-        self._pred: list[tuple[int | None, int | None]] | None = None
         self._check_connected()
 
     def _check_connected(self) -> None:
-        n = len(self.vertices)
-        seen = [False] * n
+        seen = [False] * len(self.vertices)
         seen[self.base] = True
         stack = [self.base]
-        pred = self.pred
+        maps = tuple(self.edges.values())
         while stack:
             v = stack.pop()
-            for t in (*self.succ[v], *pred[v]):
+            for m in maps:
+                t = m[v]
                 if t is not None and not seen[t]:
                     seen[t] = True
                     stack.append(t)
         if not all(seen):
             missing = seen.index(False)
             raise ValueError(f"vertex {missing} not reachable from base")
-
-    @property
-    def pred(self) -> list[tuple[int | None, int | None]]:
-        if self._pred is None:
-            n = len(self.vertices)
-            back: list[list[int | None]] = [[None, None] for _ in range(n)]
-            for src, pair in enumerate(self.succ):
-                for g, tgt in enumerate(pair):
-                    if tgt is None:
-                        continue
-                    if back[tgt][g] is not None:
-                        raise ValueError(
-                            f"two {_GEN_CHARS[g]}-edges enter vertex {tgt}; graph is not folded"
-                        )
-                    back[tgt][g] = src
-            self._pred = [tuple(pair) for pair in back]
-        return self._pred
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -113,28 +108,20 @@ class OrbitalGraph:
 
     def step(self, vid: int, char: str) -> int | None:
         """Follow one letter from a vertex; None means the edge is missing."""
-        if char == "U":
-            return self.succ[vid][0]
-        if char == "V":
-            return self.succ[vid][1]
-        if char == "u":
-            return self.pred[vid][0]
-        if char == "v":
-            return self.pred[vid][1]
-        raise ValueError(f"bad letter {char!r}")
+        if char not in self.edges:
+            raise ValueError(f"bad letter {char!r}")
+        return self.edges[char][vid]
 
     def degree(self, vid: int) -> int:
-        return sum(t is not None for t in self.succ[vid]) + sum(
-            t is not None for t in self.pred[vid]
-        )
+        return sum(m[vid] is not None for m in self.edges.values())
 
     def positive_edges(self) -> list[tuple[int, str, int]]:
-        out = []
-        for src, pair in enumerate(self.succ):
-            for g, tgt in enumerate(pair):
-                if tgt is not None:
-                    out.append((src, _GEN_CHARS[g], tgt))
-        return out
+        return [
+            (src, c, t)
+            for src in range(len(self.vertices))
+            for c in _GEN_CHARS
+            if (t := self.edges[c][src]) is not None
+        ]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -142,7 +129,7 @@ class OrbitalGraph:
             and self.modulus == other.modulus
             and self.base == other.base
             and self.vertices == other.vertices
-            and self.succ == other.succ
+            and self.edges == other.edges
             and self.complete == other.complete
         )
 
@@ -221,8 +208,7 @@ def build_mod_q(q: int) -> OrbitalGraph:
     """Orbital graph of the action on (Z/qZ)^2, complete by construction."""
     order, succ_u, succ_v = _orbit_mod_q(q)
     vertices = [Vec2(*divmod(code, q), modulus=q) for code in order]
-    succ = list(zip(succ_u, succ_v))
-    return OrbitalGraph(vertices, succ, [True] * len(order), base=0, modulus=q)
+    return OrbitalGraph(vertices, succ_u, succ_v, [True] * len(order), base=0, modulus=q)
 
 
 def _neighbours(x: int, y: int) -> tuple[tuple[int, int], ...]:
@@ -257,14 +243,16 @@ def build_ball(depth: int) -> OrbitalGraph:
                     points.append(p)
                     nxt.append(p)
         frontier = nxt
-    succ = []
+    succ_u = []
+    succ_v = []
     complete = []
     for x, y in points:
         nb = _neighbours(x, y)
-        succ.append((index.get(nb[0]), index.get(nb[1])))
+        succ_u.append(index.get(nb[0]))
+        succ_v.append(index.get(nb[1]))
         complete.append(all(p in index for p in nb))
     vertices = [Vec2(x, y) for x, y in points]
-    return OrbitalGraph(vertices, succ, complete, base=0, modulus=None)
+    return OrbitalGraph(vertices, succ_u, succ_v, complete, base=0, modulus=None)
 
 
 def trace(g: OrbitalGraph, w: Word, start: int) -> int | None:
@@ -273,8 +261,9 @@ def trace(g: OrbitalGraph, w: Word, start: int) -> int | None:
     if not 0 <= start < len(g.vertices):
         raise ValueError(f"start {start} out of range")
     cur: int | None = start
+    edges = g.edges
     for c in reversed(w.text):
-        cur = g.step(cur, c)
+        cur = edges[c][cur]
         if cur is None:
             return None
     return cur
@@ -309,7 +298,7 @@ def core_exact(g: OrbitalGraph) -> CoreReport:
     if not g.fully_complete:
         raise ValueError("core_exact needs a fully complete graph")
     n = len(g.vertices)
-    pred = g.pred
+    maps = tuple(g.edges.values())
     deg = [g.degree(v) for v in range(n)]
     alive = [True] * n
     stack = [v for v in range(n) if deg[v] <= 1]
@@ -318,7 +307,8 @@ def core_exact(g: OrbitalGraph) -> CoreReport:
         if not alive[v] or deg[v] > 1:
             continue
         alive[v] = False
-        for t in (*g.succ[v], *pred[v]):
+        for m in maps:
+            t = m[v]
             if t is not None and alive[t]:
                 deg[t] -= 1
                 if deg[t] <= 1:
@@ -335,16 +325,16 @@ def certified_core(g: OrbitalGraph, witness: Word) -> CoreReport:
     """
     if witness.is_identity():
         raise ValueError("certified_core needs a nonempty witness word")
-    seq = witness.text[::-1]
+    seq = [g.edges[c] for c in reversed(witness.text)]
     found = []
     complete = g.complete
     for v in range(len(g.vertices)):
         cur: int | None = v
-        for c in seq:
+        for m in seq:
             if not complete[cur]:
                 cur = None
                 break
-            cur = g.step(cur, c)
+            cur = m[cur]
             if cur is None:
                 break
         if cur == v:
@@ -365,34 +355,25 @@ def spanning_tree_generators(g: OrbitalGraph) -> list[Word]:
     n = len(g.vertices)
     tree_word: list[Word | None] = [None] * n
     tree_word[g.base] = Word._raw("")
-    tree_edges: set[tuple[int, int, int]] = set()
+    # a positive edge of a folded graph is named by its source and letter
+    tree_edges: set[tuple[int, str]] = set()
     queue = [g.base]
     qi = 0
     while qi < len(queue):
         p = queue[qi]
         qi += 1
-        for c in "UVuv":
-            t = g.step(p, c)
+        for c, m in g.edges.items():
+            t = m[p]
             if t is None or tree_word[t] is not None:
                 continue
             tree_word[t] = concat(Word._raw(c), tree_word[p])
-            if c == "U":
-                tree_edges.add((p, 0, t))
-            elif c == "V":
-                tree_edges.add((p, 1, t))
-            elif c == "u":
-                tree_edges.add((t, 0, p))
-            else:
-                tree_edges.add((t, 1, p))
+            tree_edges.add((p, c) if c in _GEN_CHARS else (t, c.upper()))
             queue.append(t)
     if any(w is None for w in tree_word):
         raise ValueError("graph is not connected")
     out = []
-    for p in range(n):
-        for gidx, c in enumerate(_GEN_CHARS):
-            t = g.succ[p][gidx]
-            if t is None or (p, gidx, t) in tree_edges:
-                continue
+    for p, c, t in g.positive_edges():
+        if (p, c) not in tree_edges:
             out.append(concat(concat(invert(tree_word[t]), Word._raw(c)), tree_word[p]))
     return out
 
@@ -443,12 +424,14 @@ def graph_from_json(text: str) -> OrbitalGraph:
         if rec["id"] != i:
             raise ValueError(f"vertex ids must be consecutive, got {rec['id']} at {i}")
     vertices = [Vec2(rec["x"], rec["y"], modulus) for rec in raw]
-    succ: list[list[int | None]] = [[None, None] for _ in raw]
+    succ: dict[str, list[int | None]] = {c: [None] * len(raw) for c in _GEN_CHARS}
     for e in obj["edges"]:
-        succ[e["from"]][_GEN_CHARS.index(e["gen"])] = e["to"]
+        if e["gen"] not in _GEN_CHARS:
+            raise ValueError(f"edge label must be 'U' or 'V', got {e['gen']!r}")
+        succ[e["gen"]][e["from"]] = e["to"]
     complete = [bool(rec["complete"]) for rec in raw]
     return OrbitalGraph(
-        vertices, [tuple(p) for p in succ], complete, base=obj["base"], modulus=modulus
+        vertices, succ["U"], succ["V"], complete, base=obj["base"], modulus=modulus
     )
 
 
@@ -458,9 +441,9 @@ def check_edge_consistency(g: OrbitalGraph) -> None:
     from .action import step
 
     for vid, v in enumerate(g.vertices):
-        for gidx, c in enumerate(_GEN_CHARS):
+        for c in _GEN_CHARS:
             expected = step(c, v)
-            tgt = g.succ[vid][gidx]
+            tgt = g.edges[c][vid]
             if tgt is not None and g.vertices[tgt] != expected:
                 raise AssertionError(
                     f"edge {vid} -{c}-> {tgt} disagrees with the action at {v}"

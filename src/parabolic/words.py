@@ -23,43 +23,6 @@ class WordSyntaxError(ValueError):
         self.offset = offset
 
 
-class Letter:
-    """One of the four generator symbols."""
-
-    __slots__ = ("generator", "inverted", "char", "index")
-
-    def __init__(self, generator: str, inverted: bool):
-        if generator not in ("U", "V"):
-            raise ValueError(f"generator must be 'U' or 'V', got {generator!r}")
-        self.generator = generator
-        self.inverted = inverted
-        self.char = generator.lower() if inverted else generator
-        self.index = ALPHABET.index(self.char)
-
-    @property
-    def inverse(self) -> Letter:
-        return LETTERS[_INVERSE_CHAR[self.char]]
-
-    def __repr__(self) -> str:
-        return f"Letter({self.char!r})"
-
-    def __lt__(self, other: Letter) -> bool:
-        return self.index < other.index
-
-
-LETTERS = {c: Letter(c.upper(), c.islower()) for c in ALPHABET}
-
-
-def _reduce_text(text: str) -> str:
-    out: list[str] = []
-    for c in text:
-        if out and out[-1] == _INVERSE_CHAR[c]:
-            out.pop()
-        else:
-            out.append(c)
-    return "".join(out)
-
-
 def _concat_text(a: str, b: str) -> str:
     # both sides already reduced, so cancellation only happens at the junction
     i, j = len(a), 0
@@ -93,10 +56,6 @@ class Word:
         w = object.__new__(cls)
         w.text = text
         return w
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(LETTERS[c] for c in self.text)
 
     def is_identity(self) -> bool:
         return not self.text

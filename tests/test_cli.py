@@ -203,10 +203,11 @@ def test_graph_command_out_file(tmp_path, capsys):
 
 
 def test_graph_command_needs_exactly_one_region(capsys):
-    assert main(["graph", "--q", "2", "--depth", "3"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert main(["graph"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    for command in ("graph", "core"):
+        assert main([command, "--q", "2", "--depth", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert main([command]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_member_command_rejects_bad_word(capsys):

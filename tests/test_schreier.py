@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -38,7 +40,7 @@ def test_mod_2_graph():
     assert len(g) == 4
     assert g.modulus == 2 and g.base == 0 and g.fully_complete
     assert [(v.x, v.y) for v in g.vertices] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert g.succ == [(1, 2), (0, 3), (3, 0), (2, 1)]
+    assert g.edges == {"U": [1, 0, 3, 2], "V": [2, 3, 0, 1], "u": [1, 0, 3, 2], "v": [2, 3, 0, 1]}
 
 
 def test_mod_3_graph_covers_whole_plane():
@@ -79,7 +81,7 @@ def test_vertex_id_reduces_mod_q():
 def test_ball_depth_zero():
     b = build_ball(0)
     assert len(b) == 1
-    assert b.succ == [(None, None)]
+    assert b.edges == {"U": [None], "V": [None], "u": [None], "v": [None]}
     assert b.complete == [False]
     assert not b.fully_complete
 
@@ -89,6 +91,8 @@ def test_ball_depth_one():
     assert [(v.x, v.y) for v in b.vertices] == [(0, 0), (0, 1), (1, 0), (2, -1), (-1, 2)]
     assert b.complete == [True, False, False, False, False]
     assert sorted(b.positive_edges()) == [(0, "U", 1), (0, "V", 2), (3, "U", 0), (4, "V", 0)]
+    assert b.edges["u"] == [3, 0, None, None, None]
+    assert b.edges["v"] == [4, None, 0, None, None]
     assert b.degree(0) == 4
 
 
@@ -173,18 +177,17 @@ def test_loops_agree_with_translation_divisibility():
 
 def test_core_exact_keeps_cycle_drops_pendant():
     pts = [Vec2(i, 0) for i in range(4)]
-    succ = [(1, None), (2, None), (0, 3), (None, None)]
-    g = OrbitalGraph(pts, succ, [True] * 4)
+    g = OrbitalGraph(pts, [1, 2, 0, None], [None, None, 3, None], [True] * 4)
     assert core_exact(g).core_vertices == frozenset({0, 1, 2})
 
 
 def test_core_exact_self_loop_survives():
-    g = OrbitalGraph([Vec2(0, 0)], [(0, None)], [True])
+    g = OrbitalGraph([Vec2(0, 0)], [0], [None], [True])
     assert core_exact(g).core_vertices == frozenset({0})
 
 
 def test_core_exact_isolated_vertex_is_empty():
-    g = OrbitalGraph([Vec2(0, 0)], [(None, None)], [True])
+    g = OrbitalGraph([Vec2(0, 0)], [None], [None], [True])
     assert core_exact(g).core_vertices == frozenset()
 
 
@@ -274,7 +277,7 @@ def test_spanning_tree_generators_are_loops():
 
 
 def test_spanning_tree_generators_bouquet():
-    g = OrbitalGraph([Vec2(0, 0)], [(0, 0)], [True])
+    g = OrbitalGraph([Vec2(0, 0)], [0], [0], [True])
     assert [w.text for w in spanning_tree_generators(g)] == ["U", "V"]
 
 
@@ -289,31 +292,37 @@ def test_spanning_tree_requires_complete_graph():
 def test_graph_rejects_bad_shapes():
     v = [Vec2(0, 0), Vec2(1, 1)]
     with pytest.raises(ValueError):
-        OrbitalGraph(v, [(None, None)], [True, True])
+        OrbitalGraph(v, [None], [None], [True, True])
     with pytest.raises(ValueError):
-        OrbitalGraph(v, [(1, None), (0, None)], [True, True], base=2)
+        OrbitalGraph(v, [1, 0], [None], [True, True])
     with pytest.raises(ValueError):
-        OrbitalGraph(v, [(5, None), (0, None)], [True, True])
+        OrbitalGraph(v, [1, 0], [None, None], [True, True], base=2)
     with pytest.raises(ValueError):
-        OrbitalGraph([Vec2(0, 0), Vec2(0, 0)], [(1, None), (0, None)], [True, True])
+        OrbitalGraph(v, [5, 0], [None, None], [True, True])
+    with pytest.raises(ValueError):
+        OrbitalGraph(v, [1, 0], [None, -1], [True, True])
+    with pytest.raises(ValueError):
+        OrbitalGraph([Vec2(0, 0), Vec2(0, 0)], [1, 0], [None, None], [True, True])
 
 
 def test_graph_rejects_wrong_vertex_modulus():
     with pytest.raises(ValueError):
-        OrbitalGraph([Vec2(0, 0, 3)], [(None, None)], [True], modulus=None)
+        OrbitalGraph([Vec2(0, 0, 3)], [None], [None], [True], modulus=None)
     with pytest.raises(ValueError):
-        OrbitalGraph([Vec2(0, 0)], [(None, None)], [True], modulus=3)
+        OrbitalGraph([Vec2(0, 0)], [None], [None], [True], modulus=3)
 
 
 def test_graph_rejects_disconnected():
     with pytest.raises(ValueError):
-        OrbitalGraph([Vec2(0, 0), Vec2(1, 1)], [(None, None), (None, None)], [True, True])
+        OrbitalGraph([Vec2(0, 0), Vec2(1, 1)], [None, None], [None, None], [True, True])
 
 
 def test_graph_rejects_unfolded():
     pts = [Vec2(0, 0), Vec2(1, 1), Vec2(2, 2)]
     with pytest.raises(ValueError):
-        OrbitalGraph(pts, [(2, None), (2, None), (None, None)], [True] * 3)
+        OrbitalGraph(pts, [2, 2, None], [None, None, None], [True] * 3)
+    with pytest.raises(ValueError):
+        OrbitalGraph(pts, [None, None, None], [2, 2, None], [True] * 3)
 
 
 def test_step_rejects_bad_letter():
@@ -342,6 +351,44 @@ def test_json_rejects_shuffled_ids():
         graph_from_json(text)
 
 
+def test_json_rejects_unknown_edge_label():
+    obj = json.loads(export_json(build_mod_q(2)))
+    obj["edges"][0]["gen"] = "W"
+    with pytest.raises(ValueError):
+        graph_from_json(json.dumps(obj))
+
+
+def test_json_rejects_two_edges_into_one_vertex():
+    obj = json.loads(export_json(build_mod_q(2)))
+    u_edges = [e for e in obj["edges"] if e["gen"] == "U"]
+    u_edges[1]["to"] = u_edges[0]["to"]
+    with pytest.raises(ValueError, match="not folded"):
+        graph_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (
+            lambda: export_json(build_mod_q(7)),
+            "a9eb0c633431a469e98b636a08e17d6dcfa2e9111277fee693d65fde898b8afa",
+        ),
+        (
+            lambda: export_dot(build_ball(4)),
+            "cb9b2f5c9baae567feb540bd96d6a480a346c33661f1a736b750587c29cedbc8",
+        ),
+        (
+            lambda: export_json(build_ball(3)),
+            "921945057801b93c34a8f2ac202288766aa81502c6d14a31629212310d8baa1e",
+        ),
+    ],
+    ids=["json-mod-7", "dot-ball-4", "json-ball-3"],
+)
+def test_export_bytes_are_pinned(build, digest):
+    # vertex ids and edge order are part of the output contract
+    assert hashlib.sha256(build().encode()).hexdigest() == digest
+
+
 def test_dot_output_shape():
     dot = export_dot(build_ball(1))
     assert dot.startswith("digraph orbital {")
@@ -361,8 +408,8 @@ def test_export_dispatch():
 
 def test_edge_consistency_catches_tampering():
     g = build_mod_q(2)
-    bad = [list(p) for p in g.succ]
-    bad[0][0], bad[1][0] = bad[1][0], bad[0][0]
-    h = OrbitalGraph(g.vertices, [tuple(p) for p in bad], g.complete, modulus=2)
+    bad = list(g.edges["U"])
+    bad[0], bad[1] = bad[1], bad[0]
+    h = OrbitalGraph(g.vertices, bad, g.edges["V"], g.complete, modulus=2)
     with pytest.raises(AssertionError):
         check_edge_consistency(h)

@@ -20,13 +20,6 @@ def _words_up_to(max_len):
     return list(enumerate_reduced(max_len))
 
 
-def test_letter_view():
-    w = Word("Uv")
-    gens = [(l.generator, l.inverted) for l in w.letters]
-    assert gens == [("U", False), ("V", True)]
-    assert w.letters[0].inverse.char == "u"
-
-
 def test_parse_examples():
     assert parse("U v").text == "Uv"
     assert parse("U u").text == ""
