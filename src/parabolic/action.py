@@ -9,7 +9,6 @@ witness_word(n) constructs an explicit word reaching each of them.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -20,8 +19,6 @@ ORIGIN = Vec2(0, 0)
 
 # the default loop witness (U^-1 V)^2, which fixes every point of the line
 DEFAULT_WITNESS = Word("uVuV")
-
-_RUNS = re.compile(r"U+|V+|u+|v+")
 
 
 def step(char: str, p: Vec2) -> Vec2:
@@ -57,19 +54,13 @@ def generator_power(gen: str, m: int, p: Vec2) -> Vec2:
 
 
 def act(w: Word, p: Vec2) -> Vec2:
-    """Apply a word to a point, rightmost letter first.
+    """Apply a word to a point, rightmost syllable first.
 
-    Maximal runs of one letter are applied with the closed-form power, so a
-    word built from long generator powers costs one step per run.
+    Each syllable, a run of one generator, is applied with the closed-form
+    power, so a word built from long generator powers costs one step per run.
     """
     x, y, q = p.x, p.y, p.modulus
-    for seg in reversed(_RUNS.findall(w.text)):
-        c = seg[0]
-        m = len(seg)
-        if c == "u":
-            c, m = "U", -m
-        elif c == "v":
-            c, m = "V", -m
+    for c, m in reversed(w.syllables):
         if c == "U":
             x, y = x + 2 * m * y + m * (m - 1), y + m
         else:
@@ -119,8 +110,10 @@ def _extend_witness(n: int, built: dict[int, Word]) -> Word:
 def witness_word(n: int) -> WitnessSchedule:
     """Build and verify a word sending (0, 0) to (n, 1 - n).
 
-    The word is assembled by prepending recurrence powers to previously built
-    witnesses, has length O(n^2), and is re-evaluated before being returned.
+    The word is assembled by prepending one recurrence power, a single
+    syllable, to a previously built witness.  It has O(n^2) letters but only
+    O(|n|) syllables, and it is re-evaluated syllable by syllable before
+    being returned.
     """
     built = {0: Word._raw("U"), 1: Word._raw("V")}
     todo = [n]
@@ -143,9 +136,10 @@ def witness_word(n: int) -> WitnessSchedule:
 def witness_sweep(n_max: int) -> Iterator[WitnessSchedule]:
     """Yield verified witnesses for n = 0, 1, -1, 2, -2, ..., +-n_max.
 
-    Each word is built from its predecessor in O(length) and dropped as soon
-    as nothing further depends on it, so memory stays bounded by a few of the
-    longest words instead of the whole sweep.
+    Each word is its predecessor with one syllable prepended, built and
+    certified in O(|n|) syllable steps although it has O(n^2) letters, and
+    dropped as soon as nothing further depends on it, so memory stays bounded
+    by a few of the longest words instead of the whole sweep.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")

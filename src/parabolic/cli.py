@@ -383,11 +383,13 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_core(args) -> int:
+    # a bad witness is refused before the ball is built; mod q it is unused
+    witness = parse(args.witness) if args.q is None else None
     g = _build_graph_from_args(args)
     if args.q is not None:
         rep = core_exact(g)
     else:
-        rep = certified_core(g, parse(args.witness))
+        rep = certified_core(g, witness)
     ids = sorted(rep.core_vertices)
     points = [[g.vertices[i].x, g.vertices[i].y] for i in ids]
     if args.format == "json":

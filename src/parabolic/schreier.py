@@ -32,7 +32,7 @@ class OrbitalGraph:
     as their inverses; per generator each vertex has at most one outgoing
     and one incoming edge, as in a folded Stallings graph."""
 
-    __slots__ = ("vertices", "base", "modulus", "complete", "edges", "_index")
+    __slots__ = ("vertices", "base", "modulus", "complete", "fully_complete", "edges", "_index")
 
     def __init__(
         self,
@@ -65,6 +65,8 @@ class OrbitalGraph:
         self.vertices = list(vertices)
         self.edges = edges
         self.complete = list(complete)
+        # read by every loop query, so computed once here, not per call
+        self.fully_complete = all(self.complete)
         self.base = base
         self.modulus = modulus
         self._index = {(v.x, v.y): i for i, v in enumerate(vertices)}
@@ -90,10 +92,6 @@ class OrbitalGraph:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    @property
-    def fully_complete(self) -> bool:
-        return all(self.complete)
 
     def vertex_id(self, point: Vec2 | tuple[int, int]) -> int | None:
         if isinstance(point, Vec2):
@@ -353,6 +351,7 @@ def spanning_tree_generators(g: OrbitalGraph) -> list[Word]:
     if not g.fully_complete:
         raise ValueError("spanning_tree_generators needs a fully complete graph")
     n = len(g.vertices)
+    letter = {c: Word._raw(c) for c in g.edges}
     tree_word: list[Word | None] = [None] * n
     tree_word[g.base] = Word._raw("")
     # a positive edge of a folded graph is named by its source and letter
@@ -366,7 +365,7 @@ def spanning_tree_generators(g: OrbitalGraph) -> list[Word]:
             t = m[p]
             if t is None or tree_word[t] is not None:
                 continue
-            tree_word[t] = concat(Word._raw(c), tree_word[p])
+            tree_word[t] = concat(letter[c], tree_word[p])
             tree_edges.add((p, c) if c in _GEN_CHARS else (t, c.upper()))
             queue.append(t)
     if any(w is None for w in tree_word):
@@ -374,7 +373,7 @@ def spanning_tree_generators(g: OrbitalGraph) -> list[Word]:
     out = []
     for p, c, t in g.positive_edges():
         if (p, c) not in tree_edges:
-            out.append(concat(concat(invert(tree_word[t]), Word._raw(c)), tree_word[p]))
+            out.append(concat(concat(invert(tree_word[t]), letter[c]), tree_word[p]))
     return out
 
 

@@ -1,10 +1,15 @@
 """Freely reduced words over the alphabet {U, V, U^-1, V^-1}.
 
-A word is held as a string over "UVuv", lowercase marking an inverse letter;
-that string is also the canonical printed form.  The letter order used
-everywhere (enumeration, tie-breaking) is U < V < U^-1 < V^-1, which happens
-to coincide with ASCII order on "UVuv", so plain string comparison gives the
-canonical lexicographic order.
+A word is stored in its syllable normal form (Lyndon-Schupp, Combinatorial
+Group Theory, ch. I.1): a tuple of (generator, nonzero exponent) runs with
+generator "U" or "V", no two adjacent runs on the same generator.  Every
+reduced word has exactly one such form, so equality compares syllables, and
+a word built from long generator powers costs one entry per run, not per
+letter.  The printed form is a string over "UVuv", lowercase marking an
+inverse letter; it is a view, built on first access and cached.  The letter
+order used everywhere (enumeration, tie-breaking) is U < V < U^-1 < V^-1,
+which happens to coincide with ASCII order on "UVuv", so plain string
+comparison gives the canonical lexicographic order.
 """
 
 from __future__ import annotations
@@ -23,13 +28,18 @@ class WordSyntaxError(ValueError):
         self.offset = offset
 
 
-def _concat_text(a: str, b: str) -> str:
-    # both sides already reduced, so cancellation only happens at the junction
-    i, j = len(a), 0
-    while i > 0 and j < len(b) and b[j] == _INVERSE_CHAR[a[i - 1]]:
-        i -= 1
-        j += 1
-    return a[:i] + b[j:]
+def _syllables_of(text: str) -> tuple[tuple[str, int], ...]:
+    # in a reduced text the maximal runs of one letter are the syllables
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        j = i + 1
+        while j < n and text[j] == c:
+            j += 1
+        out.append((c, j - i) if c in "UV" else (c.upper(), i - j))
+        i = j
+    return tuple(out)
 
 
 class Word:
@@ -37,10 +47,11 @@ class Word:
 
     The constructor insists on reduced input; use parse() to reduce free-form
     text.  Words multiply with *, invert with ~ or .inverse(), and raise to
-    integer powers with **.
+    integer powers with **.  `syllables` is the canonical state and `text`
+    the printed view.
     """
 
-    __slots__ = ("text",)
+    __slots__ = ("syllables", "_len", "_text")
 
     def __init__(self, text: str = ""):
         for i, c in enumerate(text):
@@ -48,20 +59,42 @@ class Word:
                 raise ValueError(f"bad letter {c!r} at position {i}")
             if i and text[i - 1] == _INVERSE_CHAR[c]:
                 raise ValueError(f"word {text!r} is not freely reduced at position {i}")
-        self.text = text
+        self.syllables = _syllables_of(text)
+        self._len = len(text)
+        self._text = text
 
     @classmethod
     def _raw(cls, text: str) -> Word:
         # internal fast path: caller guarantees text is reduced
         w = object.__new__(cls)
-        w.text = text
+        w.syllables = _syllables_of(text)
+        w._len = len(text)
+        w._text = text
         return w
 
+    @classmethod
+    def _from_syllables(cls, syllables: tuple[tuple[str, int], ...], length: int) -> Word:
+        # internal fast path: caller guarantees normal form and the letter count
+        w = object.__new__(cls)
+        w.syllables = syllables
+        w._len = length
+        w._text = None
+        return w
+
+    @property
+    def text(self) -> str:
+        t = self._text
+        if t is None:
+            t = self._text = "".join(
+                [g * e if e > 0 else _INVERSE_CHAR[g] * -e for g, e in self.syllables]
+            )
+        return t
+
     def is_identity(self) -> bool:
-        return not self.text
+        return not self.syllables
 
     def inverse(self) -> Word:
-        return Word._raw(self.text[::-1].swapcase())
+        return Word._from_syllables(tuple([(g, -e) for g, e in self.syllables[::-1]]), self._len)
 
     def __invert__(self) -> Word:
         return self.inverse()
@@ -73,10 +106,10 @@ class Word:
         return power(self, m)
 
     def __len__(self) -> int:
-        return len(self.text)
+        return self._len
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Word) and self.text == other.text
+        return isinstance(other, Word) and self.syllables == other.syllables
 
     def __hash__(self) -> int:
         return hash(self.text)
@@ -95,10 +128,12 @@ def parse(text: str) -> Word:
     """Parse free-form input into a reduced word.
 
     Tokens are U, V, u, v, each optionally followed by a caret exponent such
-    as U^3 or V^-2.  Whitespace is ignored.  Raises WordSyntaxError with the
-    offset of the first bad token.
+    as U^3 or V^-2.  Whitespace is ignored.  Each token is one syllable, so
+    U^99999999 costs no more than U.  Raises WordSyntaxError with the offset
+    of the first bad token.
     """
-    out = ""
+    out: list[tuple[str, int]] = []
+    length = 0
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -127,15 +162,48 @@ def parse(text: str) -> Word:
                 raise WordSyntaxError("malformed exponent", start)
             exponent = int(digits)
             i = j
-        if exponent < 0:
-            c = _INVERSE_CHAR[c]
+        if c in "uv":
+            c = c.upper()
             exponent = -exponent
-        out = _concat_text(out, c * exponent)
-    return Word._raw(out)
+        if not exponent:
+            continue
+        # the token meets only the last syllable; after a full cancellation
+        # the new last syllable is on the other generator
+        if out and out[-1][0] == c:
+            e = out[-1][1]
+            merged = e + exponent
+            length += abs(merged) - abs(e)
+            if merged:
+                out[-1] = (c, merged)
+            else:
+                out.pop()
+        else:
+            out.append((c, exponent))
+            length += abs(exponent)
+    return Word._from_syllables(tuple(out), length)
 
 
 def concat(w1: Word, w2: Word) -> Word:
-    return Word._raw(_concat_text(w1.text, w2.text))
+    a, b = w1.syllables, w2.syllables
+    if not a:
+        return w2
+    if not b:
+        return w1
+    length = w1._len + w2._len
+    if a[-1][0] != b[0][0]:
+        return Word._from_syllables(a + b, length)
+    # both sides already reduced, so cancellation only happens at the junction
+    i, j = len(a), 0
+    while i and j < len(b) and a[i - 1][0] == b[j][0]:
+        g, e = a[i - 1]
+        f = b[j][1]
+        if e + f:
+            length += abs(e + f) - abs(e) - abs(f)
+            return Word._from_syllables(a[: i - 1] + ((g, e + f),) + b[j + 1 :], length)
+        length -= 2 * abs(e)
+        i -= 1
+        j += 1
+    return Word._from_syllables(a[:i] + b[j:], length)
 
 
 def invert(w: Word) -> Word:
@@ -143,18 +211,32 @@ def invert(w: Word) -> Word:
 
 
 def power(w: Word, m: int) -> Word:
-    if m == 0 or not w.text:
+    if m == 0 or not w.syllables:
         return EMPTY
     if m < 0:
         return power(w.inverse(), -m)
-    s = w.text
-    # peel the conjugating shell so the cyclically reduced core repeats cleanly
+    s = w.syllables
+    # peel the conjugating shell so the core repeats with one junction rule
     i, j = 0, len(s) - 1
-    while i < j and s[i] == _INVERSE_CHAR[s[j]]:
+    while i < j and s[i][0] == s[j][0] and s[i][1] == -s[j][1]:
         i += 1
         j -= 1
     core = s[i : j + 1]
-    return Word._raw(s[:i] + core * m + s[j + 1 :])
+    (g, a), (h, b) = core[0], core[-1]
+    if i == j:
+        body = ((g, a * m),)
+        length = len(w) + (m - 1) * abs(a)
+    elif g == h:
+        # the last syllable of one copy meets the first of the next; a + b
+        # is nonzero, or the shell would have taken both
+        mid = core[1:-1]
+        body = core[:-1] + (((g, a + b),) + mid) * (m - 1) + core[-1:]
+        core_len = sum(abs(e) for _, e in core) - abs(a) - abs(b) + abs(a + b)
+        length = len(w) + (m - 1) * core_len
+    else:
+        body = core * m
+        length = len(w) + (m - 1) * sum(abs(e) for _, e in core)
+    return Word._from_syllables(s[:i] + body + s[j + 1 :], length)
 
 
 def enumerate_reduced(max_len: int) -> Iterator[Word]:

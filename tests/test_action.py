@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parabolic.action import (
     DEFAULT_WITNESS,
@@ -15,7 +17,7 @@ from parabolic.action import (
     witness_word,
 )
 from parabolic.linear import Vec2, eval_affine
-from parabolic.words import EMPTY, Word, enumerate_reduced
+from parabolic.words import EMPTY, Word, enumerate_reduced, parse
 
 from oracles import act_letterwise, step_point
 
@@ -74,6 +76,29 @@ def test_act_equals_letterwise_oracle_mod():
         p = Vec2(rng.randint(0, q - 1), rng.randint(0, q - 1), q)
         expect = act_letterwise(w.text, p.x, p.y, q)
         assert act(w, p) == Vec2(expect[0], expect[1], q)
+
+
+# syllable normal forms: nonzero exponents on alternating generators
+syllable_forms = st.tuples(
+    st.sampled_from("UV"), st.lists(st.integers(-40, 40).filter(bool), max_size=10)
+).map(lambda t: tuple(("UV"[("UV".index(t[0]) + k) % 2], e) for k, e in enumerate(t[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    syllable_forms,
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6),
+    st.none() | st.integers(2, 60),
+)
+def test_act_on_syllables_matches_letterwise_oracle(syllables, x, y, q):
+    text = "".join(g * e if e > 0 else g.lower() * -e for g, e in syllables)
+    if q is not None:
+        x, y = x % q, y % q
+    expect = Vec2(*act_letterwise(text, x, y, q), q)
+    p = Vec2(x, y, q)
+    assert act(Word(text), p) == expect
+    assert act(parse(" ".join(f"{g}^{e}" for g, e in syllables)), p) == expect
 
 
 def test_act_equals_affine_evaluation():

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import parabolic
 from parabolic import cli
 from parabolic.cli import OUTPUT_DIR_ENV, CheckResult, VerificationReport, main, run_verification
 from parabolic.schreier import build_mod_q, graph_from_json
@@ -218,6 +222,12 @@ def test_member_command_rejects_bad_word(capsys):
 def test_core_command_rejects_bad_witness(capsys):
     assert main(["core", "--depth", "4", "--witness", "W"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # the witness is parsed before the ball of 687,406 vertices is built
+    start = time.monotonic()
+    assert main(["core", "--depth", "12", "--witness", "W"]) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_rank_command_rejects_bad_q(capsys):
@@ -237,3 +247,18 @@ def test_rank_command_refuses_huge_q_before_allocating(capsys):
 def test_snf_command_rejects_ragged_matrix(capsys):
     assert main(["snf", "--matrix", "1 2; 3"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_python_m_parabolic_runs_without_warnings():
+    # parabolic/__init__.py imports the CLI, so `-m parabolic.cli` warns from
+    # runpy; `-m parabolic` goes through __main__.py and must not
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(parabolic.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "parabolic", "rank", "--q", "7"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "index = 49" in proc.stdout

@@ -196,6 +196,18 @@ def test_core_exact_requires_complete_graph():
         core_exact(build_ball(3))
 
 
+def test_fully_complete_flag_matches_vertex_flags():
+    # only the last vertex is incomplete, so a flag read off one vertex fails
+    partial = OrbitalGraph([Vec2(0, 0), Vec2(1, 0)], [1, 0], [None, None], [True, False])
+    for g in (build_ball(4), build_mod_q(6), build_mod_q(8), partial):
+        assert g.fully_complete == all(g.complete)
+    assert build_mod_q(6).fully_complete and not partial.fully_complete
+    with pytest.raises(ValueError):
+        is_loop_at_base(partial, Word("U"))
+    with pytest.raises(ValueError):
+        core_exact(partial)
+
+
 def test_core_exact_mod_q_is_everything():
     # every vertex of the orbit graph has degree 4, nothing prunes
     for q in (2, 3, 4, 5):

@@ -1,8 +1,14 @@
 import itertools
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parabolic.ranks import membership
 from parabolic.words import (
+    ALPHABET,
     EMPTY,
     Word,
     WordSyntaxError,
@@ -147,3 +153,95 @@ def test_operators_and_canonical_form():
     assert len(r) == 4
     assert not r.is_identity()
     assert EMPTY.is_identity()
+
+
+# ---------------------------------------------------------------- syllables
+
+
+def _expand(syllables):
+    return "".join(g * e if e > 0 else g.lower() * -e for g, e in syllables)
+
+
+# syllable normal forms: nonzero exponents on alternating generators
+syllable_forms = st.tuples(
+    st.sampled_from("UV"), st.lists(st.integers(-30, 30).filter(bool), max_size=8)
+).map(lambda t: tuple(("UV"[("UV".index(t[0]) + k) % 2], e) for k, e in enumerate(t[1])))
+
+# reduced texts, both with mostly short runs and with long syllables
+reduced_texts = st.one_of(
+    st.lists(st.sampled_from(ALPHABET), max_size=40).map(lambda cs: brute_reduce("".join(cs))),
+    syllable_forms.map(_expand),
+)
+
+# caret input: letters with optional signed exponents, spaced freely
+caret_tokens = st.lists(
+    st.tuples(
+        st.sampled_from(ALPHABET),
+        st.none() | st.integers(-20, 20),
+        st.sampled_from(["", " "]),
+        st.sampled_from(["", " "]),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(caret_tokens)
+def test_parse_caret_forms_match_brute_reduction(tokens):
+    text = "".join(
+        c + ("" if e is None else f"{sp}^{sp}{e}") + gap for c, e, sp, gap in tokens
+    )
+    letters = "".join(
+        (c if e is None or e >= 0 else c.swapcase()) * (1 if e is None else abs(e))
+        for c, e, _, _ in tokens
+    )
+    expected = brute_reduce(letters)
+    w = parse(text)
+    assert w.text == expected
+    assert len(w) == len(expected)
+    assert w == Word(expected) and hash(w) == hash(Word(expected))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_texts, reduced_texts, st.integers(-6, 6))
+def test_syllable_operations_match_brute_reduction(a, b, m):
+    wa, wb = Word(a), Word(b)
+    ab = concat(wa, wb)
+    assert ab.text == brute_reduce(a + b) and len(ab) == len(ab.text)
+    assert ab == Word(ab.text) and hash(ab) == hash(Word(ab.text))
+    assert invert(wa).text == a[::-1].swapcase() and len(invert(wa)) == len(a)
+    expected = brute_reduce((a if m >= 0 else a[::-1].swapcase()) * abs(m))
+    p = power(wa, m)
+    assert p.text == expected and len(p) == len(expected) and p == Word(expected)
+    assert (wa == wb) == (a == b)
+    assert wa.is_identity() == (a == "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(syllable_forms)
+def test_word_from_syllables_equals_word_from_text(syllables):
+    text = _expand(syllables)
+    w = Word._from_syllables(syllables, len(text))
+    assert Word(text).syllables == syllables
+    assert w == Word(text) and hash(w) == hash(Word(text))
+    assert w.text == text and len(w) == len(text)
+    caret = " ".join(f"{g}^{e}" for g, e in syllables)
+    assert parse(caret).syllables == syllables
+
+
+def test_huge_caret_power_is_one_syllable():
+    # U^99999999 as a string would take 100 MB; as one syllable it is a few bytes
+    start = time.monotonic()
+    tracemalloc.start()
+    try:
+        w = parse("U^99999999")
+        exact = membership(w)
+        mod3 = membership(w, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 1.0
+    assert peak < 1_000_000
+    assert len(w) == 99999999 and w.syllables == (("U", 99999999),)
+    # U^m sends the origin to (m(m - 1), m), and 3 divides m = 99999999
+    assert not exact and mod3
