@@ -2,6 +2,8 @@
 generators inside the parabolic Z^2 x| SL(2, Z), and the subgroup rank
 bounds they certify."""
 
+# imported so that parabolic.cli.main resolves after a bare `import parabolic`
+from . import cli
 from .action import (
     DEFAULT_WITNESS,
     ORIGIN,
@@ -14,7 +16,6 @@ from .action import (
     witness_sweep,
     witness_word,
 )
-from .cli import VerificationReport, run_verification
 from .linear import (
     AffineElement,
     FreenessSweepResult,
@@ -57,6 +58,7 @@ from .schreier import (
     spanning_tree_generators,
     trace,
 )
+from .verify import VerificationReport, run_verification
 from .words import Word, WordSyntaxError, concat, enumerate_reduced, invert, parse, power
 
 __version__ = "0.1.0"

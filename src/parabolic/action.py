@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .linear import Vec2
-from .words import EMPTY, Word, concat, power
+from .words import Word, concat, power
 
 ORIGIN = Vec2(0, 0)
 
@@ -99,12 +99,23 @@ class WitnessSchedule:
             raise ValueError(f"word {self.word} does not reach marked point {self.n}")
 
 
-def _extend_witness(n: int, built: dict[int, Word]) -> Word:
+# the witnesses of the marked points 0 and 1, where every chain of
+# predecessors ends: U sends the origin to (0, 1) and V to (1, 0)
+_BASE_WITNESSES = {0: Word._raw("U"), 1: Word._raw("V")}
+
+
+def _predecessor(n: int) -> int:
+    """The marked point whose witness the witness of n extends.  The map is
+    injective, so each witness is the predecessor of at most one other."""
+    return -n if n < 0 else 2 - n
+
+
+def _extend_witness(n: int, pred_word: Word) -> Word:
     # recurrences: beta^{-2n} sends (n, 1-n) to (-n, 1+n) and
     # alpha^{-2n-2} sends (-n, 1+n) to (n+2, -n-1), both for n >= 0
     if n < 0:
-        return concat(power(Word._raw("V"), 2 * n), built[-n])
-    return concat(power(Word._raw("U"), 2 - 2 * n), built[2 - n])
+        return concat(power(Word._raw("V"), 2 * n), pred_word)
+    return concat(power(Word._raw("U"), 2 - 2 * n), pred_word)
 
 
 def witness_word(n: int) -> WitnessSchedule:
@@ -115,22 +126,13 @@ def witness_word(n: int) -> WitnessSchedule:
     O(|n|) syllables, and it is re-evaluated syllable by syllable before
     being returned.
     """
-    built = {0: Word._raw("U"), 1: Word._raw("V")}
-    todo = [n]
-    while todo:
-        k = todo[-1]
-        if k in built:
-            todo.pop()
-            continue
-        need = -k if k < 0 else 2 - k
-        if need in built:
-            built[k] = _extend_witness(k, built)
-            if need != n:
-                del built[need]  # the chain uses each predecessor exactly once
-            todo.pop()
-        else:
-            todo.append(need)
-    return WitnessSchedule(n, built[n])
+    chain = [n]
+    while chain[-1] not in _BASE_WITNESSES:
+        chain.append(_predecessor(chain[-1]))
+    word = _BASE_WITNESSES[chain.pop()]
+    for k in reversed(chain):
+        word = _extend_witness(k, word)
+    return WitnessSchedule(n, word)
 
 
 def witness_sweep(n_max: int) -> Iterator[WitnessSchedule]:
@@ -143,21 +145,13 @@ def witness_sweep(n_max: int) -> Iterator[WitnessSchedule]:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    built: dict[int, Word] = {0: Word._raw("U"), 1: Word._raw("V")}
-    yield WitnessSchedule(0, built[0])
-    if n_max == 0:
-        return
-    yield WitnessSchedule(1, built[1])
-    for k in range(1, n_max + 1):
-        if -k not in built:
-            built[-k] = _extend_witness(-k, built)
-        yield WitnessSchedule(-k, built[-k])
-        built.pop(k, None)  # only -k depended on it
-        if 2 <= k + 1 <= n_max:
-            built[k + 1] = _extend_witness(k + 1, built)
-            yield WitnessSchedule(k + 1, built[k + 1])
-            built.pop(-(k - 1), None)  # only k+1 depended on it
-    return
+    built = dict(_BASE_WITNESSES)
+    for i in range(2 * n_max + 1):
+        n = (i + 1) // 2 if i % 2 else -(i // 2)
+        if n not in built:
+            # the predecessor's only successor is n, so it is dropped here
+            built[n] = _extend_witness(n, built.pop(_predecessor(n)))
+        yield WitnessSchedule(n, built[n])
 
 
 def loop_check(w: Word, p: Vec2) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word
+from .words import ALPHABET, Word, _INVERSE_CHAR
 
 
 def _merge_modulus(m1: int | None, m2: int | None) -> int | None:
@@ -227,8 +227,6 @@ def freeness_sweep(max_len: int) -> FreenessSweepResult:
     checked = 0
     # stack holds (matrix, text); children extend on the right
     stack: list[tuple[Mat2, str]] = [(identity, "")]
-    from .words import ALPHABET, _INVERSE_CHAR
-
     while stack:
         mat, text = stack.pop()
         if len(text) >= max_len:

@@ -14,7 +14,6 @@ from typing import Sequence
 
 from .action import ORIGIN, act
 from .linear import U_MAT, V_MAT, Vec2, eval_affine
-from .schreier import _orbit_size_mod_q
 from .words import Word, enumerate_reduced
 
 
@@ -39,14 +38,45 @@ class AbelianGroupDescriptor:
         return self.free_rank + len(self.torsion)
 
 
+_MAX_COUNT_MODULUS = 4096
+
+
 def stabilizer_index(q: int) -> int:
     """Index of the mod-q origin stabilizer = orbit size of (0, 0) mod q.
 
-    Counted by the two-letter kernel schreier._orbit_size_mod_q, which
-    refuses q above its size guard; build_mod_q's four-letter BFS is the
-    independent path the verification run compares it against.
+    Follows the forward maps U and V alone.  Both are affine maps whose
+    linear part has determinant 1, so each is a bijection of the finite set
+    (Z/q)^2, and they generate a finite permutation group of it.  In a
+    finite group every element has finite order, so every inverse is a
+    positive power: U^-1 = U^(k-1) when U^k = 1.  The closure of (0, 0)
+    under U and V alone is therefore the whole orbit under U, V and their
+    inverses.  Visited points are marked in a q*q byte table; no ids,
+    discovery order or edges are kept.  Raises ValueError for
+    q > _MAX_COUNT_MODULUS before allocating, which caps the table at
+    2^24 bytes.  build_mod_q's four-letter BFS is the independent path the
+    verification run compares it against.
     """
-    return _orbit_size_mod_q(q)
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+    if q > _MAX_COUNT_MODULUS:
+        raise ValueError(f"q {q} exceeds the guard {_MAX_COUNT_MODULUS}")
+    seen = bytearray(q * q)
+    seen[0] = 1
+    stack = [(0, 0)]
+    while stack:
+        x, y = stack.pop()
+        # U and V written out, not looped over: the inner loop is the hot path
+        ux, uy = (x + 2 * y) % q, (y + 1) % q
+        code = ux * q + uy
+        if not seen[code]:
+            seen[code] = 1
+            stack.append((ux, uy))
+        vx, vy = (x + 1) % q, (2 * x + y) % q
+        code = vx * q + vy
+        if not seen[code]:
+            seen[code] = 1
+            stack.append((vx, vy))
+    return seen.count(1)
 
 
 def nielsen_schreier_rank(index: int, ambient_rank: int) -> int:
@@ -181,7 +211,6 @@ def intersection_rank_lower_bound(q: int) -> int:
     that surjects onto it (the intersection pattern in question does) needs
     at least this many generators, and the value is >= q + 1.
 
-    The index comes from stabilizer_index, so from the two-letter count
-    kernel schreier._orbit_size_mod_q.
+    The index comes from stabilizer_index, the two-letter count kernel.
     """
     return nielsen_schreier_rank(stabilizer_index(q), 2)

@@ -16,12 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .action import step
 from .linear import Vec2
 from .words import Word, concat, invert
 
 _GEN_CHARS = ("U", "V")
 _MAX_BALL_DEPTH = 16
-_MAX_COUNT_MODULUS = 4096
 
 _DOT_COLORS = {"U": "#1f77b4", "V": "#d62728"}
 
@@ -104,12 +104,6 @@ class OrbitalGraph:
             key = (key[0] % self.modulus, key[1] % self.modulus)
         return self._index.get(key)
 
-    def step(self, vid: int, char: str) -> int | None:
-        """Follow one letter from a vertex; None means the edge is missing."""
-        if char not in self.edges:
-            raise ValueError(f"bad letter {char!r}")
-        return self.edges[char][vid]
-
     def degree(self, vid: int) -> int:
         return sum(m[vid] is not None for m in self.edges.values())
 
@@ -138,7 +132,7 @@ def _orbit_mod_q(q: int) -> tuple[list[int], list[int], list[int]]:
     Returns (codes in discovery order, U-successor ids, V-successor ids)
     with points encoded as x * q + y.  Neighbours are visited in letter
     order U, V, U^-1, V^-1, and that discovery order fixes the vertex ids
-    of build_mod_q.  Orbit sizes alone come from _orbit_size_mod_q.
+    of build_mod_q.  Orbit sizes alone come from ranks.stabilizer_index.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
@@ -163,43 +157,6 @@ def _orbit_mod_q(q: int) -> tuple[list[int], list[int], list[int]]:
         succ_u.append(ids[a])
         succ_v.append(ids[b])
     return order, succ_u, succ_v
-
-
-def _orbit_size_mod_q(q: int) -> int:
-    """Number of points in the orbit of (0, 0) mod q, counted only.
-
-    Follows the forward maps U and V alone.  Both are affine maps whose
-    linear part has determinant 1, so each is a bijection of the finite set
-    (Z/q)^2, and they generate a finite permutation group of it.  In a
-    finite group every element has finite order, so every inverse is a
-    positive power: U^-1 = U^(k-1) when U^k = 1.  The closure of (0, 0)
-    under U and V alone is therefore the whole orbit under U, V and their
-    inverses.  Visited points are marked in a q*q byte table; no ids,
-    discovery order or edges are kept.  Raises ValueError for
-    q > _MAX_COUNT_MODULUS before allocating, which caps the table at
-    2^24 bytes.
-    """
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    if q > _MAX_COUNT_MODULUS:
-        raise ValueError(f"q {q} exceeds the guard {_MAX_COUNT_MODULUS}")
-    seen = bytearray(q * q)
-    seen[0] = 1
-    stack = [(0, 0)]
-    while stack:
-        x, y = stack.pop()
-        # U and V written out, not looped over: the inner loop is the hot path
-        ux, uy = (x + 2 * y) % q, (y + 1) % q
-        code = ux * q + uy
-        if not seen[code]:
-            seen[code] = 1
-            stack.append((ux, uy))
-        vx, vy = (x + 1) % q, (2 * x + y) % q
-        code = vx * q + vy
-        if not seen[code]:
-            seen[code] = 1
-            stack.append((vx, vy))
-    return seen.count(1)
 
 
 def build_mod_q(q: int) -> OrbitalGraph:
@@ -231,24 +188,23 @@ def build_ball(depth: int) -> OrbitalGraph:
         raise ValueError(f"depth {depth} exceeds the guard {_MAX_BALL_DEPTH}")
     index = {(0, 0): 0}
     points = [(0, 0)]
-    frontier = [(0, 0)]
-    for _ in range(depth):
-        nxt = []
-        for x, y in frontier:
-            for p in _neighbours(x, y):
-                if p not in index:
-                    index[p] = len(points)
-                    points.append(p)
-                    nxt.append(p)
-        frontier = nxt
-    succ_u = []
-    succ_v = []
+    succ_u: list[int | None] = []
+    succ_v: list[int | None] = []
     complete = []
-    for x, y in points:
-        nb = _neighbours(x, y)
-        succ_u.append(index.get(nb[0]))
-        succ_v.append(index.get(nb[1]))
-        complete.append(all(p in index for p in nb))
+    for d in range(depth + 1):
+        # points are read in discovery order, one distance layer d at a time;
+        # only layers before the last add neighbours, so by the time the last
+        # layer is read every point of the ball is known
+        for i in range(len(succ_u), len(points)):
+            nb = _neighbours(*points[i])
+            if d < depth:
+                for p in nb:
+                    if p not in index:
+                        index[p] = len(points)
+                        points.append(p)
+            succ_u.append(index.get(nb[0]))
+            succ_v.append(index.get(nb[1]))
+            complete.append(all(p in index for p in nb))
     vertices = [Vec2(x, y) for x, y in points]
     return OrbitalGraph(vertices, succ_u, succ_v, complete, base=0, modulus=None)
 
@@ -437,8 +393,6 @@ def graph_from_json(text: str) -> OrbitalGraph:
 def check_edge_consistency(g: OrbitalGraph) -> None:
     """Audit that every stored edge matches the affine action, and that a
     complete vertex has all four incident edges.  Raises on any mismatch."""
-    from .action import step
-
     for vid, v in enumerate(g.vertices):
         for c in _GEN_CHARS:
             expected = step(c, v)

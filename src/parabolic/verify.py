@@ -1,0 +1,312 @@
+"""The verification run: each desk-scale claim re-derived by one check of
+CHECKS.  The report serializes to byte-identical JSON across runs with
+equal parameters.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import random
+from dataclasses import dataclass, field
+
+from .action import DEFAULT_WITNESS, act, loop_check, marked_point, witness_sweep
+from .linear import cocycle, freeness_sweep
+from .ranks import (
+    _MAX_COUNT_MODULUS,
+    abelianization,
+    membership,
+    nielsen_schreier_rank,
+    stabilizer_index,
+)
+from .schreier import (
+    _MAX_BALL_DEPTH,
+    build_ball,
+    build_mod_q,
+    certified_core,
+    is_loop_at_base,
+    spanning_tree_generators,
+)
+from .words import ALPHABET, Word, _INVERSE_CHAR
+
+REPORT_SCHEMA_VERSION = 1
+_RNG_SEED = 0x5EED
+_ORACLE_MODULI = (2, 3, 4, 5, 10)
+# the largest q for which a check builds a graph or a Smith normal form per q
+_Q_SMALL = 50
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    id: str
+    claim: str
+    anchor: str
+    status: str
+    details: str
+
+
+@dataclass
+class VerificationReport:
+    parameters: dict
+    checks: list[CheckResult] = field(default_factory=list)
+
+    @property
+    def all_passed(self) -> bool:
+        return all(c.status == "pass" for c in self.checks)
+
+    def summary(self) -> dict:
+        passed = sum(c.status == "pass" for c in self.checks)
+        return {"total": len(self.checks), "passed": passed, "failed": len(self.checks) - passed}
+
+    def to_json(self) -> str:
+        obj = {
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "parameters": self.parameters,
+            "checks": [dataclasses.asdict(c) for c in self.checks],
+            "summary": self.summary(),
+        }
+        return json.dumps(obj, indent=2) + "\n"
+
+    def to_text(self) -> str:
+        lines = [f"{c.status.upper():4} {c.id}: {c.claim} [{c.details}]" for c in self.checks]
+        s = self.summary()
+        lines.append(f"{s['passed']}/{s['total']} checks passed")
+        return "\n".join(lines) + "\n"
+
+
+def _random_reduced_word(rng: random.Random, length: int) -> Word:
+    out = []
+    for _ in range(length):
+        choices = [c for c in ALPHABET if not out or c != _INVERSE_CHAR[out[-1]]]
+        out.append(rng.choice(choices))
+    return Word._raw("".join(out))
+
+
+def _core_evidence(depth: int) -> tuple[list[int], list[tuple[int, tuple[int, int]]]]:
+    """Certified core counts of the balls 4..depth, and the (depth, point)
+    pairs from depth 5 on where a base marked point is not certified.  The
+    balls are built and read one at a time, not kept for the whole run."""
+    counts = []
+    uncertified = []
+    for d in range(4, depth + 1):
+        ball = build_ball(d)
+        core = certified_core(ball, DEFAULT_WITNESS).core_vertices
+        counts.append(len(core))
+        if d >= 5:
+            uncertified += [(d, pt) for pt in ((0, 1), (1, 0)) if ball.vertex_id(pt) not in core]
+    return counts, uncertified
+
+
+def _indices(q_max: int) -> dict[int, int]:
+    return {q: stabilizer_index(q) for q in range(2, q_max + 1)}
+
+
+def _shared(ev: dict, build, arg: int):
+    """build(arg), computed on first use and kept in ev for the run.  An
+    exception is kept too, so every check that reads it fails with it."""
+    if build not in ev:
+        try:
+            ev[build] = build(arg)
+        except Exception as exc:
+            ev[build] = exc
+    if isinstance(ev[build], Exception):
+        raise ev[build]
+    return ev[build]
+
+
+def _freeness(p: dict, ev: dict) -> str:
+    res = freeness_sweep(p["sweep_len"])
+    if not res.passed:
+        raise AssertionError(f"identity at {res.counterexample}")
+    return f"{res.words_checked} words of length <= {p['sweep_len']} checked"
+
+
+def _witnesses(p: dict, ev: dict) -> str:
+    # each WitnessSchedule is certified against marked_point(n) as it is made
+    lengths = [len(sched.word) for sched in witness_sweep(p["n_max"])]
+    return f"{len(lengths)} witness words verified, longest {max(lengths)} letters"
+
+
+def _line_loops(p: dict, ev: dict) -> str:
+    n_max = p["n_max"]
+    swap = Word("uV")
+    for n in range(-n_max, n_max + 1):
+        pt = marked_point(n).point
+        if act(swap, pt) != marked_point(1 - n).point:
+            raise AssertionError(f"U^-1 V at marked point {n}")
+        if not loop_check(DEFAULT_WITNESS, pt):
+            raise AssertionError(f"witness loop open at marked point {n}")
+    return f"checked marked points |n| <= {n_max}"
+
+
+def _core_growth(p: dict, ev: dict) -> str:
+    counts, _ = _shared(ev, _core_evidence, p["depth"])
+    if any(c <= 0 for c in counts):
+        raise AssertionError(f"empty certified core in {counts}")
+    if any(a > b for a, b in zip(counts, counts[1:])):
+        raise AssertionError(f"certified counts decreased: {counts}")
+    return "counts at depths 4..%d: %s" % (p["depth"], counts)
+
+
+def _core_points(p: dict, ev: dict) -> str:
+    _, uncertified = _shared(ev, _core_evidence, p["depth"])
+    if uncertified:
+        d, pt = uncertified[0]
+        raise AssertionError(f"marked point {pt} not certified at depth {d}")
+    return f"depths 5..{p['depth']} contain both base marked points"
+
+
+def _abelianization(p: dict, ev: dict) -> str:
+    q_small = min(p["q_max"], _Q_SMALL)
+    for q in range(2, q_small + 1):
+        desc = abelianization(q)
+        if desc.free_rank != 2 or desc.torsion != (2, 2) or desc.min_generators != 4:
+            raise AssertionError(f"descriptor {desc} at q={q}")
+    return f"Z^2 x (Z/2)^2 with 4 minimal generators for 2 <= q <= {q_small}"
+
+
+def _stabilizer_index(p: dict, ev: dict) -> str:
+    indices = _shared(ev, _indices, p["q_max"])
+    for q, idx in indices.items():
+        if idx < q:
+            raise AssertionError(f"index {idx} < q at q={q}")
+    margin_q = min(indices, key=lambda q: indices[q] - q)
+    return f"2 <= q <= {p['q_max']}; tightest at q={margin_q} with index {indices[margin_q]}"
+
+
+def _rank_bound(p: dict, ev: dict) -> str:
+    for q, idx in _shared(ev, _indices, p["q_max"]).items():
+        bound = nielsen_schreier_rank(idx, 2)
+        if bound != idx + 1 or bound < q + 1:
+            raise AssertionError(f"bound {bound} at q={q} (index {idx})")
+    return f"rank = index + 1 >= q + 1 for 2 <= q <= {p['q_max']}"
+
+
+def _schreier_generators(p: dict, ev: dict) -> str:
+    indices = _shared(ev, _indices, p["q_max"])
+    q_small = min(p["q_max"], _Q_SMALL)
+    for q in range(2, q_small + 1):
+        g = build_mod_q(q)
+        gens = spanning_tree_generators(g)
+        if len(gens) != indices[q] + 1:
+            raise AssertionError(f"{len(gens)} generators at q={q}, index {indices[q]}")
+        for w in gens:
+            if not membership(w, q):
+                raise AssertionError(f"generator {w} escapes the stabilizer mod {q}")
+    return f"generator count = index + 1 and all fix the origin mod q, 2 <= q <= {q_small}"
+
+
+def _membership_oracle(p: dict, ev: dict) -> str:
+    rng = random.Random(_RNG_SEED)
+    graphs = {q: build_mod_q(q) for q in _ORACLE_MODULI}
+    trials = 0
+    for q, g in graphs.items():
+        for _ in range(200):
+            w = _random_reduced_word(rng, rng.randint(0, 20))
+            via_graph = w.is_identity() or is_loop_at_base(g, w)
+            c = cocycle(w)
+            via_cocycle = c.x % q == 0 and c.y % q == 0
+            if via_graph != via_cocycle:
+                raise AssertionError(f"oracles disagree on {w} mod {q}")
+            trials += 1
+    return f"{trials} random words agreed across moduli {list(_ORACLE_MODULI)}"
+
+
+# (id, claim template formatted with the run parameters, anchor, check), in report order
+CHECKS = (
+    (
+        "freeness-sweep",
+        "no nonempty reduced word of length <= {sweep_len} evaluates to the identity matrix",
+        "the two unipotent generators span a free group of rank 2",
+        _freeness,
+    ),
+    (
+        "orbit-witnesses",
+        "every marked point (n, 1-n) with |n| <= {n_max} is reached from the origin"
+        " by an explicit verified word",
+        "the orbit of the origin contains the whole line x + y = 1",
+        _witnesses,
+    ),
+    (
+        "line-loops",
+        "U^-1 V swaps the marked points n and 1-n, and (U^-1 V)^2 fixes every marked point",
+        "the invariant line carries a loop through each of its points",
+        _line_loops,
+    ),
+    (
+        "core-growth",
+        "certified core counts are positive and non-decreasing at ball depths 4..{depth}",
+        "every vertex of the invariant line lies on a short witness loop, so deeper"
+        " exploration certifies more core vertices",
+        _core_growth,
+    ),
+    (
+        "core-line-points",
+        "the marked points (0, 1) and (1, 0) are certified core vertices from depth 5 on",
+        "their witness loops stay within two steps of the origin",
+        _core_points,
+    ),
+    (
+        "abelianization",
+        "each four-generator subgroup built from the scaled lattice abelianizes to"
+        " Z^2 x (Z/2)^2, so all four generators are necessary",
+        "(U - I) and (V - I) send the scaled lattice onto its doubled sublattices",
+        _abelianization,
+    ),
+    (
+        "stabilizer-index",
+        "the mod-q origin stabilizer has index >= q for 2 <= q <= {q_max}",
+        "the orbit of the origin mod q has at least q points",
+        _stabilizer_index,
+    ),
+    (
+        "rank-bound",
+        "the mod-q stabilizer rank index + 1 is at least q + 1, unbounded in q",
+        "Nielsen-Schreier turns growing index into growing rank",
+        _rank_bound,
+    ),
+    (
+        "schreier-generators",
+        "spanning-tree generators number exactly index + 1 and all fix the origin mod q",
+        "a breadth-first spanning tree of the orbital graph reads off a free basis",
+        _schreier_generators,
+    ),
+    (
+        "membership-oracle",
+        "graph loops at the base coincide with vanishing of the translation cocycle",
+        "the orbital graph is the coset graph of the origin stabilizer",
+        _membership_oracle,
+    ),
+)
+
+
+def run_verification(
+    n_max: int = 1000, q_max: int = 200, depth: int = 10, sweep_len: int = 10
+) -> VerificationReport:
+    """Re-derive every desk-scale claim and collect pass/fail evidence.
+
+    Parameter guards raise up front; failures of individual checks, and of
+    the evidence they share, are recorded in the report and never abort
+    the run.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not 2 <= q_max <= _MAX_COUNT_MODULUS:
+        raise ValueError(f"q_max must be in [2, {_MAX_COUNT_MODULUS}], got {q_max}")
+    if not 4 <= depth <= _MAX_BALL_DEPTH:
+        raise ValueError(f"depth must be in [4, {_MAX_BALL_DEPTH}], got {depth}")
+    if sweep_len < 1:
+        raise ValueError(f"sweep_len must be >= 1, got {sweep_len}")
+
+    params = {"n_max": n_max, "q_max": q_max, "depth": depth, "sweep_len": sweep_len}
+    report = VerificationReport(parameters=params)
+    evidence: dict = {}
+    for check_id, claim, anchor, check in CHECKS:
+        try:
+            details = check(params, evidence)
+            status = "pass"
+        except Exception as exc:  # an honest failure beats an aborted run
+            details = f"{type(exc).__name__}: {exc}"
+            status = "fail"
+        report.checks.append(CheckResult(check_id, claim.format(**params), anchor, status, details))
+    return report

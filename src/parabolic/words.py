@@ -66,9 +66,7 @@ class Word:
     @classmethod
     def _raw(cls, text: str) -> Word:
         # internal fast path: caller guarantees text is reduced
-        w = object.__new__(cls)
-        w.syllables = _syllables_of(text)
-        w._len = len(text)
+        w = cls._from_syllables(_syllables_of(text), len(text))
         w._text = text
         return w
 

@@ -7,9 +7,12 @@ import time
 import pytest
 
 import parabolic
-from parabolic import cli
-from parabolic.cli import OUTPUT_DIR_ENV, CheckResult, VerificationReport, main, run_verification
+from parabolic import cli, verify
+from parabolic.cli import OUTPUT_DIR_ENV, main
 from parabolic.schreier import build_mod_q, graph_from_json
+from parabolic.verify import CheckResult, VerificationReport, run_verification
+
+_GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "golden")
 
 _FAST = ["--n-max", "5", "--q-max", "5", "--depth", "4", "--sweep-len", "3"]
 
@@ -54,6 +57,38 @@ def test_run_verification_parameter_guards():
     ):
         with pytest.raises(ValueError):
             run_verification(**{**dict(n_max=2, q_max=2, depth=4, sweep_len=1), **bad})
+
+
+def test_tiny_report_matches_golden_file():
+    with open(os.path.join(_GOLDEN_DIR, "verification_tiny.json"), encoding="utf-8") as fh:
+        golden = fh.read()
+    report = run_verification(n_max=20, q_max=12, depth=5, sweep_len=5)
+    assert report.to_json() == golden
+
+
+@pytest.mark.parametrize(
+    "producer, readers",
+    [
+        ("stabilizer_index", {"stabilizer-index", "rank-bound", "schreier-generators"}),
+        ("build_ball", {"core-growth", "core-line-points"}),
+    ],
+)
+def test_failing_shared_evidence_fails_its_readers(monkeypatch, producer, readers):
+    calls = []
+
+    def broken(arg):
+        calls.append(arg)
+        raise RuntimeError("synthetic")
+
+    monkeypatch.setattr(verify, producer, broken)
+    report = run_verification(5, 5, 4, 3)
+    assert [c.id for c in report.checks] == _CHECK_IDS
+    failed = {c.id for c in report.checks if c.status == "fail"}
+    assert failed == readers
+    for c in report.checks:
+        if c.id in readers:
+            assert c.details == "RuntimeError: synthetic"
+    assert len(calls) == 1  # the evidence is computed once, not once per reader
 
 
 def test_report_json_shape():
@@ -225,6 +260,15 @@ def test_core_command_rejects_bad_witness(capsys):
     # the witness is parsed before the ball of 687,406 vertices is built
     start = time.monotonic()
     assert main(["core", "--depth", "12", "--witness", "W"]) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_member_command_refuses_word_too_long_to_print(capsys):
+    # the JSON answer prints the word, which has more letters than an index holds
+    start = time.monotonic()
+    assert main(["member", "--word", "U^100000000000000000000", "--format", "json"]) == 2
     assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

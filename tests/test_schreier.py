@@ -337,12 +337,6 @@ def test_graph_rejects_unfolded():
         OrbitalGraph(pts, [None, None, None], [2, 2, None], [True] * 3)
 
 
-def test_step_rejects_bad_letter():
-    g = build_mod_q(2)
-    with pytest.raises(ValueError):
-        g.step(0, "X")
-
-
 # ---------------------------------------------------------------- export
 
 
