@@ -44,39 +44,56 @@ _MAX_COUNT_MODULUS = 4096
 def stabilizer_index(q: int) -> int:
     """Index of the mod-q origin stabilizer = orbit size of (0, 0) mod q.
 
-    Follows the forward maps U and V alone.  Both are affine maps whose
-    linear part has determinant 1, so each is a bijection of the finite set
-    (Z/q)^2, and they generate a finite permutation group of it.  In a
-    finite group every element has finite order, so every inverse is a
+    Counts whole V-cycles rather than points.  V(x, y) = (x + 1, 2x + y), so
+    V^k(0, c) = (k, c + k(k - 1)): the label c = y - x(x - 1) mod q is
+    constant along V, and V^q is the identity mod q.  Each V-cycle thus has
+    exactly q points, one for each x, and is named by its label.  The orbit
+    is closed under V, so it is a union of V-cycles and its size is q * |S|,
+    where S is the set of labels it meets.
+
+    S is the closure of {0} under U read on labels.  With a_x = x(x - 1)
+    mod q, U sends the point (x, c + a_x) of cycle c to x' = x + 2c + 2a_x,
+    which lies on cycle c + 1 + a_x - a_x'.  One comprehension over x gives
+    every cycle that U reaches from cycle c, from two rotated tables and no
+    reduction mod q per point.
+
+    Following the forward maps U and V alone is enough.  Both are affine
+    maps whose linear part has determinant 1, so each is a bijection of the
+    finite set (Z/q)^2, and they generate a finite permutation group of it.
+    In a finite group every element has finite order, so every inverse is a
     positive power: U^-1 = U^(k-1) when U^k = 1.  The closure of (0, 0)
     under U and V alone is therefore the whole orbit under U, V and their
-    inverses.  Visited points are marked in a q*q byte table; no ids,
-    discovery order or edges are kept.  Raises ValueError for
-    q > _MAX_COUNT_MODULUS before allocating, which caps the table at
-    2^24 bytes.  build_mod_q's four-letter BFS is the independent path the
-    verification run compares it against.
+    inverses.  The loop stops early only once |S| = q: then the orbit is all
+    of (Z/q)^2, which is exact.
+
+    The work is at most q^2 label steps in O(q) memory.  Raises ValueError
+    for q > _MAX_COUNT_MODULUS, which bounds the time.  build_mod_q's
+    four-letter BFS is the independent path the verification run compares
+    it against.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     if q > _MAX_COUNT_MODULUS:
         raise ValueError(f"q {q} exceeds the guard {_MAX_COUNT_MODULUS}")
-    seen = bytearray(q * q)
-    seen[0] = 1
-    stack = [(0, 0)]
+    a = [x * (x - 1) % q for x in range(q)]
+    b = [(x + 2 * ax) % q for x, ax in enumerate(a)]  # x' = b_x + 2c mod q
+    a2 = a + a
+    residues = list(range(q)) * 2
+    labels = {0}
+    stack = [0]
     while stack:
-        x, y = stack.pop()
-        # U and V written out, not looped over: the inner loop is the hot path
-        ux, uy = (x + 2 * y) % q, (y + 1) % q
-        code = ux * q + uy
-        if not seen[code]:
-            seen[code] = 1
-            stack.append((ux, uy))
-        vx, vy = (x + 1) % q, (2 * x + y) % q
-        code = vx * q + vy
-        if not seen[code]:
-            seen[code] = 1
-            stack.append((vx, vy))
-    return seen.count(1)
+        c = stack.pop()
+        t = 2 * c % q
+        a_image = a2[t : t + q]  # a_image[b_x] = a_x'
+        # shift[j] = (c + 1 + j) mod q for -q < j < q, negative j from the end
+        shift = residues[c + 1 : c + 1 + q]
+        fresh = {shift[ax - a_image[bx]] for ax, bx in zip(a, b)} - labels
+        if fresh:
+            labels |= fresh
+            if len(labels) == q:
+                break
+            stack.extend(fresh)
+    return q * len(labels)
 
 
 def nielsen_schreier_rank(index: int, ambient_rank: int) -> int:
@@ -211,6 +228,6 @@ def intersection_rank_lower_bound(q: int) -> int:
     that surjects onto it (the intersection pattern in question does) needs
     at least this many generators, and the value is >= q + 1.
 
-    The index comes from stabilizer_index, the two-letter count kernel.
+    The index comes from stabilizer_index, which counts V-cycles mod q.
     """
     return nielsen_schreier_rank(stabilizer_index(q), 2)

@@ -22,6 +22,7 @@ from .words import Word, concat, invert
 
 _GEN_CHARS = ("U", "V")
 _MAX_BALL_DEPTH = 16
+_MAX_GRAPH_MODULUS = 2048
 
 _DOT_COLORS = {"U": "#1f77b4", "V": "#d62728"}
 
@@ -133,9 +134,13 @@ def _orbit_mod_q(q: int) -> tuple[list[int], list[int], list[int]]:
     with points encoded as x * q + y.  Neighbours are visited in letter
     order U, V, U^-1, V^-1, and that discovery order fixes the vertex ids
     of build_mod_q.  Orbit sizes alone come from ranks.stabilizer_index.
+    Raises ValueError for q > _MAX_GRAPH_MODULUS before the q*q id table is
+    allocated; at the guard the table has 2^22 slots.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
+    if q > _MAX_GRAPH_MODULUS:
+        raise ValueError(f"q {q} exceeds the guard {_MAX_GRAPH_MODULUS}")
     ids = [-1] * (q * q)
     order = [0]
     ids[0] = 0

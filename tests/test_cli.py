@@ -288,6 +288,26 @@ def test_rank_command_refuses_huge_q_before_allocating(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_graph_and_core_refuse_huge_q_before_allocating(capsys):
+    # the mod-q BFS keeps a q*q id table, 10^10 slots at q = 10^5
+    for command in ("graph", "core"):
+        start = time.monotonic()
+        assert main([command, "--q", "100000"]) == 2
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_main_turns_memory_error_into_exit_two(monkeypatch, capsys):
+    def exhausted(depth):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_ball", exhausted)
+    assert main(["graph", "--depth", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_snf_command_rejects_ragged_matrix(capsys):
     assert main(["snf", "--matrix", "1 2; 3"]) == 2
     assert capsys.readouterr().err.startswith("error:")

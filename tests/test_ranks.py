@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,13 @@ from parabolic.ranks import (
 from parabolic.schreier import build_mod_q
 from parabolic.words import EMPTY, Word
 
-from oracles import brute_reduce, determinantal_divisors, orbit_size_mod_q, translation_m3
+from oracles import (
+    brute_reduce,
+    determinantal_divisors,
+    orbit_size_mod_q,
+    step_point,
+    translation_m3,
+)
 
 
 # ---------------------------------------------------------------- indices
@@ -38,10 +45,59 @@ def test_stabilizer_index_matches_graph_size():
 
 
 def test_stabilizer_index_matches_four_letter_oracle():
-    # every q in 2..40, so every multiple of 4 in that range, where the
-    # orbit is half of (Z/q)^2
-    for q in range(2, 41):
+    # every q in 2..64: the orbit is all of (Z/q)^2, where the kernel stops
+    # as soon as every V-cycle is seen, except when 4 | q, where it is half
+    # and the kernel closes the label set in full
+    for q in range(2, 65):
         assert stabilizer_index(q) == orbit_size_mod_q(q)
+
+
+def _label(x, y, q):
+    return (y - x * (x - 1)) % q
+
+
+def test_v_cycles_have_q_points_and_one_label():
+    # the lemma the kernel counts by: V keeps y - x(x - 1) mod q and V^q = 1
+    for q in range(2, 61):
+        for x in range(q):
+            for y in range(q):
+                vx, vy = step_point("V", x, y)
+                assert _label(vx, vy, q) == _label(x, y, q)
+            px, py = x, (3 * x + 1) % q
+            visited = set()
+            for _ in range(q):
+                visited.add((px % q, py % q))
+                px, py = step_point("V", px, py)
+            assert (px % q, py % q) == (x, (3 * x + 1) % q)
+            assert len(visited) == q
+
+
+def test_u_moves_v_cycles_by_the_label_map():
+    # U takes (x, c + a_x) to x' = x + 2c + 2a_x on cycle c + a_x + 1 - a_x'
+    for q in range(2, 41):
+        a = [x * (x - 1) % q for x in range(q)]
+        for c in range(q):
+            for x in range(q):
+                ux, uy = step_point("U", x, c + a[x])
+                assert ux % q == (x + 2 * c + 2 * a[x]) % q
+                assert _label(ux, uy, q) == (c + a[x] + 1 - a[ux % q]) % q
+
+
+def test_stabilizer_index_closed_form():
+    # the orbit is all of (Z/q)^2 unless 4 | q, where it is half
+    for q in list(range(2, 301)) + [2**12, 3**7, 5**5, 7**4]:
+        assert stabilizer_index(q) == (q * q if q % 4 else q * q // 2), q
+
+
+def test_stabilizer_index_memory_budget():
+    # O(q) lists and label sets: no q*q table at the largest q allowed
+    tracemalloc.start()
+    try:
+        assert stabilizer_index(4096) == 4096 * 4096 // 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_stabilizer_index_at_least_q():

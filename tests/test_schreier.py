@@ -61,6 +61,11 @@ def test_mod_q_rejects_small_modulus():
         build_mod_q(1)
 
 
+def test_mod_q_size_guard():
+    with pytest.raises(ValueError, match="exceeds the guard 2048"):
+        build_mod_q(2049)
+
+
 def test_mod_q_edges_match_action():
     for q in range(2, 21):
         check_edge_consistency(build_mod_q(q))
