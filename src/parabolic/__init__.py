@@ -26,7 +26,6 @@ from .linear import (
     V_MAT,
     Vec2,
     cocycle,
-    cocycle_recursive,
     eval_affine,
     eval_linear,
     freeness_sweep,
@@ -38,7 +37,6 @@ from .ranks import (
     lattice_relation_matrix,
     membership,
     nielsen_schreier_rank,
-    shortest_origin_stabilizer,
     smith_normal_form,
     stabilizer_index,
 )
@@ -53,7 +51,6 @@ from .schreier import (
     export,
     export_dot,
     export_json,
-    graph_from_json,
     is_loop_at_base,
     spanning_tree_generators,
     trace,

@@ -135,6 +135,12 @@ def witness_word(n: int) -> WitnessSchedule:
     return WitnessSchedule(n, word)
 
 
+def witness_length(n: int) -> int:
+    """Letter count of witness_word(n) in closed form, without building it:
+    n^2 - n - 1, except for the base witnesses of 0 and 1."""
+    return 1 if n in _BASE_WITNESSES else n * n - n - 1
+
+
 def witness_sweep(n_max: int) -> Iterator[WitnessSchedule]:
     """Yield verified witnesses for n = 0, 1, -1, 2, -2, ..., +-n_max.
 

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .action import DEFAULT_WITNESS, marked_point, witness_word
+from .action import DEFAULT_WITNESS, marked_point, witness_length, witness_word
 from .ranks import (
     abelianization,
     membership,
@@ -24,10 +24,18 @@ from .verify import run_verification
 from .words import Word, parse
 
 OUTPUT_DIR_ENV = "PARABOLIC_OUT_DIR"
+# the most letters of a word the CLI prints or walks letter by letter
+_MAX_LETTERS = 10**7
 
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
+
+
+def _check_letters(length: int) -> None:
+    # checked on the length, which the syllables give without building the text
+    if length > _MAX_LETTERS:
+        raise ValueError(f"word of {length} letters exceeds the budget of {_MAX_LETTERS}")
 
 
 def _format_word(w: Word) -> str:
@@ -51,6 +59,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    _check_letters(witness_length(args.n))
     sched = witness_word(args.n)  # certified to reach the marked point
     endpoint = marked_point(sched.n).point
     if args.format == "json":
@@ -94,6 +103,8 @@ def _cmd_graph(args) -> int:
 def _cmd_core(args) -> int:
     # a bad witness is refused before the ball is built; mod q it is unused
     witness = parse(args.witness) if args.q is None else None
+    if witness is not None:
+        _check_letters(len(witness))
     g = _build_graph_from_args(args)
     if args.q is not None:
         rep = core_exact(g)
@@ -159,6 +170,7 @@ def _cmd_member(args) -> int:
     w = parse(args.word)
     result = membership(w, args.q)
     if args.format == "json":
+        _check_letters(len(w))
         _print_json({"word": w.text, "modulus": args.q, "member": result})
     else:
         print("true" if result else "false")

@@ -193,23 +193,6 @@ def cocycle(w: Word) -> Vec2:
     return eval_affine(w).translation
 
 
-def cocycle_recursive(w: Word) -> Vec2:
-    """Same value as cocycle(), computed by the splitting rule
-    c(w w') = c(w) + lin(w) c(w') instead of one affine product."""
-    text = w.text
-
-    def go(lo: int, hi: int) -> Vec2:
-        if hi - lo == 0:
-            return Vec2(0, 0)
-        if hi - lo == 1:
-            return _CHAR_AFF[text[lo]].translation
-        mid = (lo + hi) // 2
-        left = Word._raw(text[lo:mid])
-        return go(lo, mid) + eval_linear(left).apply(go(mid, hi))
-
-    return go(0, len(text))
-
-
 @dataclass(frozen=True)
 class FreenessSweepResult:
     passed: bool

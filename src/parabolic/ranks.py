@@ -10,11 +10,12 @@ subgroups built from the scaled lattice qZ^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .action import ORIGIN, act
-from .linear import U_MAT, V_MAT, Vec2, eval_affine
-from .words import Word, enumerate_reduced
+from .linear import U_MAT, V_MAT, Vec2
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -114,28 +115,14 @@ def membership(w: Word, q: int | None = None) -> bool:
     return (end.x, end.y) == (0, 0)
 
 
-def shortest_origin_stabilizer(max_len: int) -> Word | None:
-    """First word in canonical enumeration order that fixes the origin.
-
-    The hit is double-checked through the full 3x3 affine product before
-    being returned; None means no stabilizing word of length <= max_len.
-    """
-    for w in enumerate_reduced(max_len):
-        if w.is_identity():
-            continue
-        if membership(w):
-            aff = eval_affine(w)
-            if (aff.translation.x, aff.translation.y) != (0, 0):
-                raise AssertionError(f"cocycle paths disagree on {w}")
-            return w
-    return None
-
-
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero invariant factors of an integer matrix, as a divisibility chain.
 
-    Full pivoting on a smallest nonzero entry keeps the coefficient growth
-    mild at these sizes.
+    Two phases (Newman, Integral Matrices, 1972, ch. II).  Diagonalise: a
+    smallest nonzero entry is the pivot, and floor division clears its column
+    and then its row.  A remainder left behind is the next, smaller pivot;
+    otherwise the pivot is recorded and its row and column are dropped.
+    Then the exchange (a, b) -> (gcd, lcm) makes the diagonal a chain.
     """
     if not rows or not rows[0]:
         raise ValueError("matrix must have at least one row and one column")
@@ -143,51 +130,24 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     if any(len(r) != ncols for r in rows):
         raise ValueError("matrix rows must all have the same length")
     m = [[int(e) for e in r] for r in rows]
-    nrows = len(m)
-    t = 0
-    while t < min(nrows, ncols):
-        # pick the smallest nonzero entry of the trailing block as pivot
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        m[t], m[i] = m[i], m[t]
-        for row in m:
-            row[t], row[j] = row[j], row[t]
-        restart = False
-        for i in range(t + 1, nrows):
-            if m[i][t]:
-                f = m[i][t] // m[t][t]
-                m[i] = [a - f * b for a, b in zip(m[i], m[t])]
-                if m[i][t]:
-                    restart = True  # remainder is smaller than the pivot
-        for j in range(t + 1, ncols):
-            if m[t][j]:
-                f = m[t][j] // m[t][t]
-                for row in m:
-                    row[j] -= f * row[t]
-                if m[t][j]:
-                    restart = True
-        if restart:
-            continue
-        # pivot must divide the whole trailing block
-        fix = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if m[i][j] % m[t][t]:
-                    fix = i
-                    break
-            if fix is not None:
-                break
-        if fix is not None:
-            m[t] = [a + b for a, b in zip(m[t], m[fix])]
-            continue
-        t += 1
-    factors = [abs(m[k][k]) for k in range(t)]
+    factors = []
+    while entries := [(abs(e), i, j) for i, r in enumerate(m) for j, e in enumerate(r) if e]:
+        _, i, j = min(entries)
+        prow, p = m[i], m[i][j]
+        m = [r if r is prow else [a - r[j] // p * b for a, b in zip(r, prow)] for r in m]
+        for col, e in enumerate(prow):
+            if col != j:
+                f = e // p
+                for r in m:
+                    r[col] -= f * r[j]
+        if any(r[j] for r in m if r is not prow) or sum(map(bool, prow)) > 1:
+            continue  # a remainder is the next, smaller pivot
+        factors.append(abs(p))
+        m = [r[:j] + r[j + 1 :] for r in m if r is not prow]
+    for a in range(len(factors)):
+        for b in range(a + 1, len(factors)):
+            g = gcd(factors[a], factors[b])
+            factors[a], factors[b] = g, factors[a] * factors[b] // g
     for i in range(1, len(factors)):
         if factors[i] % factors[i - 1]:
             raise AssertionError(f"invariant factors {factors} broke divisibility")

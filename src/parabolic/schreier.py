@@ -116,16 +116,6 @@ class OrbitalGraph:
             if (t := self.edges[c][src]) is not None
         ]
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, OrbitalGraph)
-            and self.modulus == other.modulus
-            and self.base == other.base
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-            and self.complete == other.complete
-        )
-
 
 def _orbit_mod_q(q: int) -> tuple[list[int], list[int], list[int]]:
     """Breadth-first closure of the orbit of (0, 0) mod q.
@@ -374,25 +364,6 @@ def export_json(g: OrbitalGraph) -> str:
         "edges": [{"from": s, "to": t, "gen": gen} for s, gen, t in g.positive_edges()],
     }
     return json.dumps(obj, indent=2) + "\n"
-
-
-def graph_from_json(text: str) -> OrbitalGraph:
-    obj = json.loads(text)
-    modulus = obj["modulus"]
-    raw = obj["vertices"]
-    for i, rec in enumerate(raw):
-        if rec["id"] != i:
-            raise ValueError(f"vertex ids must be consecutive, got {rec['id']} at {i}")
-    vertices = [Vec2(rec["x"], rec["y"], modulus) for rec in raw]
-    succ: dict[str, list[int | None]] = {c: [None] * len(raw) for c in _GEN_CHARS}
-    for e in obj["edges"]:
-        if e["gen"] not in _GEN_CHARS:
-            raise ValueError(f"edge label must be 'U' or 'V', got {e['gen']!r}")
-        succ[e["gen"]][e["from"]] = e["to"]
-    complete = [bool(rec["complete"]) for rec in raw]
-    return OrbitalGraph(
-        vertices, succ["U"], succ["V"], complete, base=obj["base"], modulus=modulus
-    )
 
 
 def check_edge_consistency(g: OrbitalGraph) -> None:

@@ -34,6 +34,10 @@ _RNG_SEED = 0x5EED
 _ORACLE_MODULI = (2, 3, 4, 5, 10)
 # the largest q for which a check builds a graph or a Smith normal form per q
 _Q_SMALL = 50
+# the freeness sweep checks 2 * (3^L - 1) words, about 9.6e6 at L = 14
+_MAX_SWEEP_LEN = 14
+# the witness sweep is quadratic in n_max: 0.25 s at 1000, 3.1 s at 4000
+_MAX_N_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -289,14 +293,14 @@ def run_verification(
     the evidence they share, are recorded in the report and never abort
     the run.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not 1 <= n_max <= _MAX_N_MAX:
+        raise ValueError(f"n_max must be in [1, {_MAX_N_MAX}], got {n_max}")
     if not 2 <= q_max <= _MAX_COUNT_MODULUS:
         raise ValueError(f"q_max must be in [2, {_MAX_COUNT_MODULUS}], got {q_max}")
     if not 4 <= depth <= _MAX_BALL_DEPTH:
         raise ValueError(f"depth must be in [4, {_MAX_BALL_DEPTH}], got {depth}")
-    if sweep_len < 1:
-        raise ValueError(f"sweep_len must be >= 1, got {sweep_len}")
+    if not 1 <= sweep_len <= _MAX_SWEEP_LEN:
+        raise ValueError(f"sweep_len must be in [1, {_MAX_SWEEP_LEN}], got {sweep_len}")
 
     params = {"n_max": n_max, "q_max": q_max, "depth": depth, "sweep_len": sweep_len}
     report = VerificationReport(parameters=params)

@@ -46,9 +46,7 @@ class Word:
     """An immutable freely reduced word.
 
     The constructor insists on reduced input; use parse() to reduce free-form
-    text.  Words multiply with *, invert with ~ or .inverse(), and raise to
-    integer powers with **.  `syllables` is the canonical state and `text`
-    the printed view.
+    text.  `syllables` is the canonical state and `text` the printed view.
     """
 
     __slots__ = ("syllables", "_len", "_text")
@@ -91,18 +89,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self.syllables
 
-    def inverse(self) -> Word:
-        return Word._from_syllables(tuple([(g, -e) for g, e in self.syllables[::-1]]), self._len)
-
-    def __invert__(self) -> Word:
-        return self.inverse()
-
-    def __mul__(self, other: Word) -> Word:
-        return concat(self, other)
-
-    def __pow__(self, m: int) -> Word:
-        return power(self, m)
-
     def __len__(self) -> int:
         return self._len
 
@@ -110,7 +96,7 @@ class Word:
         return isinstance(other, Word) and self.syllables == other.syllables
 
     def __hash__(self) -> int:
-        return hash(self.text)
+        return hash(self.syllables)
 
     def __str__(self) -> str:
         return self.text
@@ -205,14 +191,14 @@ def concat(w1: Word, w2: Word) -> Word:
 
 
 def invert(w: Word) -> Word:
-    return w.inverse()
+    return Word._from_syllables(tuple([(g, -e) for g, e in w.syllables[::-1]]), w._len)
 
 
 def power(w: Word, m: int) -> Word:
     if m == 0 or not w.syllables:
         return EMPTY
     if m < 0:
-        return power(w.inverse(), -m)
+        return power(invert(w), -m)
     s = w.syllables
     # peel the conjugating shell so the core repeats with one junction rule
     i, j = 0, len(s) - 1

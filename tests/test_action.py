@@ -13,6 +13,7 @@ from parabolic.action import (
     loop_check,
     marked_point,
     step,
+    witness_length,
     witness_sweep,
     witness_word,
 )
@@ -165,6 +166,11 @@ def test_witness_words_reach_marked_points():
 def test_witness_length_growth_is_quadratic():
     for n in range(-100, 101):
         assert len(witness_word(n).word) <= 4 * n * n + 10
+
+
+def test_witness_length_closed_form():
+    for n in range(-200, 201):
+        assert witness_length(n) == len(witness_word(n).word)
 
 
 def test_witness_sweep_matches_single_queries():

@@ -9,7 +9,7 @@ import pytest
 import parabolic
 from parabolic import cli, verify
 from parabolic.cli import OUTPUT_DIR_ENV, main
-from parabolic.schreier import build_mod_q, graph_from_json
+from parabolic.schreier import build_mod_q, export_json
 from parabolic.verify import CheckResult, VerificationReport, run_verification
 
 _GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "golden")
@@ -49,11 +49,13 @@ def test_run_verification_is_deterministic():
 def test_run_verification_parameter_guards():
     for bad in (
         dict(n_max=0),
+        dict(n_max=10_001),
         dict(q_max=1),
         dict(q_max=4097),
         dict(depth=3),
         dict(depth=17),
         dict(sweep_len=0),
+        dict(sweep_len=15),
     ):
         with pytest.raises(ValueError):
             run_verification(**{**dict(n_max=2, q_max=2, depth=4, sweep_len=1), **bad})
@@ -149,6 +151,17 @@ def test_verify_command_rejects_bad_depth(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag, value", [("--sweep-len", "30"), ("--n-max", "100000")])
+def test_verify_command_refuses_over_budget_before_running(tmp_path, capsys, flag, value):
+    # a length-30 sweep would check about 4e14 words; the guard answers first
+    start = time.monotonic()
+    assert main(["verify", flag, value, "--out", str(tmp_path / "r.json")]) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
 # ---------------------------------------------------------------- one-shot commands
 
 
@@ -220,8 +233,7 @@ def test_core_command_text(capsys):
 
 def test_graph_command_json_round_trip(capsys):
     assert main(["graph", "--q", "3", "--format", "json"]) == 0
-    g = graph_from_json(capsys.readouterr().out)
-    assert g == build_mod_q(3)
+    assert capsys.readouterr().out == export_json(build_mod_q(3))
 
 
 def test_graph_command_dot(capsys):
@@ -266,9 +278,29 @@ def test_core_command_rejects_bad_witness(capsys):
 
 
 def test_member_command_refuses_word_too_long_to_print(capsys):
-    # the JSON answer prints the word, which has more letters than an index holds
+    # the JSON answer prints the word; the first has more letters than an
+    # index holds, the second one more than the letter budget of 10^7
+    for word in ("U^100000000000000000000", "U^5000000 V^5000001"):
+        start = time.monotonic()
+        assert main(["member", "--word", word, "--format", "json"]) == 2
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # witness_word(100000) has about 10^10 letters
+        ["orbit", "--n", "100000"],
+        ["orbit", "--n", "-100000", "--format", "json"],
+        # the certified core walks the witness letter by letter
+        ["core", "--depth", "12", "--witness", "U^10000001"],
+    ],
+)
+def test_commands_refuse_words_over_the_letter_budget(capsys, argv):
     start = time.monotonic()
-    assert main(["member", "--word", "U^100000000000000000000", "--format", "json"]) == 2
+    assert main(argv) == 2
     assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

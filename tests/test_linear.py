@@ -11,7 +11,6 @@ from parabolic.linear import (
     V_MAT,
     Vec2,
     cocycle,
-    cocycle_recursive,
     eval_affine,
     eval_linear,
     freeness_sweep,
@@ -175,7 +174,6 @@ def test_cocycle_identity_exhaustive():
 def test_cocycle_paths_agree():
     for w in _words_up_to(6):
         c = cocycle(w)
-        assert cocycle_recursive(w) == c
         assert (c.x, c.y) == translation_m3(w.text)
 
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 import tracemalloc
 
@@ -12,7 +11,6 @@ from parabolic.ranks import (
     lattice_relation_matrix,
     membership,
     nielsen_schreier_rank,
-    shortest_origin_stabilizer,
     smith_normal_form,
     stabilizer_index,
 )
@@ -20,7 +18,6 @@ from parabolic.schreier import build_mod_q
 from parabolic.words import EMPTY, Word
 
 from oracles import (
-    brute_reduce,
     determinantal_divisors,
     orbit_size_mod_q,
     step_point,
@@ -173,34 +170,6 @@ def test_membership_matches_translation_oracle():
             assert membership(w, q) == (tx % q == 0 and ty % q == 0)
 
 
-# ---------------------------------------------------------------- shortest stabilizing word
-
-
-def test_shortest_origin_stabilizer_frozen():
-    assert shortest_origin_stabilizer(4) == Word("UvUv")
-    assert shortest_origin_stabilizer(3) is None
-    assert shortest_origin_stabilizer(0) is None
-    assert shortest_origin_stabilizer(6) == Word("UvUv")
-
-
-def test_shortest_origin_stabilizer_rederived():
-    # brute enumeration in the same canonical order, checked with the
-    # independent 3x3 evaluator
-    order = "UVuv"
-    hits = []
-    for length in range(1, 5):
-        for tup in itertools.product(order, repeat=length):
-            text = "".join(tup)
-            if brute_reduce(text) != text:
-                continue
-            if translation_m3(text) == (0, 0):
-                hits.append(text)
-        if hits:
-            break
-    assert hits[0] == "UvUv"
-    assert min(hits, key=lambda t: (len(t), [order.index(c) for c in t])) == "UvUv"
-
-
 # ---------------------------------------------------------------- smith normal form
 
 
@@ -224,11 +193,16 @@ def test_snf_input_guards():
 
 
 def test_snf_matches_minor_gcd_oracle():
+    # about a third of the entries are zero, so zero rows and columns occur,
+    # and so do diagonal matrices that are not yet a divisibility chain
     rng = random.Random(53)
-    for _ in range(200):
-        nrows = rng.randint(1, 4)
-        ncols = rng.randint(1, 4)
-        rows = [[rng.randint(-50, 50) for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(300):
+        nrows = rng.randint(1, 5)
+        ncols = rng.randint(1, 6)
+        rows = [
+            [0 if rng.random() < 1 / 3 else rng.randint(-50, 50) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
         assert smith_normal_form(rows) == determinantal_divisors(rows)
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import random
 
 import pytest
@@ -16,7 +15,6 @@ from parabolic.schreier import (
     export,
     export_dot,
     export_json,
-    graph_from_json,
     is_loop_at_base,
     spanning_tree_generators,
     trace,
@@ -343,38 +341,6 @@ def test_graph_rejects_unfolded():
 
 
 # ---------------------------------------------------------------- export
-
-
-def test_json_round_trip():
-    for g in (build_mod_q(3), build_ball(3)):
-        assert graph_from_json(export_json(g)) == g
-
-
-def test_json_round_trip_preserves_loops():
-    g = build_mod_q(4)
-    h = graph_from_json(export_json(g))
-    assert is_loop_at_base(h, DEFAULT_WITNESS)
-
-
-def test_json_rejects_shuffled_ids():
-    text = export_json(build_mod_q(2)).replace('"id": 1', '"id": 7')
-    with pytest.raises(ValueError):
-        graph_from_json(text)
-
-
-def test_json_rejects_unknown_edge_label():
-    obj = json.loads(export_json(build_mod_q(2)))
-    obj["edges"][0]["gen"] = "W"
-    with pytest.raises(ValueError):
-        graph_from_json(json.dumps(obj))
-
-
-def test_json_rejects_two_edges_into_one_vertex():
-    obj = json.loads(export_json(build_mod_q(2)))
-    u_edges = [e for e in obj["edges"] if e["gen"] == "U"]
-    u_edges[1]["to"] = u_edges[0]["to"]
-    with pytest.raises(ValueError, match="not folded"):
-        graph_from_json(json.dumps(obj))
 
 
 @pytest.mark.parametrize(

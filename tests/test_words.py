@@ -146,9 +146,9 @@ def test_enumerate_rejects_negative():
 
 def test_operators_and_canonical_form():
     r = Word("uVuV")
-    assert (~r).text == "vUvU"
-    assert (Word("UV") * Word("vU")).text == "UU"
-    assert (Word("U") ** -2).text == "uu"
+    assert invert(r).text == "vUvU"
+    assert concat(Word("UV"), Word("vU")).text == "UU"
+    assert power(Word("U"), -2).text == "uu"
     assert str(r) == "uVuV"
     assert len(r) == 4
     assert not r.is_identity()
@@ -230,18 +230,21 @@ def test_word_from_syllables_equals_word_from_text(syllables):
 
 
 def test_huge_caret_power_is_one_syllable():
-    # U^99999999 as a string would take 100 MB; as one syllable it is a few bytes
+    # U^99999999 as a string would take 100 MB; as one syllable it is a few
+    # bytes, and parsing, membership and hashing never build the string
     start = time.monotonic()
     tracemalloc.start()
     try:
         w = parse("U^99999999")
         exact = membership(w)
         mod3 = membership(w, 3)
+        h = hash(w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert time.monotonic() - start < 1.0
     assert peak < 1_000_000
     assert len(w) == 99999999 and w.syllables == (("U", 99999999),)
+    assert h == hash(parse("U^99999998 U"))
     # U^m sends the origin to (m(m - 1), m), and 3 divides m = 99999999
     assert not exact and mod3
