@@ -4,7 +4,11 @@ Vertices are points of an orbit, numbered from 0.  A graph is stored as one
 vertex-id list per letter, as for the Schreier graph of a free-group action:
 edges["U"][v] and edges["V"][v] lead forward along the generators, and
 edges["u"] and edges["v"] are their inverse maps, so an inverse letter walks
-an edge backwards.  Exports list the positive (U, V) edges only.  Two
+an edge backwards.  Points are kept as the builder's plain (x, y) tuples, one
+per vertex, and the point index maps those same tuples to ids; the Vec2 form
+of the vertices is made only when `vertices` is first read (exports, the CLI
+and the edge audit), as with the per-letter arrays of Kapovich-Myasnikov,
+J. Algebra 248 (2002).  Exports list the positive (U, V) edges only.  Two
 builders are provided: the full orbit of (0, 0) modulo q, and the exact ball
 of given radius around (0, 0) in the infinite orbit.  A vertex of a partial
 graph is flagged complete when all four of its neighbours lie in the
@@ -15,10 +19,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 from .action import step
 from .linear import Vec2
-from .words import Word, concat, invert
+from .words import Word
 
 _GEN_CHARS = ("U", "V")
 _MAX_BALL_DEPTH = 16
@@ -27,31 +32,54 @@ _MAX_GRAPH_MODULUS = 2048
 _DOT_COLORS = {"U": "#1f77b4", "V": "#d62728"}
 
 
+def _pairs(points: list, modulus: int | None) -> list[tuple[int, int]]:
+    """A fresh list of the points as (x, y) tuples.  A Vec2 must carry the
+    graph modulus, and a point of a mod-q graph must lie in [0, q)^2."""
+    if all(type(p) is tuple for p in points):
+        pairs = list(points)
+    else:
+        pairs = []
+        for p in points:
+            if isinstance(p, Vec2):
+                if p.modulus != modulus:
+                    raise ValueError(f"vertex {p!r} does not carry graph modulus {modulus}")
+                p = (p.x, p.y)
+            pairs.append(p)
+    if modulus is not None:
+        for x, y in pairs:
+            if not (0 <= x < modulus and 0 <= y < modulus):
+                raise ValueError(f"point ({x}, {y}) is not reduced mod {modulus}")
+    return pairs
+
+
 class OrbitalGraph:
     """Immutable labeled graph: edges[c][v] is where letter c leads from v,
     or None.  Only the U and V lists are passed in, and u and v are filled
     as their inverses; per generator each vertex has at most one outgoing
-    and one incoming edge, as in a folded Stallings graph."""
+    and one incoming edge, as in a folded Stallings graph.
 
-    __slots__ = ("vertices", "base", "modulus", "complete", "fully_complete", "edges", "_index")
+    points are (x, y) tuples; Vec2 points are accepted too, and each must
+    carry the graph modulus."""
+
+    __slots__ = (
+        "points", "base", "modulus", "complete", "fully_complete", "edges", "_index", "_vertices"
+    )
 
     def __init__(
         self,
-        vertices: list[Vec2],
+        points: list[tuple[int, int]] | list[Vec2],
         succ_u: list[int | None],
         succ_v: list[int | None],
         complete: list[bool],
         base: int = 0,
         modulus: int | None = None,
     ):
-        n = len(vertices)
+        n = len(points)
         if not (len(succ_u) == len(succ_v) == len(complete) == n):
-            raise ValueError("vertices, succ_u, succ_v and complete must have equal length")
+            raise ValueError("points, succ_u, succ_v and complete must have equal length")
         if not 0 <= base < n:
             raise ValueError(f"base {base} out of range")
-        for v in vertices:
-            if v.modulus != modulus:
-                raise ValueError(f"vertex {v!r} does not carry graph modulus {modulus}")
+        points = _pairs(points, modulus)
         edges = {"U": list(succ_u), "V": list(succ_v), "u": [None] * n, "v": [None] * n}
         for gen, inv in (("U", "u"), ("V", "v")):
             back = edges[inv]
@@ -63,20 +91,29 @@ class OrbitalGraph:
                 if back[tgt] is not None:
                     raise ValueError(f"two {gen}-edges enter vertex {tgt}; graph is not folded")
                 back[tgt] = src
-        self.vertices = list(vertices)
+        self.points = points
         self.edges = edges
         self.complete = list(complete)
         # read by every loop query, so computed once here, not per call
         self.fully_complete = all(self.complete)
         self.base = base
         self.modulus = modulus
-        self._index = {(v.x, v.y): i for i, v in enumerate(vertices)}
+        self._index = dict(zip(points, range(n)))
         if len(self._index) != n:
             raise ValueError("duplicate vertex points")
+        self._vertices: list[Vec2] | None = None
         self._check_connected()
 
+    @property
+    def vertices(self) -> list[Vec2]:
+        """The points as Vec2, made on first read and kept."""
+        if self._vertices is None:
+            q = self.modulus
+            self._vertices = [Vec2(x, y, q) for x, y in self.points]
+        return self._vertices
+
     def _check_connected(self) -> None:
-        seen = [False] * len(self.vertices)
+        seen = [False] * len(self.points)
         seen[self.base] = True
         stack = [self.base]
         maps = tuple(self.edges.values())
@@ -92,7 +129,7 @@ class OrbitalGraph:
             raise ValueError(f"vertex {missing} not reachable from base")
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.points)
 
     def vertex_id(self, point: Vec2 | tuple[int, int]) -> int | None:
         if isinstance(point, Vec2):
@@ -111,7 +148,7 @@ class OrbitalGraph:
     def positive_edges(self) -> list[tuple[int, str, int]]:
         return [
             (src, c, t)
-            for src in range(len(self.vertices))
+            for src in range(len(self.points))
             for c in _GEN_CHARS
             if (t := self.edges[c][src]) is not None
         ]
@@ -157,18 +194,10 @@ def _orbit_mod_q(q: int) -> tuple[list[int], list[int], list[int]]:
 def build_mod_q(q: int) -> OrbitalGraph:
     """Orbital graph of the action on (Z/qZ)^2, complete by construction."""
     order, succ_u, succ_v = _orbit_mod_q(q)
-    vertices = [Vec2(*divmod(code, q), modulus=q) for code in order]
-    return OrbitalGraph(vertices, succ_u, succ_v, [True] * len(order), base=0, modulus=q)
-
-
-def _neighbours(x: int, y: int) -> tuple[tuple[int, int], ...]:
-    # letter order U, V, U^-1, V^-1
-    return (
-        (x + 2 * y, y + 1),
-        (x + 1, 2 * x + y),
-        (x - 2 * y + 2, y - 1),
-        (x - 1, y - 2 * x + 2),
-    )
+    points = [divmod(code, q) for code in order]
+    # free the codes before the graph copies the lists, to lower the peak
+    del order
+    return OrbitalGraph(points, succ_u, succ_v, [True] * len(points), base=0, modulus=q)
 
 
 def build_ball(depth: int) -> OrbitalGraph:
@@ -185,29 +214,42 @@ def build_ball(depth: int) -> OrbitalGraph:
     points = [(0, 0)]
     succ_u: list[int | None] = []
     succ_v: list[int | None] = []
-    complete = []
-    for d in range(depth + 1):
-        # points are read in discovery order, one distance layer d at a time;
-        # only layers before the last add neighbours, so by the time the last
-        # layer is read every point of the ball is known
-        for i in range(len(succ_u), len(points)):
-            nb = _neighbours(*points[i])
-            if d < depth:
-                for p in nb:
-                    if p not in index:
-                        index[p] = len(points)
-                        points.append(p)
-            succ_u.append(index.get(nb[0]))
-            succ_v.append(index.get(nb[1]))
-            complete.append(all(p in index for p in nb))
-    vertices = [Vec2(x, y) for x, y in points]
-    return OrbitalGraph(vertices, succ_u, succ_v, complete, base=0, modulus=None)
+    # points are read in discovery order, one distance layer at a time; each
+    # layer before the last adds all four neighbours (letter order U, V,
+    # U^-1, V^-1), so its vertices are complete and by the time the last
+    # layer is read every point of the ball is known
+    for _ in range(depth):
+        for x, y in islice(points, len(succ_u), len(points)):
+            a = (x + 2 * y, y + 1)
+            b = (x + 1, 2 * x + y)
+            for p in (a, b, (x - 2 * y + 2, y - 1), (x - 1, y - 2 * x + 2)):
+                if p not in index:
+                    index[p] = len(points)
+                    points.append(p)
+            succ_u.append(index[a])
+            succ_v.append(index[b])
+    complete = [True] * len(succ_u)
+    get = index.get
+    for x, y in islice(points, len(succ_u), len(points)):
+        a = get((x + 2 * y, y + 1))
+        b = get((x + 1, 2 * x + y))
+        succ_u.append(a)
+        succ_v.append(b)
+        complete.append(
+            a is not None
+            and b is not None
+            and (x - 2 * y + 2, y - 1) in index
+            and (x - 1, y - 2 * x + 2) in index
+        )
+    # the graph indexes the same tuples again; drop this index first
+    del index, get
+    return OrbitalGraph(points, succ_u, succ_v, complete, base=0, modulus=None)
 
 
 def trace(g: OrbitalGraph, w: Word, start: int) -> int | None:
     """Endpoint of the path labeled w from start, rightmost letter first;
     None if the path leaves the explored region."""
-    if not 0 <= start < len(g.vertices):
+    if not 0 <= start < len(g.points):
         raise ValueError(f"start {start} out of range")
     cur: int | None = start
     edges = g.edges
@@ -246,7 +288,7 @@ def core_exact(g: OrbitalGraph) -> CoreReport:
     """
     if not g.fully_complete:
         raise ValueError("core_exact needs a fully complete graph")
-    n = len(g.vertices)
+    n = len(g.points)
     maps = tuple(g.edges.values())
     deg = [g.degree(v) for v in range(n)]
     alive = [True] * n
@@ -277,7 +319,7 @@ def certified_core(g: OrbitalGraph, witness: Word) -> CoreReport:
     seq = [g.edges[c] for c in reversed(witness.text)]
     found = []
     complete = g.complete
-    for v in range(len(g.vertices)):
+    for v in range(len(g.points)):
         cur: int | None = v
         for m in seq:
             if not complete[cur]:
@@ -297,35 +339,66 @@ def spanning_tree_generators(g: OrbitalGraph) -> list[Word]:
     Tree edges are chosen in letter order U, V, U^-1, V^-1, then discovery
     order.  Every positive non-tree edge (p, g, p') contributes the loop
     invert(t_p') g t_p at the base, and for a complete graph on n vertices
-    exactly n + 1 words come out.
+    exactly n + 1 words come out.  Tree words are kept as syllable tuples and
+    each loop is joined with one syllable merge per junction.
     """
     if not g.fully_complete:
         raise ValueError("spanning_tree_generators needs a fully complete graph")
-    n = len(g.vertices)
-    letter = {c: Word._raw(c) for c in g.edges}
-    tree_word: list[Word | None] = [None] * n
-    tree_word[g.base] = Word._raw("")
-    # a positive edge of a folded graph is named by its source and letter
-    tree_edges: set[tuple[int, str]] = set()
+    n = len(g.points)
+    edges = g.edges
+    # tree[v]: syllables of the tree word t_v; via[v]: the letter of the tree
+    # edge into v, which is the first letter of t_v
+    tree: list[tuple[tuple[str, int], ...] | None] = [None] * n
+    size = [0] * n
+    via: list[str | None] = [None] * n
+    tree[g.base] = ()
+    letters = [(c, m, c.upper(), 1 if c in _GEN_CHARS else -1) for c, m in edges.items()]
     queue = [g.base]
-    qi = 0
-    while qi < len(queue):
-        p = queue[qi]
-        qi += 1
-        for c, m in g.edges.items():
+    for p in queue:
+        word = tree[p]
+        for c, m, gen, e in letters:
             t = m[p]
-            if t is None or tree_word[t] is not None:
+            if t is None or tree[t] is not None:
                 continue
-            tree_word[t] = concat(letter[c], tree_word[p])
-            tree_edges.add((p, c) if c in _GEN_CHARS else (t, c.upper()))
+            # word starts with the letter into p, whose inverse leads back to
+            # p's parent, which is already in the tree; so this merge adds
+            if word and word[0][0] == gen:
+                tree[t] = ((gen, word[0][1] + e),) + word[1:]
+            else:
+                tree[t] = ((gen, e),) + word
+            size[t] = size[p] + 1
+            via[t] = c
             queue.append(t)
-    if any(w is None for w in tree_word):
+    if len(queue) != n:
         raise ValueError("graph is not connected")
     out = []
-    for p, c, t in g.positive_edges():
-        if (p, c) not in tree_edges:
-            out.append(concat(concat(invert(tree_word[t]), letter[c]), tree_word[p]))
+    for p in range(n):
+        for c in _GEN_CHARS:
+            t = edges[c][p]
+            # the edge p -c-> t is in the tree when it was walked forward into
+            # t or backward into p
+            if t is None or via[t] == c or via[p] == c.lower():
+                continue
+            head = [(h, -e) for h, e in reversed(tree[t])]
+            tail = tree[p]
+            e = 1
+            if head and head[-1][0] == c:
+                e += _junction(head.pop()[1], p, c, t)
+            if tail and tail[0][0] == c:
+                e += _junction(tail[0][1], p, c, t)
+                tail = tail[1:]
+            head.append((c, e))
+            out.append(Word._from_syllables(tuple(head) + tail, size[t] + 1 + size[p]))
     return out
+
+
+def _junction(exponent: int, p: int, c: str, t: int) -> int:
+    # a syllable meeting the letter c of a non-tree edge; in a folded graph
+    # it is a positive power of c, since c^-1 there would make the edge p -c-> t
+    # a tree edge
+    if exponent < 0:
+        raise AssertionError(f"generator of edge {p} -{c}-> {t} cancels at a junction")
+    return exponent
 
 
 def export(g: OrbitalGraph, fmt: str) -> str:

@@ -76,6 +76,66 @@ def orbit_size_mod_q(q: int) -> int:
     return len(seen)
 
 
+def ball_letterwise(depth: int):
+    """The ball of radius depth around (0, 0) in the infinite orbit, by
+    breadth-first search with step_point in letter order U, V, u, v.
+
+    Returns (points in discovery order, U-successor ids, V-successor ids,
+    complete flags); a successor is None when it lies outside the ball, and a
+    vertex is complete when all four neighbours lie inside it.
+    """
+    ids = {(0, 0): 0}
+    points = [(0, 0)]
+    frontier = [(0, 0)]
+    for _ in range(depth):
+        nxt = []
+        for x, y in frontier:
+            for c in "UVuv":
+                p = step_point(c, x, y)
+                if p not in ids:
+                    ids[p] = len(points)
+                    points.append(p)
+                    nxt.append(p)
+        frontier = nxt
+    succ_u = [ids.get(step_point("U", x, y)) for x, y in points]
+    succ_v = [ids.get(step_point("V", x, y)) for x, y in points]
+    complete = [all(step_point(c, x, y) in ids for c in "UVuv") for x, y in points]
+    return points, succ_u, succ_v, complete
+
+
+def schreier_generators_letterwise(edges: dict, base: int) -> list[str]:
+    """Spanning-tree Schreier generators as strings, from the letter maps of
+    a complete folded graph (edges[c][v] for c in "UVuv").
+
+    The tree is read breadth-first in letter order U, V, u, v; each vertex
+    gets the string of its tree path, rightmost letter first.  Every U or V
+    edge p -> p' off the tree, taken by source then letter, gives the free
+    reduction of inverse(t_p') + letter + t_p.
+    """
+    inverse = {"U": "u", "u": "U", "V": "v", "v": "V"}
+    n = len(edges["U"])
+    word = [None] * n
+    word[base] = ""
+    tree = set()
+    queue = [base]
+    for p in queue:
+        for c in "UVuv":
+            t = edges[c][p]
+            if t is not None and word[t] is None:
+                word[t] = c + word[p]
+                # name the edge by its positive letter and source
+                tree.add((p, c) if c in "UV" else (t, inverse[c]))
+                queue.append(t)
+    out = []
+    for p in range(n):
+        for c in "UV":
+            t = edges[c][p]
+            if t is not None and (p, c) not in tree:
+                inv = "".join(inverse[a] for a in reversed(word[t]))
+                out.append(brute_reduce(inv + c + word[p]))
+    return out
+
+
 def brute_reduce(text: str) -> str:
     """Free reduction by repeated full scans."""
     inverse = {"U": "u", "u": "U", "V": "v", "v": "V"}

@@ -1,7 +1,9 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
+from oracles import ball_letterwise, schreier_generators_letterwise
 
 from parabolic.action import DEFAULT_WITNESS, ORIGIN, act, marked_point
 from parabolic.linear import Vec2
@@ -113,6 +115,16 @@ def test_ball_depth_guards():
 def test_ball_edges_match_action():
     for d in range(9):
         check_edge_consistency(build_ball(d))
+
+
+def test_ball_matches_letterwise_bfs():
+    for d in range(7):
+        b = build_ball(d)
+        points, succ_u, succ_v, complete = ball_letterwise(d)
+        assert b.points == points
+        assert b.edges["U"] == succ_u
+        assert b.edges["V"] == succ_v
+        assert b.complete == complete
 
 
 def test_marked_point_graph_distances():
@@ -291,6 +303,16 @@ def test_spanning_tree_generators_are_loops():
             assert c.x % q == 0 and c.y % q == 0
 
 
+def test_spanning_tree_generators_match_letterwise_assembly():
+    for q in range(2, 31):
+        g = build_mod_q(q)
+        gens = spanning_tree_generators(g)
+        expected = [Word(t) for t in schreier_generators_letterwise(g.edges, g.base)]
+        # Word equality compares syllables, so an unmerged junction fails here
+        assert gens == expected, q
+        assert [len(w) for w in gens] == [len(w) for w in expected], q
+
+
 def test_spanning_tree_generators_bouquet():
     g = OrbitalGraph([Vec2(0, 0)], [0], [0], [True])
     assert [w.text for w in spanning_tree_generators(g)] == ["U", "V"]
@@ -325,6 +347,8 @@ def test_graph_rejects_wrong_vertex_modulus():
         OrbitalGraph([Vec2(0, 0, 3)], [None], [None], [True], modulus=None)
     with pytest.raises(ValueError):
         OrbitalGraph([Vec2(0, 0)], [None], [None], [True], modulus=3)
+    with pytest.raises(ValueError, match="not reduced mod 3"):
+        OrbitalGraph([(0, 0), (3, 1)], [1, 0], [None, None], [True, True], modulus=3)
 
 
 def test_graph_rejects_disconnected():
@@ -338,6 +362,35 @@ def test_graph_rejects_unfolded():
         OrbitalGraph(pts, [2, 2, None], [None, None, None], [True] * 3)
     with pytest.raises(ValueError):
         OrbitalGraph(pts, [None, None, None], [2, 2, None], [True] * 3)
+
+
+# ---------------------------------------------------------------- memory
+
+
+@pytest.mark.parametrize("build, arg, budget", [(build_ball, 9, 420), (build_mod_q, 211, 400)])
+def test_build_peak_bytes_per_vertex(build, arg, budget):
+    tracemalloc.start()
+    try:
+        g = build(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(g) < budget
+
+
+def test_reads_do_not_make_vec2_vertices():
+    g = build_mod_q(7)
+    b = build_ball(6)
+    certified_core(g, DEFAULT_WITNESS)
+    certified_core(b, DEFAULT_WITNESS)
+    core_exact(g)
+    spanning_tree_generators(g)
+    is_loop_at_base(g, DEFAULT_WITNESS)
+    trace(b, Word("UV"), b.base)
+    assert g.vertex_id((1, 0)) is not None and b.vertex_id(Vec2(0, 1)) is not None
+    assert g._vertices is None and b._vertices is None
+    assert g.vertices[1] == Vec2(*g.points[1], 7)
+    assert g._vertices is not None
 
 
 # ---------------------------------------------------------------- export
