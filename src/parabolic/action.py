@@ -101,7 +101,7 @@ class WitnessSchedule:
 
 # the witnesses of the marked points 0 and 1, where every chain of
 # predecessors ends: U sends the origin to (0, 1) and V to (1, 0)
-_BASE_WITNESSES = {0: Word._raw("U"), 1: Word._raw("V")}
+_BASE_WITNESSES = {0: Word("U"), 1: Word("V")}
 
 
 def _predecessor(n: int) -> int:
@@ -114,8 +114,8 @@ def _extend_witness(n: int, pred_word: Word) -> Word:
     # recurrences: beta^{-2n} sends (n, 1-n) to (-n, 1+n) and
     # alpha^{-2n-2} sends (-n, 1+n) to (n+2, -n-1), both for n >= 0
     if n < 0:
-        return concat(power(Word._raw("V"), 2 * n), pred_word)
-    return concat(power(Word._raw("U"), 2 - 2 * n), pred_word)
+        return concat(power(Word("V"), 2 * n), pred_word)
+    return concat(power(Word("U"), 2 - 2 * n), pred_word)
 
 
 def witness_word(n: int) -> WitnessSchedule:

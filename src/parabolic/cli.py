@@ -111,7 +111,7 @@ def _cmd_core(args) -> int:
     else:
         rep = certified_core(g, witness)
     ids = sorted(rep.core_vertices)
-    points = [[g.vertices[i].x, g.vertices[i].y] for i in ids]
+    points = [list(g.points[i]) for i in ids]
     if args.format == "json":
         _print_json(
             {

@@ -79,9 +79,6 @@ class Mat2:
     def identity(cls) -> Mat2:
         return cls(1, 0, 0, 1)
 
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
     def inverse(self) -> Mat2:
         return Mat2(self.d, -self.b, -self.c, self.a)
 
@@ -221,6 +218,6 @@ def freeness_sweep(max_len: int) -> FreenessSweepResult:
             child = mat * _CHAR_MAT[c]
             checked += 1
             if child == identity:
-                return FreenessSweepResult(False, checked, Word._raw(text + c))
+                return FreenessSweepResult(False, checked, Word(text + c))
             stack.append((child, text + c))
     return FreenessSweepResult(True, checked, None)

@@ -4,20 +4,21 @@ Vertices are points of an orbit, numbered from 0.  A graph is stored as one
 vertex-id list per letter, as for the Schreier graph of a free-group action:
 edges["U"][v] and edges["V"][v] lead forward along the generators, and
 edges["u"] and edges["v"] are their inverse maps, so an inverse letter walks
-an edge backwards.  Points are kept as the builder's plain (x, y) tuples, one
-per vertex, and the point index maps those same tuples to ids; the Vec2 form
-of the vertices is made only when `vertices` is first read (exports, the CLI
-and the edge audit), as with the per-letter arrays of Kapovich-Myasnikov,
-J. Algebra 248 (2002).  Exports list the positive (U, V) edges only.  Two
-builders are provided: the full orbit of (0, 0) modulo q, and the exact ball
-of given radius around (0, 0) in the infinite orbit.  A vertex of a partial
-graph is flagged complete when all four of its neighbours lie in the
-explored region, which is what core certification relies on.
+an edge backwards.  Points are (x, y) tuples in and out: `points` holds the
+builder's tuples, the point index maps those same tuples to ids, and
+`vertex_id` takes a tuple; `vertices` makes one Vec2 per indexed read, as
+with the per-letter arrays of Kapovich-Myasnikov, J. Algebra 248 (2002).
+Exports list the positive (U, V) edges only.  Two builders are provided:
+the full orbit of (0, 0) modulo q, and the exact ball of given radius
+around (0, 0) in the infinite orbit.  A vertex of a partial graph is
+flagged complete when all four of its neighbours lie in the explored
+region, which is what core certification relies on.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -26,25 +27,19 @@ from .linear import Vec2
 from .words import Word
 
 _GEN_CHARS = ("U", "V")
-_MAX_BALL_DEPTH = 16
+_MAX_BALL_DEPTH = 13
 _MAX_GRAPH_MODULUS = 2048
 
 _DOT_COLORS = {"U": "#1f77b4", "V": "#d62728"}
 
 
-def _pairs(points: list, modulus: int | None) -> list[tuple[int, int]]:
-    """A fresh list of the points as (x, y) tuples.  A Vec2 must carry the
-    graph modulus, and a point of a mod-q graph must lie in [0, q)^2."""
-    if all(type(p) is tuple for p in points):
-        pairs = list(points)
-    else:
-        pairs = []
-        for p in points:
-            if isinstance(p, Vec2):
-                if p.modulus != modulus:
-                    raise ValueError(f"vertex {p!r} does not carry graph modulus {modulus}")
-                p = (p.x, p.y)
-            pairs.append(p)
+def _pairs(points: list[tuple[int, int]], modulus: int | None) -> list[tuple[int, int]]:
+    """A fresh list of the points.  Each must be an (x, y) tuple, and a
+    point of a mod-q graph must lie in [0, q)^2."""
+    pairs = list(points)
+    for p in pairs:
+        if type(p) is not tuple or len(p) != 2:
+            raise ValueError(f"point {p!r} is not an (x, y) tuple")
     if modulus is not None:
         for x, y in pairs:
             if not (0 <= x < modulus and 0 <= y < modulus):
@@ -52,22 +47,35 @@ def _pairs(points: list, modulus: int | None) -> list[tuple[int, int]]:
     return pairs
 
 
+class _Vec2View:
+    """Read-only view of a graph's points as Vec2, one made per indexed read."""
+
+    __slots__ = ("_points", "_modulus")
+
+    def __init__(self, points: list[tuple[int, int]], modulus: int | None):
+        self._points = points
+        self._modulus = modulus
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def __getitem__(self, vid: int) -> Vec2:
+        x, y = self._points[operator.index(vid)]
+        return Vec2(x, y, self._modulus)
+
+
 class OrbitalGraph:
     """Immutable labeled graph: edges[c][v] is where letter c leads from v,
     or None.  Only the U and V lists are passed in, and u and v are filled
     as their inverses; per generator each vertex has at most one outgoing
-    and one incoming edge, as in a folded Stallings graph.
+    and one incoming edge, as in a folded Stallings graph.  points are
+    (x, y) tuples."""
 
-    points are (x, y) tuples; Vec2 points are accepted too, and each must
-    carry the graph modulus."""
-
-    __slots__ = (
-        "points", "base", "modulus", "complete", "fully_complete", "edges", "_index", "_vertices"
-    )
+    __slots__ = ("points", "base", "modulus", "complete", "fully_complete", "edges", "_index")
 
     def __init__(
         self,
-        points: list[tuple[int, int]] | list[Vec2],
+        points: list[tuple[int, int]],
         succ_u: list[int | None],
         succ_v: list[int | None],
         complete: list[bool],
@@ -101,16 +109,12 @@ class OrbitalGraph:
         self._index = dict(zip(points, range(n)))
         if len(self._index) != n:
             raise ValueError("duplicate vertex points")
-        self._vertices: list[Vec2] | None = None
         self._check_connected()
 
     @property
-    def vertices(self) -> list[Vec2]:
-        """The points as Vec2, made on first read and kept."""
-        if self._vertices is None:
-            q = self.modulus
-            self._vertices = [Vec2(x, y, q) for x, y in self.points]
-        return self._vertices
+    def vertices(self) -> _Vec2View:
+        """The points as Vec2, one made per indexed read and none kept."""
+        return _Vec2View(self.points, self.modulus)
 
     def _check_connected(self) -> None:
         seen = [False] * len(self.points)
@@ -131,16 +135,14 @@ class OrbitalGraph:
     def __len__(self) -> int:
         return len(self.points)
 
-    def vertex_id(self, point: Vec2 | tuple[int, int]) -> int | None:
-        if isinstance(point, Vec2):
-            if point.modulus not in (None, self.modulus):
-                raise ValueError(f"point modulus {point.modulus} does not match graph")
-            key = (point.x, point.y)
-        else:
-            key = point
-        if self.modulus is not None:
-            key = (key[0] % self.modulus, key[1] % self.modulus)
-        return self._index.get(key)
+    def vertex_id(self, point: tuple[int, int]) -> int | None:
+        """Id of the point (x, y), reduced mod q on a mod-q graph; None if
+        the point is not a vertex."""
+        x, y = point
+        q = self.modulus
+        if q is not None:
+            x, y = x % q, y % q
+        return self._index.get((x, y))
 
     def degree(self, vid: int) -> int:
         return sum(m[vid] is not None for m in self.edges.values())
@@ -413,8 +415,8 @@ def export_dot(g: OrbitalGraph) -> str:
     """Graphviz rendering: base doubly circled, incomplete vertices dashed,
     U-edges and V-edges in distinct colors."""
     lines = ["digraph orbital {", "  rankdir=LR;", '  node [shape=circle, fontsize=10];']
-    for i, v in enumerate(g.vertices):
-        attrs = [f'label="({v.x}, {v.y})"']
+    for i, (x, y) in enumerate(g.points):
+        attrs = [f'label="({x}, {y})"']
         if i == g.base:
             attrs.append("peripheries=2")
         if not g.complete[i]:
@@ -431,8 +433,8 @@ def export_json(g: OrbitalGraph) -> str:
         "modulus": g.modulus,
         "base": g.base,
         "vertices": [
-            {"id": i, "x": v.x, "y": v.y, "complete": g.complete[i]}
-            for i, v in enumerate(g.vertices)
+            {"id": i, "x": x, "y": y, "complete": g.complete[i]}
+            for i, (x, y) in enumerate(g.points)
         ],
         "edges": [{"from": s, "to": t, "gen": gen} for s, gen, t in g.positive_edges()],
     }
@@ -442,11 +444,13 @@ def export_json(g: OrbitalGraph) -> str:
 def check_edge_consistency(g: OrbitalGraph) -> None:
     """Audit that every stored edge matches the affine action, and that a
     complete vertex has all four incident edges.  Raises on any mismatch."""
-    for vid, v in enumerate(g.vertices):
+    points = g.points
+    for vid, (x, y) in enumerate(points):
+        v = Vec2(x, y, g.modulus)
         for c in _GEN_CHARS:
             expected = step(c, v)
             tgt = g.edges[c][vid]
-            if tgt is not None and g.vertices[tgt] != expected:
+            if tgt is not None and points[tgt] != (expected.x, expected.y):
                 raise AssertionError(
                     f"edge {vid} -{c}-> {tgt} disagrees with the action at {v}"
                 )

@@ -83,7 +83,7 @@ def _random_reduced_word(rng: random.Random, length: int) -> Word:
     for _ in range(length):
         choices = [c for c in ALPHABET if not out or c != _INVERSE_CHAR[out[-1]]]
         out.append(rng.choice(choices))
-    return Word._raw("".join(out))
+    return Word("".join(out))
 
 
 def _core_evidence(depth: int) -> tuple[list[int], list[tuple[int, tuple[int, int]]]]:

@@ -62,13 +62,6 @@ class Word:
         self._text = text
 
     @classmethod
-    def _raw(cls, text: str) -> Word:
-        # internal fast path: caller guarantees text is reduced
-        w = cls._from_syllables(_syllables_of(text), len(text))
-        w._text = text
-        return w
-
-    @classmethod
     def _from_syllables(cls, syllables: tuple[tuple[str, int], ...], length: int) -> Word:
         # internal fast path: caller guarantees normal form and the letter count
         w = object.__new__(cls)
@@ -105,7 +98,7 @@ class Word:
         return f"Word({self.text!r})"
 
 
-EMPTY = Word._raw("")
+EMPTY = Word("")
 
 
 def parse(text: str) -> Word:
@@ -238,5 +231,5 @@ def enumerate_reduced(max_len: int) -> Iterator[Word]:
                     continue
                 t = s + c
                 nxt.append(t)
-                yield Word._raw(t)
+                yield Word(t)
         layer = nxt

@@ -320,6 +320,21 @@ def test_rank_command_refuses_huge_q_before_allocating(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_commands_refuse_balls_past_the_depth_guard(tmp_path, capsys):
+    # the depth-14 ball has about 6.2e6 vertices and 2.2 GB of peak RSS
+    for argv in (
+        ["graph", "--depth", "14"],
+        ["core", "--depth", "14"],
+        ["verify", "--depth", "14", "--out", str(tmp_path / "r.json")],
+    ):
+        start = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_graph_and_core_refuse_huge_q_before_allocating(capsys):
     # the mod-q BFS keeps a q*q id table, 10^10 slots at q = 10^5
     for command in ("graph", "core"):

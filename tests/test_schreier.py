@@ -73,11 +73,15 @@ def test_mod_q_edges_match_action():
 
 def test_vertex_id_reduces_mod_q():
     g = build_mod_q(2)
-    assert g.vertex_id((-1, 3)) == g.vertex_id((1, 1))
-    assert g.vertex_id(Vec2(1, 1, 2)) == 3
-    assert g.vertex_id(Vec2(1, 1)) == 3
-    with pytest.raises(ValueError):
-        g.vertex_id(Vec2(1, 1, 5))
+    assert g.vertex_id((-1, 3)) == g.vertex_id((1, 1)) == 3
+    assert g.vertex_id((3, -5)) == 3
+
+
+def test_vertex_id_refuses_vec2():
+    # a tuple-keyed lookup would answer None for a Vec2; it raises instead
+    for g in (build_mod_q(2), build_ball(2)):
+        with pytest.raises(TypeError):
+            g.vertex_id(Vec2(0, 1))
 
 
 # ---------------------------------------------------------------- balls
@@ -108,8 +112,8 @@ def test_ball_sizes():
 def test_ball_depth_guards():
     with pytest.raises(ValueError):
         build_ball(-1)
-    with pytest.raises(ValueError):
-        build_ball(17)
+    with pytest.raises(ValueError, match="exceeds the guard 13"):
+        build_ball(14)
 
 
 def test_ball_edges_match_action():
@@ -134,6 +138,7 @@ def test_marked_point_graph_distances():
 
     def distance_known(n):
         p = marked_point(n).point
+        p = (p.x, p.y)
         return next((d for d in sorted(balls) if balls[d].vertex_id(p) is not None), None)
 
     for n in (-1, 0, 1, 2):
@@ -191,18 +196,18 @@ def test_loops_agree_with_translation_divisibility():
 
 
 def test_core_exact_keeps_cycle_drops_pendant():
-    pts = [Vec2(i, 0) for i in range(4)]
+    pts = [(i, 0) for i in range(4)]
     g = OrbitalGraph(pts, [1, 2, 0, None], [None, None, 3, None], [True] * 4)
     assert core_exact(g).core_vertices == frozenset({0, 1, 2})
 
 
 def test_core_exact_self_loop_survives():
-    g = OrbitalGraph([Vec2(0, 0)], [0], [None], [True])
+    g = OrbitalGraph([(0, 0)], [0], [None], [True])
     assert core_exact(g).core_vertices == frozenset({0})
 
 
 def test_core_exact_isolated_vertex_is_empty():
-    g = OrbitalGraph([Vec2(0, 0)], [None], [None], [True])
+    g = OrbitalGraph([(0, 0)], [None], [None], [True])
     assert core_exact(g).core_vertices == frozenset()
 
 
@@ -213,7 +218,7 @@ def test_core_exact_requires_complete_graph():
 
 def test_fully_complete_flag_matches_vertex_flags():
     # only the last vertex is incomplete, so a flag read off one vertex fails
-    partial = OrbitalGraph([Vec2(0, 0), Vec2(1, 0)], [1, 0], [None, None], [True, False])
+    partial = OrbitalGraph([(0, 0), (1, 0)], [1, 0], [None, None], [True, False])
     for g in (build_ball(4), build_mod_q(6), build_mod_q(8), partial):
         assert g.fully_complete == all(g.complete)
     assert build_mod_q(6).fully_complete and not partial.fully_complete
@@ -247,7 +252,8 @@ def test_certified_core_points_sit_on_the_line():
     pts = sorted((b.vertices[v].x, b.vertices[v].y) for v in rep.core_vertices)
     assert pts == [(-2, 3), (-1, 2), (0, 1), (1, 0), (2, -1), (3, -2)]
     for n in (0, 1):
-        assert b.vertex_id(marked_point(n).point) in rep.core_vertices
+        p = marked_point(n).point
+        assert b.vertex_id((p.x, p.y)) in rep.core_vertices
 
 
 def test_certified_core_monotone_in_depth():
@@ -314,7 +320,7 @@ def test_spanning_tree_generators_match_letterwise_assembly():
 
 
 def test_spanning_tree_generators_bouquet():
-    g = OrbitalGraph([Vec2(0, 0)], [0], [0], [True])
+    g = OrbitalGraph([(0, 0)], [0], [0], [True])
     assert [w.text for w in spanning_tree_generators(g)] == ["U", "V"]
 
 
@@ -327,7 +333,7 @@ def test_spanning_tree_requires_complete_graph():
 
 
 def test_graph_rejects_bad_shapes():
-    v = [Vec2(0, 0), Vec2(1, 1)]
+    v = [(0, 0), (1, 1)]
     with pytest.raises(ValueError):
         OrbitalGraph(v, [None], [None], [True, True])
     with pytest.raises(ValueError):
@@ -339,25 +345,34 @@ def test_graph_rejects_bad_shapes():
     with pytest.raises(ValueError):
         OrbitalGraph(v, [1, 0], [None, -1], [True, True])
     with pytest.raises(ValueError):
-        OrbitalGraph([Vec2(0, 0), Vec2(0, 0)], [1, 0], [None, None], [True, True])
+        OrbitalGraph([(0, 0), (0, 0)], [1, 0], [None, None], [True, True])
 
 
 def test_graph_rejects_wrong_vertex_modulus():
-    with pytest.raises(ValueError):
-        OrbitalGraph([Vec2(0, 0, 3)], [None], [None], [True], modulus=None)
-    with pytest.raises(ValueError):
-        OrbitalGraph([Vec2(0, 0)], [None], [None], [True], modulus=3)
     with pytest.raises(ValueError, match="not reduced mod 3"):
         OrbitalGraph([(0, 0), (3, 1)], [1, 0], [None, None], [True, True], modulus=3)
+    with pytest.raises(ValueError, match="not reduced mod 3"):
+        OrbitalGraph([(0, 0), (1, -1)], [1, 0], [None, None], [True, True], modulus=3)
+
+
+def test_graph_refuses_points_other_than_pairs():
+    for bad, modulus in (
+        (Vec2(0, 0), None),
+        (Vec2(0, 0, 3), 3),
+        ([0, 0], None),
+        ((0, 0, 0), None),
+    ):
+        with pytest.raises(ValueError, match="not an"):
+            OrbitalGraph([bad], [None], [None], [True], modulus=modulus)
 
 
 def test_graph_rejects_disconnected():
     with pytest.raises(ValueError):
-        OrbitalGraph([Vec2(0, 0), Vec2(1, 1)], [None, None], [None, None], [True, True])
+        OrbitalGraph([(0, 0), (1, 1)], [None, None], [None, None], [True, True])
 
 
 def test_graph_rejects_unfolded():
-    pts = [Vec2(0, 0), Vec2(1, 1), Vec2(2, 2)]
+    pts = [(0, 0), (1, 1), (2, 2)]
     with pytest.raises(ValueError):
         OrbitalGraph(pts, [2, 2, None], [None, None, None], [True] * 3)
     with pytest.raises(ValueError):
@@ -378,19 +393,25 @@ def test_build_peak_bytes_per_vertex(build, arg, budget):
     assert peak / len(g) < budget
 
 
-def test_reads_do_not_make_vec2_vertices():
+def test_vertex_reads_keep_no_vec2():
+    # build_ball(9) has about 25k vertices; a kept Vec2 list would be about 2 MB
+    b = build_ball(9)
+    tracemalloc.start()
+    try:
+        for i in range(len(b.vertices)):
+            assert (b.vertices[i].x, b.vertices[i].y) == b.points[i]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_vertices_is_an_indexed_view():
     g = build_mod_q(7)
-    b = build_ball(6)
-    certified_core(g, DEFAULT_WITNESS)
-    certified_core(b, DEFAULT_WITNESS)
-    core_exact(g)
-    spanning_tree_generators(g)
-    is_loop_at_base(g, DEFAULT_WITNESS)
-    trace(b, Word("UV"), b.base)
-    assert g.vertex_id((1, 0)) is not None and b.vertex_id(Vec2(0, 1)) is not None
-    assert g._vertices is None and b._vertices is None
+    assert len(g.vertices) == len(g)
     assert g.vertices[1] == Vec2(*g.points[1], 7)
-    assert g._vertices is not None
+    with pytest.raises(TypeError):
+        g.vertices[0:2]
 
 
 # ---------------------------------------------------------------- export
@@ -440,6 +461,6 @@ def test_edge_consistency_catches_tampering():
     g = build_mod_q(2)
     bad = list(g.edges["U"])
     bad[0], bad[1] = bad[1], bad[0]
-    h = OrbitalGraph(g.vertices, bad, g.edges["V"], g.complete, modulus=2)
+    h = OrbitalGraph(g.points, bad, g.edges["V"], g.complete, modulus=2)
     with pytest.raises(AssertionError):
         check_edge_consistency(h)
