@@ -1,30 +1,37 @@
 """Orbital Schreier graphs of the affine action, exact and partial.
 
-Vertices are points of an orbit, numbered from 0.  A graph is stored as one
-vertex-id list per letter, as for the Schreier graph of a free-group action:
-edges["U"][v] and edges["V"][v] lead forward along the generators, and
-edges["u"] and edges["v"] are their inverse maps, so an inverse letter walks
-an edge backwards.  Points are (x, y) tuples in and out: `points` holds the
-builder's tuples, the point index maps those same tuples to ids, and
-`vertex_id` takes a tuple; `vertices` makes one Vec2 per indexed read, as
-with the per-letter arrays of Kapovich-Myasnikov, J. Algebra 248 (2002).
-Exports list the positive (U, V) edges only.  Two builders are provided:
-the full orbit of (0, 0) modulo q, and the exact ball of given radius
-around (0, 0) in the infinite orbit.  A vertex of a partial graph is
-flagged complete when all four of its neighbours lie in the explored
-region, which is what core certification relies on.
+Vertices are points of an orbit, numbered from 0.  A graph is stored in flat
+int columns, as with the per-letter arrays of Kapovich-Myasnikov, J. Algebra
+248 (2002): edges["U"][v] and edges["V"][v] are where the generators lead
+from v, and edges["u"] and edges["v"] are their inverse maps, so an inverse
+letter walks an edge backwards.  Each is an array('i') with NO_EDGE (-1) for
+a missing edge, so every reader tests `< 0` before it indexes.  The points
+are two array('i') columns, xs and ys, and `complete` is a bytearray.  A
+mod-q graph finds a point through a dense table of q^2 ids keyed by
+x * q + y (-1 off the orbit); a ball keeps a dict keyed by (x, y) tuples.
+Points are (x, y) tuples in and out: the constructor takes them, `points`
+is a read-only view reading one tuple per indexed read, `vertex_id` takes a
+tuple, and `vertices` makes one Vec2 per indexed read.  Exports list the
+positive (U, V) edges only.  Two builders are provided: the full orbit of
+(0, 0) modulo q, and the exact ball of given radius around (0, 0) in the
+infinite orbit.  A vertex of a partial graph is flagged complete when all
+four of its neighbours lie in the explored region, which is what core
+certification relies on.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 
 from .action import step
 from .linear import Vec2
 from .words import Word
+
+NO_EDGE = -1
 
 _GEN_CHARS = ("U", "V")
 _MAX_BALL_DEPTH = 13
@@ -33,18 +40,25 @@ _MAX_GRAPH_MODULUS = 2048
 _DOT_COLORS = {"U": "#1f77b4", "V": "#d62728"}
 
 
-def _pairs(points: list[tuple[int, int]], modulus: int | None) -> list[tuple[int, int]]:
-    """A fresh list of the points.  Each must be an (x, y) tuple, and a
-    point of a mod-q graph must lie in [0, q)^2."""
-    pairs = list(points)
-    for p in pairs:
-        if type(p) is not tuple or len(p) != 2:
-            raise ValueError(f"point {p!r} is not an (x, y) tuple")
-    if modulus is not None:
-        for x, y in pairs:
-            if not (0 <= x < modulus and 0 <= y < modulus):
-                raise ValueError(f"point ({x}, {y}) is not reduced mod {modulus}")
-    return pairs
+class _PointView:
+    """Read-only view of a graph's points: len, an indexed read gives an
+    (x, y) tuple, and iteration yields tuples."""
+
+    __slots__ = ("_xs", "_ys")
+
+    def __init__(self, xs: array, ys: array):
+        self._xs = xs
+        self._ys = ys
+
+    def __len__(self) -> int:
+        return len(self._xs)
+
+    def __getitem__(self, vid: int) -> tuple[int, int]:
+        i = operator.index(vid)
+        return self._xs[i], self._ys[i]
+
+    def __iter__(self):
+        return zip(self._xs, self._ys)
 
 
 class _Vec2View:
@@ -52,7 +66,7 @@ class _Vec2View:
 
     __slots__ = ("_points", "_modulus")
 
-    def __init__(self, points: list[tuple[int, int]], modulus: int | None):
+    def __init__(self, points: _PointView, modulus: int | None):
         self._points = points
         self._modulus = modulus
 
@@ -60,25 +74,72 @@ class _Vec2View:
         return len(self._points)
 
     def __getitem__(self, vid: int) -> Vec2:
-        x, y = self._points[operator.index(vid)]
+        x, y = self._points[vid]
         return Vec2(x, y, self._modulus)
+
+
+def _columns(points, modulus: int | None) -> tuple[array, array]:
+    """The points as xs and ys columns.  Each must be an (x, y) tuple, and a
+    point of a mod-q graph must lie in [0, q)^2.  A _PointView hands over
+    its columns as they are."""
+    if type(points) is _PointView:
+        xs, ys = points._xs, points._ys
+    else:
+        if not ({*map(type, points)} <= {tuple} and {*map(len, points)} <= {2}):
+            bad = next(p for p in points if type(p) is not tuple or len(p) != 2)
+            raise ValueError(f"point {bad!r} is not an (x, y) tuple")
+        # a letter takes m = max(|x|, |y|) to at most 3m + 2, so m + 1 at
+        # most triples and a ball point has |x|, |y| <= 3^depth - 1; at
+        # depth 13 that is 1,594,322, far below 2^31.  Past 32 bits array
+        # raises OverflowError rather than wrapping.
+        xs = array("i", map(operator.itemgetter(0), points))
+        ys = array("i", map(operator.itemgetter(1), points))
+    if modulus is not None and not (
+        0 <= min(xs) and max(xs) < modulus and 0 <= min(ys) and max(ys) < modulus
+    ):
+        x, y = next(p for p in zip(xs, ys) if not (0 <= p[0] < modulus and 0 <= p[1] < modulus))
+        raise ValueError(f"point ({x}, {y}) is not reduced mod {modulus}")
+    return xs, ys
+
+
+def _with_inverse(succ, n: int, gen: str, has_lower: bytearray) -> tuple[array, array]:
+    """succ as an edge column, and its inverse column, in one pass that
+    refuses a target out of range and a second edge into one vertex.  It
+    also sets has_lower[v] for the larger end v of every edge that is not a
+    self-loop."""
+    fwd = array("i", [NO_EDGE]) * n
+    back = array("i", [NO_EDGE]) * n
+    for src, tgt in enumerate(succ):
+        if tgt is None:
+            continue
+        if not 0 <= tgt < n:
+            raise ValueError(f"edge target {tgt} out of range")
+        if back[tgt] >= 0:
+            raise ValueError(f"two {gen}-edges enter vertex {tgt}; graph is not folded")
+        back[tgt] = src
+        fwd[src] = tgt
+        if src < tgt:
+            has_lower[tgt] = 1
+        elif tgt < src:
+            has_lower[src] = 1
+    return fwd, back
 
 
 class OrbitalGraph:
     """Immutable labeled graph: edges[c][v] is where letter c leads from v,
-    or None.  Only the U and V lists are passed in, and u and v are filled
-    as their inverses; per generator each vertex has at most one outgoing
-    and one incoming edge, as in a folded Stallings graph.  points are
-    (x, y) tuples."""
+    or NO_EDGE.  Only the U and V successors are passed in, as sequences with
+    None for a missing edge, and u and v are filled as their inverses; per
+    generator each vertex has at most one outgoing and one incoming edge, as
+    in a folded Stallings graph.  points are (x, y) tuples in and out."""
 
     __slots__ = ("points", "base", "modulus", "complete", "fully_complete", "edges", "_index")
 
     def __init__(
         self,
-        points: list[tuple[int, int]],
-        succ_u: list[int | None],
-        succ_v: list[int | None],
-        complete: list[bool],
+        points,
+        succ_u,
+        succ_v,
+        complete,
         base: int = 0,
         modulus: int | None = None,
     ):
@@ -87,29 +148,38 @@ class OrbitalGraph:
             raise ValueError("points, succ_u, succ_v and complete must have equal length")
         if not 0 <= base < n:
             raise ValueError(f"base {base} out of range")
-        points = _pairs(points, modulus)
-        edges = {"U": list(succ_u), "V": list(succ_v), "u": [None] * n, "v": [None] * n}
-        for gen, inv in (("U", "u"), ("V", "v")):
-            back = edges[inv]
-            for src, tgt in enumerate(edges[gen]):
-                if tgt is None:
-                    continue
-                if not 0 <= tgt < n:
-                    raise ValueError(f"edge target {tgt} out of range")
-                if back[tgt] is not None:
-                    raise ValueError(f"two {gen}-edges enter vertex {tgt}; graph is not folded")
-                back[tgt] = src
-        self.points = points
-        self.edges = edges
-        self.complete = list(complete)
+        if modulus is not None and modulus > _MAX_GRAPH_MODULUS:
+            raise ValueError(f"modulus {modulus} exceeds the guard {_MAX_GRAPH_MODULUS}")
+        xs, ys = _columns(points, modulus)
+        has_lower = bytearray(n)
+        fwd_u, back_u = _with_inverse(succ_u, n, "U", has_lower)
+        fwd_v, back_v = _with_inverse(succ_v, n, "V", has_lower)
+        self.points = _PointView(xs, ys)
+        self.edges = {"U": fwd_u, "V": fwd_v, "u": back_u, "v": back_v}
+        self.complete = bytearray(map(bool, complete))
         # read by every loop query, so computed once here, not per call
-        self.fully_complete = all(self.complete)
+        self.fully_complete = 0 not in self.complete
         self.base = base
         self.modulus = modulus
-        self._index = dict(zip(points, range(n)))
-        if len(self._index) != n:
-            raise ValueError("duplicate vertex points")
-        self._check_connected()
+        if modulus is None:
+            # keyed by the caller's tuples when it passes tuples, so a ball
+            # keeps one tuple per point
+            self._index = dict(zip(points, range(n)))
+            if len(self._index) != n:
+                raise ValueError("duplicate vertex points")
+        else:
+            # id of the point x * q + y, or -1 off the orbit
+            self._index = index = array("i", [-1]) * (modulus * modulus)
+            for vid, x, y in zip(range(n), xs, ys):
+                code = x * modulus + y
+                if index[code] >= 0:
+                    raise ValueError("duplicate vertex points")
+                index[code] = vid
+        # when every vertex but 0 has a neighbour with a smaller id, each one
+        # reaches 0 by induction and the graph is connected; the builders
+        # number vertices in search order, so they need no search here
+        if has_lower.find(0, 1) >= 0:
+            self._check_connected()
 
     @property
     def vertices(self) -> _Vec2View:
@@ -117,20 +187,19 @@ class OrbitalGraph:
         return _Vec2View(self.points, self.modulus)
 
     def _check_connected(self) -> None:
-        seen = [False] * len(self.points)
-        seen[self.base] = True
+        seen = bytearray(len(self.points))
+        seen[self.base] = 1
         stack = [self.base]
         maps = tuple(self.edges.values())
         while stack:
             v = stack.pop()
             for m in maps:
                 t = m[v]
-                if t is not None and not seen[t]:
-                    seen[t] = True
+                if t >= 0 and not seen[t]:
+                    seen[t] = 1
                     stack.append(t)
-        if not all(seen):
-            missing = seen.index(False)
-            raise ValueError(f"vertex {missing} not reachable from base")
+        if 0 in seen:
+            raise ValueError(f"vertex {seen.index(0)} not reachable from base")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -140,39 +209,45 @@ class OrbitalGraph:
         the point is not a vertex."""
         x, y = point
         q = self.modulus
-        if q is not None:
-            x, y = x % q, y % q
-        return self._index.get((x, y))
+        if q is None:
+            return self._index.get((x, y))
+        vid = self._index[x % q * q + y % q]
+        return None if vid < 0 else vid
 
     def degree(self, vid: int) -> int:
-        return sum(m[vid] is not None for m in self.edges.values())
+        return sum(m[vid] >= 0 for m in self.edges.values())
 
     def positive_edges(self) -> list[tuple[int, str, int]]:
         return [
             (src, c, t)
             for src in range(len(self.points))
             for c in _GEN_CHARS
-            if (t := self.edges[c][src]) is not None
+            if (t := self.edges[c][src]) >= 0
         ]
 
 
-def _orbit_mod_q(q: int) -> tuple[list[int], list[int], list[int]]:
+def _orbit_mod_q(q: int) -> tuple[_PointView, list[int], list[int]]:
     """Breadth-first closure of the orbit of (0, 0) mod q.
 
-    Returns (codes in discovery order, U-successor ids, V-successor ids)
-    with points encoded as x * q + y.  Neighbours are visited in letter
-    order U, V, U^-1, V^-1, and that discovery order fixes the vertex ids
-    of build_mod_q.  Orbit sizes alone come from ranks.stabilizer_index.
-    Raises ValueError for q > _MAX_GRAPH_MODULUS before the q*q id table is
-    allocated; at the guard the table has 2^22 slots.
+    Returns (points in discovery order, U-successor ids, V-successor ids);
+    the points are a view over int columns, so no tuple is made per vertex.
+    Neighbours are visited in letter order U, V, U^-1, V^-1, and that
+    discovery order fixes the vertex ids of build_mod_q.  Orbit sizes alone
+    come from ranks.stabilizer_index.  Raises ValueError for
+    q > _MAX_GRAPH_MODULUS before the q*q id table is allocated; at the
+    guard the table has 2^22 slots.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     if q > _MAX_GRAPH_MODULUS:
         raise ValueError(f"q {q} exceeds the guard {_MAX_GRAPH_MODULUS}")
+    # lists during the search, as CPython indexes them fastest; points are
+    # encoded as x * q + y
     ids = [-1] * (q * q)
     order = [0]
     ids[0] = 0
+    xs: list[int] = []
+    ys: list[int] = []
     succ_u: list[int] = []
     succ_v: list[int] = []
     i = 0
@@ -180,6 +255,8 @@ def _orbit_mod_q(q: int) -> tuple[list[int], list[int], list[int]]:
         code = order[i]
         i += 1
         x, y = divmod(code, q)
+        xs.append(x)
+        ys.append(y)
         a = ((x + 2 * y) % q) * q + (y + 1) % q
         b = ((x + 1) % q) * q + (2 * x + y) % q
         c = ((x - 2 * y + 2) % q) * q + (y - 1) % q
@@ -190,16 +267,13 @@ def _orbit_mod_q(q: int) -> tuple[list[int], list[int], list[int]]:
                 order.append(t)
         succ_u.append(ids[a])
         succ_v.append(ids[b])
-    return order, succ_u, succ_v
+    return _PointView(array("i", xs), array("i", ys)), succ_u, succ_v
 
 
 def build_mod_q(q: int) -> OrbitalGraph:
     """Orbital graph of the action on (Z/qZ)^2, complete by construction."""
-    order, succ_u, succ_v = _orbit_mod_q(q)
-    points = [divmod(code, q) for code in order]
-    # free the codes before the graph copies the lists, to lower the peak
-    del order
-    return OrbitalGraph(points, succ_u, succ_v, [True] * len(points), base=0, modulus=q)
+    points, succ_u, succ_v = _orbit_mod_q(q)
+    return OrbitalGraph(points, succ_u, succ_v, b"\x01" * len(points), base=0, modulus=q)
 
 
 def build_ball(depth: int) -> OrbitalGraph:
@@ -230,7 +304,7 @@ def build_ball(depth: int) -> OrbitalGraph:
                     points.append(p)
             succ_u.append(index[a])
             succ_v.append(index[b])
-    complete = [True] * len(succ_u)
+    complete = bytearray(b"\x01") * len(succ_u)
     get = index.get
     for x, y in islice(points, len(succ_u), len(points)):
         a = get((x + 2 * y, y + 1))
@@ -253,11 +327,11 @@ def trace(g: OrbitalGraph, w: Word, start: int) -> int | None:
     None if the path leaves the explored region."""
     if not 0 <= start < len(g.points):
         raise ValueError(f"start {start} out of range")
-    cur: int | None = start
+    cur = start
     edges = g.edges
     for c in reversed(w.text):
         cur = edges[c][cur]
-        if cur is None:
+        if cur < 0:
             return None
     return cur
 
@@ -292,17 +366,17 @@ def core_exact(g: OrbitalGraph) -> CoreReport:
         raise ValueError("core_exact needs a fully complete graph")
     n = len(g.points)
     maps = tuple(g.edges.values())
-    deg = [g.degree(v) for v in range(n)]
-    alive = [True] * n
+    deg = bytearray(map(g.degree, range(n)))
+    alive = bytearray(b"\x01") * n
     stack = [v for v in range(n) if deg[v] <= 1]
     while stack:
         v = stack.pop()
         if not alive[v] or deg[v] > 1:
             continue
-        alive[v] = False
+        alive[v] = 0
         for m in maps:
             t = m[v]
-            if t is not None and alive[t]:
+            if t >= 0 and alive[t]:
                 deg[t] -= 1
                 if deg[t] <= 1:
                     stack.append(t)
@@ -322,13 +396,13 @@ def certified_core(g: OrbitalGraph, witness: Word) -> CoreReport:
     found = []
     complete = g.complete
     for v in range(len(g.points)):
-        cur: int | None = v
+        cur = v
         for m in seq:
             if not complete[cur]:
-                cur = None
+                cur = NO_EDGE
                 break
             cur = m[cur]
-            if cur is None:
+            if cur < 0:
                 break
         if cur == v:
             found.append(v)
@@ -360,7 +434,7 @@ def spanning_tree_generators(g: OrbitalGraph) -> list[Word]:
         word = tree[p]
         for c, m, gen, e in letters:
             t = m[p]
-            if t is None or tree[t] is not None:
+            if t < 0 or tree[t] is not None:
                 continue
             # word starts with the letter into p, whose inverse leads back to
             # p's parent, which is already in the tree; so this merge adds
@@ -379,7 +453,7 @@ def spanning_tree_generators(g: OrbitalGraph) -> list[Word]:
             t = edges[c][p]
             # the edge p -c-> t is in the tree when it was walked forward into
             # t or backward into p
-            if t is None or via[t] == c or via[p] == c.lower():
+            if t < 0 or via[t] == c or via[p] == c.lower():
                 continue
             head = [(h, -e) for h, e in reversed(tree[t])]
             tail = tree[p]
@@ -433,7 +507,7 @@ def export_json(g: OrbitalGraph) -> str:
         "modulus": g.modulus,
         "base": g.base,
         "vertices": [
-            {"id": i, "x": x, "y": y, "complete": g.complete[i]}
+            {"id": i, "x": x, "y": y, "complete": bool(g.complete[i])}
             for i, (x, y) in enumerate(g.points)
         ],
         "edges": [{"from": s, "to": t, "gen": gen} for s, gen, t in g.positive_edges()],
@@ -450,7 +524,7 @@ def check_edge_consistency(g: OrbitalGraph) -> None:
         for c in _GEN_CHARS:
             expected = step(c, v)
             tgt = g.edges[c][vid]
-            if tgt is not None and points[tgt] != (expected.x, expected.y):
+            if tgt >= 0 and points[tgt] != (expected.x, expected.y):
                 raise AssertionError(
                     f"edge {vid} -{c}-> {tgt} disagrees with the action at {v}"
                 )

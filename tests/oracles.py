@@ -103,6 +103,31 @@ def ball_letterwise(depth: int):
     return points, succ_u, succ_v, complete
 
 
+def mod_q_letterwise(q: int):
+    """The orbit of (0, 0) mod q, by breadth-first search with step_point
+    reduced mod q, in letter order U, V, u, v.
+
+    Returns (points in discovery order, U-successor ids, V-successor ids);
+    the orbit is finite, so every successor is a vertex.
+    """
+    ids = {(0, 0): 0}
+    points = [(0, 0)]
+    for x, y in points:
+        for c in "UVuv":
+            px, py = step_point(c, x, y)
+            p = (px % q, py % q)
+            if p not in ids:
+                ids[p] = len(points)
+                points.append(p)
+    succ = {}
+    for c in "UV":
+        succ[c] = []
+        for x, y in points:
+            px, py = step_point(c, x, y)
+            succ[c].append(ids[(px % q, py % q)])
+    return points, succ["U"], succ["V"]
+
+
 def schreier_generators_letterwise(edges: dict, base: int) -> list[str]:
     """Spanning-tree Schreier generators as strings, from the letter maps of
     a complete folded graph (edges[c][v] for c in "UVuv").

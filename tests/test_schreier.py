@@ -3,11 +3,12 @@ import random
 import tracemalloc
 
 import pytest
-from oracles import ball_letterwise, schreier_generators_letterwise
+from oracles import ball_letterwise, mod_q_letterwise, schreier_generators_letterwise
 
 from parabolic.action import DEFAULT_WITNESS, ORIGIN, act, marked_point
 from parabolic.linear import Vec2
 from parabolic.schreier import (
+    NO_EDGE,
     OrbitalGraph,
     build_ball,
     build_mod_q,
@@ -32,6 +33,10 @@ def _random_word(rng, length):
     return Word("".join(out))
 
 
+def _none_for_no_edge(column):
+    return [None if t == NO_EDGE else t for t in column]
+
+
 # ---------------------------------------------------------------- mod q
 
 
@@ -40,7 +45,9 @@ def test_mod_2_graph():
     assert len(g) == 4
     assert g.modulus == 2 and g.base == 0 and g.fully_complete
     assert [(v.x, v.y) for v in g.vertices] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert g.edges == {"U": [1, 0, 3, 2], "V": [2, 3, 0, 1], "u": [1, 0, 3, 2], "v": [2, 3, 0, 1]}
+    assert {c: list(m) for c, m in g.edges.items()} == {
+        "U": [1, 0, 3, 2], "V": [2, 3, 0, 1], "u": [1, 0, 3, 2], "v": [2, 3, 0, 1]
+    }
 
 
 def test_mod_3_graph_covers_whole_plane():
@@ -77,6 +84,29 @@ def test_vertex_id_reduces_mod_q():
     assert g.vertex_id((3, -5)) == 3
 
 
+def test_mod_q_matches_letterwise_bfs():
+    # vertex order is part of the output contract, for every q, not only q = 7
+    for q in range(2, 31):
+        g = build_mod_q(q)
+        points, succ_u, succ_v = mod_q_letterwise(q)
+        assert list(g.points) == points, q
+        assert list(g.edges["U"]) == succ_u, q
+        assert list(g.edges["V"]) == succ_v, q
+
+
+def test_vertex_id_misses_every_point_off_the_orbit():
+    # for q = 4, 8, 12 the orbit is half of (Z/q)^2; the other half are -1
+    # slots of the dense id table
+    for q, missing in ((4, 8), (8, 32), (12, 72)):
+        g = build_mod_q(q)
+        on = set(g.points)
+        off = [(x, y) for x in range(q) for y in range(q) if (x, y) not in on]
+        assert len(off) == missing
+        assert all(g.vertex_id(p) is None for p in off)
+        assert all(g.vertex_id(p) is None for p in ((x + q, y - 3 * q) for x, y in off))
+        assert [g.vertex_id(p) for p in g.points] == list(range(len(g)))
+
+
 def test_vertex_id_refuses_vec2():
     # a tuple-keyed lookup would answer None for a Vec2; it raises instead
     for g in (build_mod_q(2), build_ball(2)):
@@ -90,18 +120,20 @@ def test_vertex_id_refuses_vec2():
 def test_ball_depth_zero():
     b = build_ball(0)
     assert len(b) == 1
-    assert b.edges == {"U": [None], "V": [None], "u": [None], "v": [None]}
-    assert b.complete == [False]
+    assert {c: _none_for_no_edge(m) for c, m in b.edges.items()} == {
+        "U": [None], "V": [None], "u": [None], "v": [None]
+    }
+    assert list(map(bool, b.complete)) == [False]
     assert not b.fully_complete
 
 
 def test_ball_depth_one():
     b = build_ball(1)
     assert [(v.x, v.y) for v in b.vertices] == [(0, 0), (0, 1), (1, 0), (2, -1), (-1, 2)]
-    assert b.complete == [True, False, False, False, False]
+    assert list(map(bool, b.complete)) == [True, False, False, False, False]
     assert sorted(b.positive_edges()) == [(0, "U", 1), (0, "V", 2), (3, "U", 0), (4, "V", 0)]
-    assert b.edges["u"] == [3, 0, None, None, None]
-    assert b.edges["v"] == [4, None, 0, None, None]
+    assert _none_for_no_edge(b.edges["u"]) == [3, 0, None, None, None]
+    assert _none_for_no_edge(b.edges["v"]) == [4, None, 0, None, None]
     assert b.degree(0) == 4
 
 
@@ -125,10 +157,10 @@ def test_ball_matches_letterwise_bfs():
     for d in range(7):
         b = build_ball(d)
         points, succ_u, succ_v, complete = ball_letterwise(d)
-        assert b.points == points
-        assert b.edges["U"] == succ_u
-        assert b.edges["V"] == succ_v
-        assert b.complete == complete
+        assert list(b.points) == points
+        assert _none_for_no_edge(b.edges["U"]) == succ_u
+        assert _none_for_no_edge(b.edges["V"]) == succ_v
+        assert list(map(bool, b.complete)) == complete
 
 
 def test_marked_point_graph_distances():
@@ -161,6 +193,35 @@ def test_trace_follows_action():
         t = trace(b, w, b.base)
         if t is not None:
             assert b.vertices[t] == act(w, ORIGIN)
+
+
+def _partial_path():
+    # 2 -U-> 0 -U-> 1: vertex 1 has no U-edge, and read as index -1 a missing
+    # edge would be the last vertex, 2
+    return OrbitalGraph([(0, 0), (1, 0), (2, 0)], [1, None, 0], [None] * 3, [True] * 3)
+
+
+def test_readers_skip_missing_edges():
+    g = _partial_path()
+    assert trace(g, Word("UU"), 0) is None
+    assert trace(g, Word("UU"), 2) == 1
+    assert [g.degree(v) for v in range(3)] == [2, 1, 1]
+    assert g.positive_edges() == [(0, "U", 1), (2, "U", 0)]
+    assert _none_for_no_edge(g.edges["u"]) == [2, 0, None]
+
+
+def test_connectivity_check_skips_missing_edges():
+    # vertex 2 has no edge at all; a missing edge of vertex 0 read as index
+    # -1 would reach it
+    with pytest.raises(ValueError, match="vertex 2 not reachable"):
+        OrbitalGraph([(0, 0), (1, 0), (2, 0)], [1, None, None], [None] * 3, [True] * 3)
+
+
+def test_connected_graph_numbered_out_of_search_order():
+    # 0 -U-> 2 -U-> 1: vertex 1 has no neighbour with a smaller id, so the
+    # graph is searched from the base
+    g = OrbitalGraph([(0, 0), (1, 0), (2, 0)], [2, None, 1], [None] * 3, [True] * 3, base=1)
+    assert trace(g, Word("UU"), 0) == 1
 
 
 def test_trace_leaving_region_returns_none():
@@ -366,6 +427,12 @@ def test_graph_refuses_points_other_than_pairs():
             OrbitalGraph([bad], [None], [None], [True], modulus=modulus)
 
 
+def test_graph_refuses_modulus_past_the_guard():
+    # the q^2 id table is never allocated for such a modulus
+    with pytest.raises(ValueError, match="exceeds the guard 2048"):
+        OrbitalGraph([(0, 0)], [None], [None], [True], modulus=10**9)
+
+
 def test_graph_rejects_disconnected():
     with pytest.raises(ValueError):
         OrbitalGraph([(0, 0), (1, 1)], [None, None], [None, None], [True, True])
@@ -382,7 +449,7 @@ def test_graph_rejects_unfolded():
 # ---------------------------------------------------------------- memory
 
 
-@pytest.mark.parametrize("build, arg, budget", [(build_ball, 9, 420), (build_mod_q, 211, 400)])
+@pytest.mark.parametrize("build, arg, budget", [(build_ball, 9, 300), (build_mod_q, 211, 240)])
 def test_build_peak_bytes_per_vertex(build, arg, budget):
     tracemalloc.start()
     try:
@@ -391,6 +458,19 @@ def test_build_peak_bytes_per_vertex(build, arg, budget):
     finally:
         tracemalloc.stop()
     assert peak / len(g) < budget
+
+
+@pytest.mark.parametrize("build, arg, budget", [(build_ball, 9, 240), (build_mod_q, 211, 48)])
+def test_retained_bytes_per_vertex(build, arg, budget):
+    # a mod-q graph is int columns and its id table; a ball adds its dict of
+    # point tuples
+    tracemalloc.start()
+    try:
+        g = build(arg)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained / len(g) < budget
 
 
 def test_vertex_reads_keep_no_vec2():
