@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .linear import Vec2
-from .words import Word, concat, power
+from .words import Word, concat
 
 ORIGIN = Vec2(0, 0)
 
@@ -113,9 +113,9 @@ def _predecessor(n: int) -> int:
 def _extend_witness(n: int, pred_word: Word) -> Word:
     # recurrences: beta^{-2n} sends (n, 1-n) to (-n, 1+n) and
     # alpha^{-2n-2} sends (-n, 1+n) to (n+2, -n-1), both for n >= 0
-    if n < 0:
-        return concat(power(Word("V"), 2 * n), pred_word)
-    return concat(power(Word("U"), 2 - 2 * n), pred_word)
+    # each power is one syllable, nonzero since n is not 0 or 1
+    gen, e = ("V", 2 * n) if n < 0 else ("U", 2 - 2 * n)
+    return concat(Word._from_syllables(((gen, e),), abs(e)), pred_word)
 
 
 def witness_word(n: int) -> WitnessSchedule:

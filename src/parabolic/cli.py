@@ -194,7 +194,12 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+# the parser main() reuses; built on its first call, not at import
+_parser: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; main() keeps the one it built first."""
     parser = argparse.ArgumentParser(
         prog="parabolic",
         description="Exact verification toolkit for the affine orbital graphs of the"
@@ -255,8 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.  May be called repeatedly in
+    one process: the parser depends on no argv, and each call parses into a
+    fresh namespace and computes its answer anew."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OverflowError, OSError) as exc:

@@ -366,7 +366,16 @@ def core_exact(g: OrbitalGraph) -> CoreReport:
         raise ValueError("core_exact needs a fully complete graph")
     n = len(g.points)
     maps = tuple(g.edges.values())
-    deg = bytearray(map(g.degree, range(n)))
+    # the degree is 4 less one per missing edge; a complete mod-q graph has
+    # none, so its columns are only searched, never walked
+    deg = bytearray([4]) * n
+    for m in maps:
+        if NO_EDGE in m:
+            for v, t in enumerate(m):
+                if t < 0:
+                    deg[v] -= 1
+    if min(deg) > 1:
+        return CoreReport("exact", frozenset(range(n)), None)
     alive = bytearray(b"\x01") * n
     stack = [v for v in range(n) if deg[v] <= 1]
     while stack:

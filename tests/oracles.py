@@ -128,6 +128,24 @@ def mod_q_letterwise(q: int):
     return points, succ["U"], succ["V"]
 
 
+def core_by_stripping(n: int, edges) -> set[int]:
+    """The core of the undirected multigraph on range(n) with the given
+    (a, b) edges: strip every vertex of degree <= 1, recount from the edge
+    list, and repeat until none is left to strip.  A self-loop (a, a) adds 2
+    to the degree of a."""
+    alive = set(range(n))
+    while True:
+        deg = dict.fromkeys(alive, 0)
+        for a, b in edges:
+            if a in alive and b in alive:
+                deg[a] += 1
+                deg[b] += 1
+        leaves = {v for v, d in deg.items() if d <= 1}
+        if not leaves:
+            return alive
+        alive -= leaves
+
+
 def schreier_generators_letterwise(edges: dict, base: int) -> list[str]:
     """Spanning-tree Schreier generators as strings, from the letter maps of
     a complete folded graph (edges[c][v] for c in "UVuv").

@@ -175,12 +175,22 @@ def test_witness_length_closed_form():
 
 def test_witness_sweep_matches_single_queries():
     seen = {}
-    for sched in witness_sweep(8):
+    for sched in witness_sweep(200):
         assert sched.n not in seen
         seen[sched.n] = sched.word
-    assert set(seen) == set(range(-8, 9))
-    for n in (-8, -3, 0, 1, 5, 8):
-        assert seen[n] == witness_word(n).word
+    assert set(seen) == set(range(-200, 201))
+    for n, word in seen.items():
+        single = witness_word(n).word
+        assert single.syllables == word.syllables and len(single) == len(word)
+
+
+def test_witness_words_reach_marked_points_letter_by_letter():
+    # the oracle steps every letter of the printed text, sharing no code with
+    # the syllable-wise check in WitnessSchedule
+    for n in range(-200, 201):
+        text = witness_word(n).word.text
+        assert len(text) == witness_length(n)
+        assert act_letterwise(text, 0, 0) == (n, 1 - n)
 
 
 def test_witness_sweep_order():

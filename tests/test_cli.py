@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -373,3 +374,93 @@ def test_python_m_parabolic_runs_without_warnings():
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert "index = 49" in proc.stdout
+
+
+# ---------------------------------------------------------------- parser reuse
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    assert _outcome(capsys, ["rank", "--q", "abc"])[0] == 2  # argparse error
+    assert _outcome(capsys, ["rank", "--q", "1"])[0] == 2  # ValueError
+    assert _outcome(capsys, ["rank", "--q", "7"])[0] == 0
+    assert _outcome(capsys, ["snf", "--matrix", "4 0; 0 6"])[0] == 0
+    assert len(builds) == 1
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "r.json")
+    requests = [
+        ["verify", *_FAST, "--out", out],
+        ["verify", *_FAST, "--out", out, "--format", "json"],
+        ["orbit", "--n", "-4"],
+        ["orbit", "--n", "5", "--format", "json"],
+        ["graph", "--q", "3"],
+        ["graph", "--depth", "2", "--format", "json"],
+        ["core", "--q", "3"],
+        ["core", "--depth", "4", "--format", "json"],
+        ["rank", "--q", "9"],
+        ["rank", "--q", "9", "--format", "json"],
+        ["abelianization", "--q", "6"],
+        ["abelianization", "--q", "6", "--format", "json"],
+        ["member", "--word", "uVuV", "--q", "4"],
+        ["member", "--word", "U^-1 V U^-1 V", "--format", "json"],
+        ["snf", "--matrix", "0 2 0 0; 0 0 2 0"],
+        ["snf", "--matrix", "4, 0; 0, 6", "--format", "json"],
+        # the malformed requests of the queries workload
+        ["member", "--word", "UVuVxUV"],
+        ["member", "--word", "U^"],
+        ["member", "--word", "V^-"],
+        ["member", "--word", "u^ ^2"],
+        ["rank", "--q", "-3"],
+        ["orbit", "--n", "abc"],
+        ["snf", "--matrix", "1 2; 3"],
+        ["core", "--q", "3", "--depth", "4"],
+        ["abelianization", "--q", "1"],
+        ["frobnicate"],
+    ]
+    fresh = {}
+    for argv in requests:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh[tuple(argv)] = _outcome(capsys, argv)
+    assert {r[0] for r in fresh.values()} == {0, 2}
+    monkeypatch.setattr(cli, "_parser", None)
+    # a --q from one core request must not reach the --depth request after it
+    order = [["core", "--q", "3"], ["core", "--depth", "4", "--format", "json"]]
+    shuffled = requests * 2
+    random.Random(11).shuffle(shuffled)
+    for argv in order + shuffled:
+        assert _outcome(capsys, argv) == fresh[tuple(argv)], argv
+
+
+def test_import_does_not_build_the_parser():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(parabolic.__file__))}
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import parabolic; from parabolic import cli; print(cli._parser is None)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "True\n"

@@ -3,7 +3,12 @@ import random
 import tracemalloc
 
 import pytest
-from oracles import ball_letterwise, mod_q_letterwise, schreier_generators_letterwise
+from oracles import (
+    ball_letterwise,
+    core_by_stripping,
+    mod_q_letterwise,
+    schreier_generators_letterwise,
+)
 
 from parabolic.action import DEFAULT_WITNESS, ORIGIN, act, marked_point
 from parabolic.linear import Vec2
@@ -270,6 +275,51 @@ def test_core_exact_self_loop_survives():
 def test_core_exact_isolated_vertex_is_empty():
     g = OrbitalGraph([(0, 0)], [None], [None], [True])
     assert core_exact(g).core_vertices == frozenset()
+
+
+def _random_folded_graph(rng, n):
+    """U and V successors of a connected folded graph on n vertices: a
+    random spanning tree, so pendant trees hang off whatever cycles form,
+    then random extra edges, some of them self-loops."""
+    succ = {"U": [None] * n, "V": [None] * n}
+    pred = {"U": [None] * n, "V": [None] * n}
+
+    def add(gen, a, b):
+        if succ[gen][a] is not None or pred[gen][b] is not None:
+            return False
+        succ[gen][a], pred[gen][b] = b, a
+        return True
+
+    for v in range(1, n):
+        while not (
+            add(rng.choice("UV"), rng.randrange(v), v)
+            if rng.random() < 0.5
+            else add(rng.choice("UV"), v, rng.randrange(v))
+        ):
+            pass
+    for _ in range(rng.randint(0, n)):
+        a = rng.randrange(n)
+        add(rng.choice("UV"), a, a if rng.random() < 0.25 else rng.randrange(n))
+    return succ["U"], succ["V"]
+
+
+def _positive_edge_list(g):
+    return [(a, b) for c in "UV" for a, b in enumerate(g.edges[c]) if b != NO_EDGE]
+
+
+def test_core_exact_matches_stripping_oracle_on_random_graphs():
+    rng = random.Random(2027)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        succ_u, succ_v = _random_folded_graph(rng, n)
+        g = OrbitalGraph([(i, 0) for i in range(n)], succ_u, succ_v, [True] * n)
+        assert core_exact(g).core_vertices == core_by_stripping(n, _positive_edge_list(g))
+
+
+def test_core_exact_matches_stripping_oracle_mod_q():
+    for q in range(2, 41):
+        g = build_mod_q(q)
+        assert core_exact(g).core_vertices == core_by_stripping(len(g), _positive_edge_list(g))
 
 
 def test_core_exact_requires_complete_graph():
