@@ -106,10 +106,19 @@ def nielsen_schreier_rank(index: int, ambient_rank: int) -> int:
     return index * (ambient_rank - 1) + 1
 
 
+# A word that fixes the origin fixes it mod every modulus.  So membership
+# first walks a word mod this prime, with small integers throughout, and
+# walks it exactly only when that leaves the origin fixed.  Below 2^28, every
+# sum in one step stays below 2^30, a one-digit Python int.
+_SIEVE_PRIME = 2**28 - 57
+
+
 def membership(w: Word, q: int | None = None) -> bool:
     """Does w fix the origin (exactly, or mod q when given)?"""
     if q is not None and q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
+    if q is None and not membership(w, _SIEVE_PRIME):
+        return False
     start = ORIGIN if q is None else Vec2(0, 0, q)
     end = act(w, start)
     return (end.x, end.y) == (0, 0)

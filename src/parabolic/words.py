@@ -14,10 +14,14 @@ comparison gives the canonical lexicographic order.
 
 from __future__ import annotations
 
-from typing import Iterator
+import re
+from typing import Iterable, Iterator
 
 ALPHABET = "UVuv"
 _INVERSE_CHAR = {"U": "u", "u": "U", "V": "v", "v": "V"}
+_RUN = re.compile(r"U+|V+|u+|v+")
+_PLAIN = re.compile(r"[UVuv]*")
+_CANCELLING = re.compile(r"Uu|uU|Vv|vV")
 
 
 class WordSyntaxError(ValueError):
@@ -28,18 +32,31 @@ class WordSyntaxError(ValueError):
         self.offset = offset
 
 
+def _run_power(run: str) -> tuple[str, int]:
+    c = run[0]
+    return (c, len(run)) if c in "UV" else (c.upper(), -len(run))
+
+
+class _RunPowers(dict):
+    """A run of one letter -> its signed generator power, such as "uu" ->
+    ("U", -2).  Holds the runs of up to 16 letters, so most lookups build
+    nothing; longer runs are computed on each lookup and not kept."""
+
+    def __missing__(self, run: str) -> tuple[str, int]:
+        return _run_power(run)
+
+
+_RUN_POWER = _RunPowers({c * k: _run_power(c * k) for c in ALPHABET for k in range(1, 17)})
+
+
+def _runs(text: str) -> Iterator[tuple[str, int]]:
+    # the maximal runs of one letter in a text over "UVuv", as signed powers
+    return map(_RUN_POWER.__getitem__, _RUN.findall(text))
+
+
 def _syllables_of(text: str) -> tuple[tuple[str, int], ...]:
     # in a reduced text the maximal runs of one letter are the syllables
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        j = i + 1
-        while j < n and text[j] == c:
-            j += 1
-        out.append((c, j - i) if c in "UV" else (c.upper(), i - j))
-        i = j
-    return tuple(out)
+    return tuple(_runs(text))
 
 
 class Word:
@@ -107,10 +124,20 @@ def parse(text: str) -> Word:
     Tokens are U, V, u, v, each optionally followed by a caret exponent such
     as U^3 or V^-2.  Whitespace is ignored.  Each token is one syllable, so
     U^99999999 costs no more than U.  Raises WordSyntaxError with the offset
-    of the first bad token.
+    of the first bad token.  Text of bare letters is read run by run, and
+    when no letter meets its inverse its runs are the syllables.
     """
-    out: list[tuple[str, int]] = []
-    length = 0
+    if _PLAIN.fullmatch(text):
+        if not _CANCELLING.search(text):
+            w = Word._from_syllables(_syllables_of(text), len(text))
+            w._text = text
+            return w
+        return _reduce(_runs(text))
+    return _reduce(_tokens(text))
+
+
+def _tokens(text: str) -> Iterator[tuple[str, int]]:
+    """The tokens of free-form text as (generator, exponent), zero allowed."""
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -139,9 +166,14 @@ def parse(text: str) -> Word:
                 raise WordSyntaxError("malformed exponent", start)
             exponent = int(digits)
             i = j
-        if c in "uv":
-            c = c.upper()
-            exponent = -exponent
+        yield (c, exponent) if c in "UV" else (c.upper(), -exponent)
+
+
+def _reduce(tokens: Iterable[tuple[str, int]]) -> Word:
+    """The reduced word of a product of generator powers."""
+    out: list[tuple[str, int]] = []
+    length = 0
+    for c, exponent in tokens:
         if not exponent:
             continue
         # the token meets only the last syllable; after a full cancellation

@@ -3,8 +3,9 @@ import tracemalloc
 
 import pytest
 
-from parabolic.action import DEFAULT_WITNESS
+from parabolic.action import DEFAULT_WITNESS, witness_word
 from parabolic.ranks import (
+    _SIEVE_PRIME,
     AbelianGroupDescriptor,
     abelianization,
     intersection_rank_lower_bound,
@@ -15,9 +16,10 @@ from parabolic.ranks import (
     stabilizer_index,
 )
 from parabolic.schreier import build_mod_q
-from parabolic.words import EMPTY, Word
+from parabolic.words import EMPTY, Word, concat, invert, parse, power
 
 from oracles import (
+    act_letterwise,
     determinantal_divisors,
     orbit_size_mod_q,
     step_point,
@@ -168,6 +170,36 @@ def test_membership_matches_translation_oracle():
         assert membership(w) == ((tx, ty) == (0, 0))
         for q in (2, 3, 5):
             assert membership(w, q) == (tx % q == 0 and ty % q == 0)
+
+
+def test_membership_of_words_fixing_the_origin_mod_the_sieve_prime():
+    # U^m and V^m send the origin to (m(m - 1), m) and (m, m(m - 1)), which
+    # are 0 mod m but not 0; so for m the sieve prime the exact walk decides
+    for g in "UVuv":
+        w = parse(f"{g}^{_SIEVE_PRIME}")
+        assert membership(w, _SIEVE_PRIME)
+        assert not membership(w)
+    w = parse(f"U^{_SIEVE_PRIME} V^{2 * _SIEVE_PRIME} U^-{_SIEVE_PRIME}")
+    assert not membership(w)
+
+
+def test_membership_of_long_words_matches_letterwise_oracle():
+    rng = random.Random(53)
+    inverse = {"U": "u", "u": "U", "V": "v", "v": "V"}
+    for length in (50, 300, 1500):
+        out = []
+        for _ in range(length):
+            out.append(rng.choice([c for c in "UVuv" if not out or c != inverse[out[-1]]]))
+        w = Word("".join(out))
+        assert membership(w) == (act_letterwise(w.text, 0, 0) == (0, 0))
+        for q in (2, 7, 199):
+            assert membership(w, q) == (act_letterwise(w.text, 0, 0, q) == (0, 0))
+    # products of loops at the origin pass the sieve and are walked exactly
+    for n in (-30, -3, 2, 17):
+        wn = witness_word(n).word
+        loop = concat(invert(wn), concat(DEFAULT_WITNESS, wn))
+        assert membership(loop) and membership(power(loop, 5))
+        assert not membership(concat(loop, Word("U")))
 
 
 # ---------------------------------------------------------------- smith normal form

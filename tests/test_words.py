@@ -248,3 +248,31 @@ def test_huge_caret_power_is_one_syllable():
     assert h == hash(parse("U^99999998 U"))
     # U^m sends the origin to (m(m - 1), m), and 3 divides m = 99999999
     assert not exact and mod3
+
+
+# plain text: bare letters, with long runs and letters meeting their inverses
+plain_texts = st.lists(
+    st.tuples(st.sampled_from(ALPHABET), st.integers(1, 40)), max_size=12
+).map(lambda runs: "".join(c * k for c, k in runs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_texts)
+def test_parse_plain_text_matches_brute_reduction(text):
+    # bare letters are read run by run; spaced out, the same text is read
+    # token by token
+    expected = brute_reduce(text)
+    w = parse(text)
+    assert w.text == expected and len(w) == len(expected)
+    assert w == Word(expected) and w.syllables == Word(expected).syllables
+    assert w == parse(" ".join(text))
+
+
+def test_parse_plain_text_examples():
+    assert parse("U" * 40 + "u" * 17).syllables == (("U", 23),)
+    assert parse("v" * 20 + "U" + "u" + "V" * 3).syllables == (("V", -17),)
+    assert parse("UVuvU").syllables == (("U", 1), ("V", 1), ("U", -1), ("V", -1), ("U", 1))
+    assert parse("UuVv").is_identity() and len(parse("UuVv")) == 0
+    with pytest.raises(WordSyntaxError) as e:
+        parse("UUx")
+    assert e.value.offset == 2
