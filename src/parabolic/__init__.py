@@ -56,6 +56,6 @@ from .schreier import (
     trace,
 )
 from .verify import VerificationReport, run_verification
-from .words import Word, WordSyntaxError, concat, enumerate_reduced, invert, parse, power
+from .words import Word, WordSyntaxError, concat, enumerate_reduced, invert, parse
 
 __version__ = "0.1.0"

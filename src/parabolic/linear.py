@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import ALPHABET, Word, _INVERSE_CHAR
+from .words import Word, _NEXT_LETTERS
 
 
 def _merge_modulus(m1: int | None, m2: int | None) -> int | None:
@@ -211,10 +211,7 @@ def freeness_sweep(max_len: int) -> FreenessSweepResult:
         mat, text = stack.pop()
         if len(text) >= max_len:
             continue
-        last = text[-1] if text else ""
-        for c in ALPHABET:
-            if last and c == _INVERSE_CHAR[last]:
-                continue
+        for c in _NEXT_LETTERS[text[-1:]]:
             child = mat * _CHAR_MAT[c]
             checked += 1
             if child == identity:

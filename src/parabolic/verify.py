@@ -27,7 +27,7 @@ from .schreier import (
     is_loop_at_base,
     spanning_tree_generators,
 )
-from .words import ALPHABET, Word, _INVERSE_CHAR
+from .words import Word, _NEXT_LETTERS
 
 REPORT_SCHEMA_VERSION = 1
 _RNG_SEED = 0x5EED
@@ -79,10 +79,9 @@ class VerificationReport:
 
 
 def _random_reduced_word(rng: random.Random, length: int) -> Word:
-    out = []
+    out = [""]
     for _ in range(length):
-        choices = [c for c in ALPHABET if not out or c != _INVERSE_CHAR[out[-1]]]
-        out.append(rng.choice(choices))
+        out.append(rng.choice(_NEXT_LETTERS[out[-1]]))
     return Word("".join(out))
 
 

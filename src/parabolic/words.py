@@ -18,10 +18,14 @@ import re
 from typing import Iterable, Iterator
 
 ALPHABET = "UVuv"
-_INVERSE_CHAR = {"U": "u", "u": "U", "V": "v", "v": "V"}
+# the letters that may follow each letter ("" at the start) in a reduced
+# word, in ALPHABET order: all but the letter's inverse
+_NEXT_LETTERS = {"": "UVuv", "U": "UVv", "V": "UVu", "u": "Vuv", "v": "Uuv"}
 _RUN = re.compile(r"U+|V+|u+|v+")
 _PLAIN = re.compile(r"[UVuv]*")
 _CANCELLING = re.compile(r"Uu|uU|Vv|vV")
+# a letter with an optional caret exponent, or any other non-space character
+_TOKEN = re.compile(r"([UVuv])(?:\s*\^\s*(-?\d*))?|(\S)")
 
 
 class WordSyntaxError(ValueError):
@@ -69,11 +73,13 @@ class Word:
     __slots__ = ("syllables", "_len", "_text")
 
     def __init__(self, text: str = ""):
-        for i, c in enumerate(text):
-            if c not in _INVERSE_CHAR:
-                raise ValueError(f"bad letter {c!r} at position {i}")
-            if i and text[i - 1] == _INVERSE_CHAR[c]:
-                raise ValueError(f"word {text!r} is not freely reduced at position {i}")
+        # a cancelling pair before the first non-letter is the first error
+        end = _PLAIN.match(text).end()
+        pair = _CANCELLING.search(text, 0, end)
+        if pair:
+            raise ValueError(f"word {text!r} is not freely reduced at position {pair.start() + 1}")
+        if end < len(text):
+            raise ValueError(f"bad letter {text[end]!r} at position {end}")
         self.syllables = _syllables_of(text)
         self._len = len(text)
         self._text = text
@@ -92,7 +98,7 @@ class Word:
         t = self._text
         if t is None:
             t = self._text = "".join(
-                [g * e if e > 0 else _INVERSE_CHAR[g] * -e for g, e in self.syllables]
+                [g * e if e > 0 else g.lower() * -e for g, e in self.syllables]
             )
         return t
 
@@ -122,10 +128,11 @@ def parse(text: str) -> Word:
     """Parse free-form input into a reduced word.
 
     Tokens are U, V, u, v, each optionally followed by a caret exponent such
-    as U^3 or V^-2.  Whitespace is ignored.  Each token is one syllable, so
-    U^99999999 costs no more than U.  Raises WordSyntaxError with the offset
-    of the first bad token.  Text of bare letters is read run by run, and
-    when no letter meets its inverse its runs are the syllables.
+    as U^3 or V^-2, an optional minus and decimal digits.  Whitespace is
+    ignored.  Each token is one syllable, so U^99999999 costs no more than
+    U.  Raises WordSyntaxError with the offset of the first bad token.  Text
+    of bare letters is read run by run, and when no letter meets its inverse
+    its runs are the syllables.
     """
     if _PLAIN.fullmatch(text):
         if not _CANCELLING.search(text):
@@ -138,34 +145,16 @@ def parse(text: str) -> Word:
 
 def _tokens(text: str) -> Iterator[tuple[str, int]]:
     """The tokens of free-form text as (generator, exponent), zero allowed."""
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c not in _INVERSE_CHAR:
-            raise WordSyntaxError(f"unexpected character {c!r}", i)
-        i += 1
+    for m in _TOKEN.finditer(text):
+        c, digits, bad = m.groups()
+        if bad:
+            raise WordSyntaxError(f"unexpected character {bad!r}", m.start())
         exponent = 1
-        # peek past whitespace for a caret
-        j = i
-        while j < n and text[j].isspace():
-            j += 1
-        if j < n and text[j] == "^":
-            j += 1
-            while j < n and text[j].isspace():
-                j += 1
-            start = j
-            if j < n and text[j] == "-":
-                j += 1
-            while j < n and text[j].isdigit():
-                j += 1
-            digits = text[start:j]
-            if not digits or digits == "-":
-                raise WordSyntaxError("malformed exponent", start)
-            exponent = int(digits)
-            i = j
+        if digits is not None:
+            try:
+                exponent = int(digits)
+            except ValueError:  # no digits, or more than int() reads
+                raise WordSyntaxError("malformed exponent", m.start(2)) from None
         yield (c, exponent) if c in "UV" else (c.upper(), -exponent)
 
 
@@ -219,35 +208,6 @@ def invert(w: Word) -> Word:
     return Word._from_syllables(tuple([(g, -e) for g, e in w.syllables[::-1]]), w._len)
 
 
-def power(w: Word, m: int) -> Word:
-    if m == 0 or not w.syllables:
-        return EMPTY
-    if m < 0:
-        return power(invert(w), -m)
-    s = w.syllables
-    # peel the conjugating shell so the core repeats with one junction rule
-    i, j = 0, len(s) - 1
-    while i < j and s[i][0] == s[j][0] and s[i][1] == -s[j][1]:
-        i += 1
-        j -= 1
-    core = s[i : j + 1]
-    (g, a), (h, b) = core[0], core[-1]
-    if i == j:
-        body = ((g, a * m),)
-        length = len(w) + (m - 1) * abs(a)
-    elif g == h:
-        # the last syllable of one copy meets the first of the next; a + b
-        # is nonzero, or the shell would have taken both
-        mid = core[1:-1]
-        body = core[:-1] + (((g, a + b),) + mid) * (m - 1) + core[-1:]
-        core_len = sum(abs(e) for _, e in core) - abs(a) - abs(b) + abs(a + b)
-        length = len(w) + (m - 1) * core_len
-    else:
-        body = core * m
-        length = len(w) + (m - 1) * sum(abs(e) for _, e in core)
-    return Word._from_syllables(s[:i] + body + s[j + 1 :], length)
-
-
 def enumerate_reduced(max_len: int) -> Iterator[Word]:
     """Yield every reduced word of length <= max_len in length-then-lex order."""
     if max_len < 0:
@@ -257,10 +217,7 @@ def enumerate_reduced(max_len: int) -> Iterator[Word]:
     for _ in range(max_len):
         nxt = []
         for s in layer:
-            last = s[-1] if s else ""
-            for c in ALPHABET:
-                if last and c == _INVERSE_CHAR[last]:
-                    continue
+            for c in _NEXT_LETTERS[s[-1:]]:
                 t = s + c
                 nxt.append(t)
                 yield Word(t)

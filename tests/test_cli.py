@@ -265,6 +265,9 @@ def test_graph_command_needs_exactly_one_region(capsys):
 def test_member_command_rejects_bad_word(capsys):
     assert main(["member", "--word", "UX"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # '²' passes str.isdigit() but int() refuses it
+    assert main(["member", "--word", "U^\u00b2"]) == 2
+    assert capsys.readouterr().err == "error: malformed exponent (offset 2)\n"
 
 
 def test_core_command_rejects_bad_witness(capsys):

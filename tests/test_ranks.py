@@ -16,7 +16,7 @@ from parabolic.ranks import (
     stabilizer_index,
 )
 from parabolic.schreier import build_mod_q
-from parabolic.words import EMPTY, Word, concat, invert, parse, power
+from parabolic.words import EMPTY, Word, concat, invert, parse
 
 from oracles import (
     act_letterwise,
@@ -198,7 +198,10 @@ def test_membership_of_long_words_matches_letterwise_oracle():
     for n in (-30, -3, 2, 17):
         wn = witness_word(n).word
         loop = concat(invert(wn), concat(DEFAULT_WITNESS, wn))
-        assert membership(loop) and membership(power(loop, 5))
+        product = EMPTY
+        for _ in range(5):
+            product = concat(product, loop)
+        assert membership(loop) and membership(product)
         assert not membership(concat(loop, Word("U")))
 
 
