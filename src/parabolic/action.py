@@ -9,7 +9,7 @@ witness_word(n) constructs an explicit word reaching each of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterator
 
 from .linear import Vec2
@@ -89,13 +89,28 @@ def marked_point(n: int) -> MarkedPoint:
 
 @dataclass(frozen=True)
 class WitnessSchedule:
-    """A word certified to send the origin to marked_point(n)."""
+    """A word certified to send the origin to marked_point(n).
+
+    The word is acted on the origin, unless `pred` is given: a certified
+    schedule whose word is this word without its first syllable.  act
+    composes syllables right to left, so the origin is then known to reach
+    marked_point(pred.n) before that syllable, and only the syllable is
+    acted, on that point.  Either way act(word, ORIGIN) equals
+    marked_point(n).point exactly.  `pred` is not stored.
+    """
 
     n: int
     word: Word
+    pred: InitVar[WitnessSchedule | None] = None
 
-    def __post_init__(self):
-        if act(self.word, ORIGIN) != marked_point(self.n).point:
+    def __post_init__(self, pred):
+        syllables = self.word.syllables
+        if pred is not None and syllables[1:] == pred.word.syllables:
+            head = Word._from_syllables(syllables[:1], abs(syllables[0][1]))
+            reached = act(head, marked_point(pred.n).point)
+        else:
+            reached = act(self.word, ORIGIN)
+        if reached != marked_point(self.n).point:
             raise ValueError(f"word {self.word} does not reach marked point {self.n}")
 
 
@@ -144,20 +159,27 @@ def witness_length(n: int) -> int:
 def witness_sweep(n_max: int) -> Iterator[WitnessSchedule]:
     """Yield verified witnesses for n = 0, 1, -1, 2, -2, ..., +-n_max.
 
-    Each word is its predecessor with one syllable prepended, built and
-    certified in O(|n|) syllable steps although it has O(n^2) letters, and
-    dropped as soon as nothing further depends on it, so memory stays bounded
-    by a few of the longest words instead of the whole sweep.
+    Each word is its predecessor's with one syllable prepended, so it is
+    certified from the predecessor's certificate: one syllable acted on the
+    predecessor's endpoint, whatever the word's length (see WitnessSchedule).
+    Where the new power merges into a base witness (n = 2 and n = -1) the
+    whole word, one syllable long, is acted instead.  A schedule is dropped
+    as soon as nothing further depends on it, so memory stays bounded by a
+    few of the longest words instead of the whole sweep.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    built = dict(_BASE_WITNESSES)
+    built: dict[int, WitnessSchedule] = {}
     for i in range(2 * n_max + 1):
         n = (i + 1) // 2 if i % 2 else -(i // 2)
-        if n not in built:
+        if n in _BASE_WITNESSES:
+            sched = WitnessSchedule(n, _BASE_WITNESSES[n])
+        else:
             # the predecessor's only successor is n, so it is dropped here
-            built[n] = _extend_witness(n, built.pop(_predecessor(n)))
-        yield WitnessSchedule(n, built[n])
+            pred = built.pop(_predecessor(n))
+            sched = WitnessSchedule(n, _extend_witness(n, pred.word), pred)
+        built[n] = sched
+        yield sched
 
 
 def loop_check(w: Word, p: Vec2) -> bool:

@@ -111,15 +111,22 @@ def _cmd_core(args) -> int:
     else:
         rep = certified_core(g, witness)
     ids = sorted(rep.core_vertices)
-    points = [list(g.points[i]) for i in ids]
+    points = [g.points[i] for i in ids]
     if args.format == "json":
-        _print_json(
-            {
-                "kind": rep.kind,
-                "count": len(ids),
-                "witness": rep.witness.text if rep.witness else None,
-                "vertices": points,
-            }
+        # the layout json.dumps(..., indent=2) prints, with the vertex list
+        # written in one join rather than encoded value by value
+        vertices = "[]"
+        if points:
+            rows = ",\n".join([f"    [\n      {x},\n      {y}\n    ]" for x, y in points])
+            vertices = f"[\n{rows}\n  ]"
+        witness = rep.witness.text if rep.witness else None
+        print(
+            "{\n"
+            f'  "kind": {json.dumps(rep.kind)},\n'
+            f'  "count": {len(ids)},\n'
+            f'  "witness": {json.dumps(witness)},\n'
+            f'  "vertices": {vertices}\n'
+            "}"
         )
     else:
         print(f"kind = {rep.kind}")

@@ -200,21 +200,24 @@ class FreenessSweepResult:
 def freeness_sweep(max_len: int) -> FreenessSweepResult:
     """Check that no nonempty reduced word of length <= max_len evaluates to
     the identity matrix.  Walks the prefix tree once, one matrix product per
-    node."""
+    node, each product kept as four plain ints."""
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    identity = Mat2.identity()
+    letters = {c: (m.a, m.b, m.c, m.d) for c, m in _CHAR_MAT.items()}
     checked = 0
-    # stack holds (matrix, text); children extend on the right
-    stack: list[tuple[Mat2, str]] = [(identity, "")]
+    # stack holds (a, b, c, d, text), the row-major product of text's
+    # letters; children extend on the right
+    stack: list[tuple[int, int, int, int, str]] = [(1, 0, 0, 1, "")] if max_len else []
     while stack:
-        mat, text = stack.pop()
-        if len(text) >= max_len:
-            continue
-        for c in _NEXT_LETTERS[text[-1:]]:
-            child = mat * _CHAR_MAT[c]
+        a, b, c, d, text = stack.pop()
+        # the children of a node one letter short of max_len are leaves
+        push = stack.append if len(text) + 1 < max_len else None
+        for ch in _NEXT_LETTERS[text[-1:]]:
+            e, f, g, h = letters[ch]
+            na, nb, nc, nd = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
             checked += 1
-            if child == identity:
-                return FreenessSweepResult(False, checked, Word(text + c))
-            stack.append((child, text + c))
+            if na == 1 and nd == 1 and not nb and not nc:
+                return FreenessSweepResult(False, checked, Word(text + ch))
+            if push:
+                push((na, nb, nc, nd, text + ch))
     return FreenessSweepResult(True, checked, None)

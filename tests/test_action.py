@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parabolic import action
 from parabolic.action import (
     DEFAULT_WITNESS,
     ORIGIN,
     MarkedPoint,
+    WitnessSchedule,
     act,
     generator_power,
     loop_check,
@@ -201,6 +203,76 @@ def test_witness_sweep_order():
 def test_witness_sweep_rejects_negative():
     with pytest.raises(ValueError):
         list(witness_sweep(-1))
+
+
+def _record_act(monkeypatch):
+    # wraps action.act, which WitnessSchedule certifies with, to record the
+    # syllable count and the start point of every call
+    calls = []
+    real = action.act
+
+    def counting_act(w, p):
+        calls.append((len(w.syllables), p))
+        return real(w, p)
+
+    monkeypatch.setattr(action, "act", counting_act)
+    return calls
+
+
+def test_witness_sweep_acts_one_syllable_per_witness(monkeypatch):
+    calls = _record_act(monkeypatch)
+    n_max = 2000
+    scheds = list(witness_sweep(n_max))
+    assert len(scheds) == len(calls) == 2 * n_max + 1
+    # whole words are acted from the origin only for the base witnesses and
+    # for n = 2 and n = -1, where the new power merges into a base witness
+    whole = [s.n for s, (_, p) in zip(scheds, calls) if p == ORIGIN]
+    assert whole == [0, 1, -1, 2]
+    assert all(k <= 2 for k, _ in calls)
+    # each other witness is certified on its predecessor's endpoint
+    for s, (_, p) in zip(scheds[4:], calls[4:]):
+        pred = -s.n if s.n < 0 else 2 - s.n
+        assert p == marked_point(pred).point
+
+
+def _break_extension_at(monkeypatch, bad_n):
+    real = action._extend_witness
+
+    def extend(n, pred_word):
+        w = real(n, pred_word)
+        if n != bad_n:
+            return w
+        # the same word with its leading power two larger
+        (g, e), rest = w.syllables[0], w.syllables[1:]
+        return Word._from_syllables(((g, e + 2),) + rest, len(w) - abs(e) + abs(e + 2))
+
+    monkeypatch.setattr(action, "_extend_witness", extend)
+
+
+@pytest.mark.parametrize("bad_n, whole_word", [(7, False), (-5, False), (2, True)])
+def test_witness_sweep_rejects_a_wrong_power(monkeypatch, bad_n, whole_word):
+    _break_extension_at(monkeypatch, bad_n)
+    calls = _record_act(monkeypatch)
+    made = []
+    with pytest.raises(ValueError, match=f"does not reach marked point {bad_n}$"):
+        for sched in witness_sweep(10):
+            made.append(sched.n)
+    assert bad_n not in made and len(calls) == len(made) + 1
+    # the failing certificate took the path under test
+    assert (calls[-1][1] == ORIGIN) == whole_word
+
+
+def test_witness_schedule_refuses_a_predecessor_it_does_not_extend():
+    # U^-8 V starts like the witness of 5, whose predecessor is -3, and U^-8
+    # sends marked point -3 to marked point 5; but the word does not go on
+    # like the witness of -3, so that certificate proves nothing about it
+    first = witness_word(5).word.syllables[0]
+    assert first == ("U", -8)
+    word = Word._from_syllables((first, ("V", 1)), 9)
+    assert act(Word._from_syllables((first,), 8), marked_point(-3).point) == marked_point(5).point
+    with pytest.raises(ValueError, match="marked point 5$"):
+        WitnessSchedule(5, word, witness_word(-3))
+    assert WitnessSchedule(5, witness_word(5).word, witness_word(-3)) == witness_word(5)
 
 
 def test_default_witness_fixes_line_points():

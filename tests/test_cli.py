@@ -10,8 +10,9 @@ import pytest
 import parabolic
 from parabolic import cli, verify
 from parabolic.cli import OUTPUT_DIR_ENV, main
-from parabolic.schreier import build_mod_q, export_json
+from parabolic.schreier import build_ball, build_mod_q, certified_core, core_exact, export_json
 from parabolic.verify import CheckResult, VerificationReport, run_verification
+from parabolic.words import Word
 
 _GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "golden")
 
@@ -224,6 +225,27 @@ def test_core_command(capsys):
     assert obj["kind"] == "certified-lower-bound"
     assert obj["count"] == 6 and obj["witness"] == "uVuV"
     assert [0, 1] in obj["vertices"]
+
+
+def _core_json(g, rep):
+    points = [list(g.points[i]) for i in sorted(rep.core_vertices)]
+    witness = rep.witness.text if rep.witness else None
+    obj = {"kind": rep.kind, "count": len(points), "witness": witness, "vertices": points}
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def test_core_command_json_bytes_match_json_dumps(capsys):
+    # core --format json writes its vertex list by hand, in json.dumps' layout
+    for q in range(2, 33):
+        assert main(["core", "--q", str(q), "--format", "json"]) == 0
+        g = build_mod_q(q)
+        assert capsys.readouterr().out == _core_json(g, core_exact(g))
+    ball = build_ball(6)
+    for witness in ("uVuV", "U"):  # U fixes no point, so its core is empty
+        assert main(["core", "--depth", "6", "--witness", witness, "--format", "json"]) == 0
+        expected = _core_json(ball, certified_core(ball, Word(witness)))
+        assert capsys.readouterr().out == expected
+    assert '"vertices": []' in expected
 
 
 def test_core_command_text(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from parabolic import linear
 from parabolic.linear import (
     AffineElement,
     Mat2,
@@ -191,6 +192,22 @@ def test_freeness_sweep_small():
     res = freeness_sweep(6)
     assert res.passed
     assert res.words_checked == 2 * (3**6 - 1)
+
+
+def test_freeness_sweep_checks_every_reduced_word():
+    # one product per nonempty reduced word: 4 * 3^(k-1) of length k
+    for max_len in range(9):
+        res = freeness_sweep(max_len)
+        assert res.passed and res.words_checked == 2 * (3**max_len - 1)
+
+
+def test_freeness_sweep_reports_a_relation(monkeypatch):
+    # with U replaced by a rotation of order 4, U^4 is the identity; the sweep
+    # reads the letter matrices from _CHAR_MAT, so it must find the relation
+    monkeypatch.setitem(linear._CHAR_MAT, "U", Mat2(0, -1, 1, 0))
+    res = freeness_sweep(4)
+    assert not res.passed and res.counterexample == Word("UUUU")
+    assert 0 < res.words_checked <= 2 * (3**4 - 1)
 
 
 def test_freeness_sweep_rejects_negative():

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 import tracemalloc
 
@@ -16,6 +17,7 @@ from parabolic.words import (
     enumerate_reduced,
     invert,
     parse,
+    _first_cancelling,
 )
 
 from oracles import brute_reduce
@@ -265,3 +267,32 @@ def test_parse_plain_text_examples():
     with pytest.raises(WordSyntaxError) as e:
         parse("UUx")
     assert e.value.offset == 2
+
+
+_CANCELLING_REGEX = re.compile(r"Uu|uU|Vv|vV")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(alphabet=ALPHABET, max_size=30),
+    st.integers(0, 30),
+    st.sampled_from(["", "x", " ", "^", "7"]),
+)
+def test_first_cancelling_pair_matches_regex(text, cut, other):
+    # texts with one non-letter inserted (or none): the constructor reports
+    # the first cancelling pair before the first non-letter, at the offset
+    # a regex search over that prefix finds
+    text = text[:cut] + other + text[cut:]
+    end = len(text) if not other else min(cut, len(text) - 1)
+    pair = _CANCELLING_REGEX.search(text, 0, end)
+    assert _first_cancelling(text, end) == (pair.start() if pair else -1)
+    if pair:
+        with pytest.raises(ValueError) as e:
+            Word(text)
+        assert str(e.value) == f"word {text!r} is not freely reduced at position {pair.start() + 1}"
+    elif other:
+        with pytest.raises(ValueError) as e:
+            Word(text)
+        assert str(e.value) == f"bad letter {other!r} at position {end}"
+    else:
+        assert Word(text).text == text
