@@ -111,7 +111,12 @@ class WitnessSchedule:
         else:
             reached = act(self.word, ORIGIN)
         if reached != marked_point(self.n).point:
-            raise ValueError(f"word {self.word} does not reach marked point {self.n}")
+            # named by its length, as the text of a long witness runs to
+            # millions of letters
+            raise ValueError(
+                f"witness of {len(self.word)} letters for n = {self.n}"
+                f" does not reach marked point {self.n}"
+            )
 
 
 # the witnesses of the marked points 0 and 1, where every chain of

@@ -124,6 +124,10 @@ def membership(w: Word, q: int | None = None) -> bool:
     return (end.x, end.y) == (0, 0)
 
 
+_MAX_SNF_SIDE = 16
+_MAX_SNF_ENTRY = 10**100
+
+
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero invariant factors of an integer matrix, as a divisibility chain.
 
@@ -132,13 +136,23 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     and then its row.  A remainder left behind is the next, smaller pivot;
     otherwise the pivot is recorded and its row and column are dropped.
     Then the exchange (a, b) -> (gcd, lcm) makes the diagonal a chain.
+
+    Raises ValueError, before any elimination, for more than _MAX_SNF_SIDE
+    rows or columns or an entry of absolute value _MAX_SNF_ENTRY or more,
+    which bounds the time and keeps every factor printable.
     """
     if not rows or not rows[0]:
         raise ValueError("matrix must have at least one row and one column")
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise ValueError("matrix rows must all have the same length")
+    if len(rows) > _MAX_SNF_SIDE or ncols > _MAX_SNF_SIDE:
+        raise ValueError(
+            f"matrix of {len(rows)}x{ncols} exceeds the guard of {_MAX_SNF_SIDE} rows and columns"
+        )
     m = [[int(e) for e in r] for r in rows]
+    if any(abs(e) >= _MAX_SNF_ENTRY for r in m for e in r):
+        raise ValueError("matrix entry exceeds the guard |entry| < 10^100")
     factors = []
     while entries := [(abs(e), i, j) for i, r in enumerate(m) for j, e in enumerate(r) if e]:
         _, i, j = min(entries)

@@ -1,10 +1,12 @@
 """Orbital Schreier graphs of the affine action, exact and partial.
 
-Vertices are points of an orbit, numbered from 0.  A graph is stored in flat
-int columns, as with the per-letter arrays of Kapovich-Myasnikov, J. Algebra
-248 (2002): edges["U"][v] and edges["V"][v] are where the generators lead
-from v, and edges["u"] and edges["v"] are their inverse maps, so an inverse
-letter walks an edge backwards.  Each is an array('i') with NO_EDGE (-1) for
+Vertices are points of an orbit, numbered in search order from the base, 0:
+every vertex but 0 has a neighbour with a smaller id, so the graph is
+connected.  A graph is stored in flat int columns, as with the per-letter
+arrays of Kapovich-Myasnikov, J. Algebra 248 (2002): edges["U"][v] and
+edges["V"][v] are where the generators lead from v, and edges["u"] and
+edges["v"] are their inverse maps, so an inverse letter walks an edge
+backwards.  Each is an array('i') with NO_EDGE (-1) for
 a missing edge, so every reader tests `< 0` before it indexes.  The points
 are two array('i') columns, xs and ys, and `complete` is a bytearray.  A
 mod-q graph finds a point through a dense table of q^2 ids keyed by
@@ -16,7 +18,8 @@ positive (U, V) edges only.  Two builders are provided: the full orbit of
 (0, 0) modulo q, and the exact ball of given radius around (0, 0) in the
 infinite orbit.  A vertex of a partial graph is flagged complete when all
 four of its neighbours lie in the explored region, which is what core
-certification relies on.
+certification relies on; a graph whose vertices are all flagged complete
+has every edge.
 """
 
 from __future__ import annotations
@@ -102,15 +105,17 @@ def _columns(points, modulus: int | None) -> tuple[array, array]:
     return xs, ys
 
 
-def _with_inverse(succ, n: int, gen: str, has_lower: bytearray) -> tuple[array, array]:
-    """succ as an edge column, and its inverse column, in one pass that
-    refuses a target out of range and a second edge into one vertex.  It
-    also sets has_lower[v] for the larger end v of every edge that is not a
-    self-loop."""
+def _with_inverse(succ, n: int, gen: str, has_lower: bytearray) -> tuple[array, array, int]:
+    """succ as an edge column, its inverse column and the count of missing
+    edges, in one pass that refuses a target out of range and a second edge
+    into one vertex.  It also sets has_lower[v] for the larger end v of
+    every edge that is not a self-loop."""
     fwd = array("i", [NO_EDGE]) * n
     back = array("i", [NO_EDGE]) * n
+    missing = 0
     for src, tgt in enumerate(succ):
         if tgt is None:
+            missing += 1
             continue
         if not 0 <= tgt < n:
             raise ValueError(f"edge target {tgt} out of range")
@@ -122,7 +127,7 @@ def _with_inverse(succ, n: int, gen: str, has_lower: bytearray) -> tuple[array, 
             has_lower[tgt] = 1
         elif tgt < src:
             has_lower[src] = 1
-    return fwd, back
+    return fwd, back, missing
 
 
 class OrbitalGraph:
@@ -130,36 +135,46 @@ class OrbitalGraph:
     or NO_EDGE.  Only the U and V successors are passed in, as sequences with
     None for a missing edge, and u and v are filled as their inverses; per
     generator each vertex has at most one outgoing and one incoming edge, as
-    in a folded Stallings graph.  points are (x, y) tuples in and out."""
+    in a folded Stallings graph.  points are (x, y) tuples in and out.
 
-    __slots__ = ("points", "base", "modulus", "complete", "fully_complete", "edges", "_index")
+    Vertex 0 is the base, and vertices are numbered in search order: every
+    vertex but 0 must have a neighbour with a smaller id, which makes the
+    graph connected.  When every vertex is flagged complete, every vertex
+    must have a U-edge and a V-edge; folding then makes u and v total too.
+    """
 
-    def __init__(
-        self,
-        points,
-        succ_u,
-        succ_v,
-        complete,
-        base: int = 0,
-        modulus: int | None = None,
-    ):
+    __slots__ = ("points", "modulus", "complete", "fully_complete", "edges", "_index")
+
+    base = 0
+
+    def __init__(self, points, succ_u, succ_v, complete, modulus: int | None = None):
         n = len(points)
         if not (len(succ_u) == len(succ_v) == len(complete) == n):
             raise ValueError("points, succ_u, succ_v and complete must have equal length")
-        if not 0 <= base < n:
-            raise ValueError(f"base {base} out of range")
+        if n == 0:
+            raise ValueError("a graph needs its base vertex 0")
         if modulus is not None and modulus > _MAX_GRAPH_MODULUS:
             raise ValueError(f"modulus {modulus} exceeds the guard {_MAX_GRAPH_MODULUS}")
         xs, ys = _columns(points, modulus)
         has_lower = bytearray(n)
-        fwd_u, back_u = _with_inverse(succ_u, n, "U", has_lower)
-        fwd_v, back_v = _with_inverse(succ_v, n, "V", has_lower)
-        self.points = _PointView(xs, ys)
-        self.edges = {"U": fwd_u, "V": fwd_v, "u": back_u, "v": back_v}
+        fwd_u, back_u, missing_u = _with_inverse(succ_u, n, "U", has_lower)
+        fwd_v, back_v, missing_v = _with_inverse(succ_v, n, "V", has_lower)
         self.complete = bytearray(map(bool, complete))
         # read by every loop query, so computed once here, not per call
         self.fully_complete = 0 not in self.complete
-        self.base = base
+        if self.fully_complete and (missing_u or missing_v):
+            gen, succ = ("U", succ_u) if missing_u else ("V", succ_v)
+            vid = list(succ).index(None)
+            raise ValueError(f"vertex {vid} has no {gen}-edge in a fully complete graph")
+        # a vertex with a smaller neighbour reaches 0 by induction
+        vid = has_lower.find(0, 1)
+        if vid >= 0:
+            raise ValueError(
+                f"vertex {vid} has no neighbour with a smaller id; vertices must be"
+                " numbered in search order from 0"
+            )
+        self.points = _PointView(xs, ys)
+        self.edges = {"U": fwd_u, "V": fwd_v, "u": back_u, "v": back_v}
         self.modulus = modulus
         if modulus is None:
             # keyed by the caller's tuples when it passes tuples, so a ball
@@ -175,31 +190,11 @@ class OrbitalGraph:
                 if index[code] >= 0:
                     raise ValueError("duplicate vertex points")
                 index[code] = vid
-        # when every vertex but 0 has a neighbour with a smaller id, each one
-        # reaches 0 by induction and the graph is connected; the builders
-        # number vertices in search order, so they need no search here
-        if has_lower.find(0, 1) >= 0:
-            self._check_connected()
 
     @property
     def vertices(self) -> _Vec2View:
         """The points as Vec2, one made per indexed read and none kept."""
         return _Vec2View(self.points, self.modulus)
-
-    def _check_connected(self) -> None:
-        seen = bytearray(len(self.points))
-        seen[self.base] = 1
-        stack = [self.base]
-        maps = tuple(self.edges.values())
-        while stack:
-            v = stack.pop()
-            for m in maps:
-                t = m[v]
-                if t >= 0 and not seen[t]:
-                    seen[t] = 1
-                    stack.append(t)
-        if 0 in seen:
-            raise ValueError(f"vertex {seen.index(0)} not reachable from base")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -273,7 +268,7 @@ def _orbit_mod_q(q: int) -> tuple[_PointView, list[int], list[int]]:
 def build_mod_q(q: int) -> OrbitalGraph:
     """Orbital graph of the action on (Z/qZ)^2, complete by construction."""
     points, succ_u, succ_v = _orbit_mod_q(q)
-    return OrbitalGraph(points, succ_u, succ_v, b"\x01" * len(points), base=0, modulus=q)
+    return OrbitalGraph(points, succ_u, succ_v, b"\x01" * len(points), modulus=q)
 
 
 def build_ball(depth: int) -> OrbitalGraph:
@@ -319,7 +314,7 @@ def build_ball(depth: int) -> OrbitalGraph:
         )
     # the graph indexes the same tuples again; drop this index first
     del index, get
-    return OrbitalGraph(points, succ_u, succ_v, complete, base=0, modulus=None)
+    return OrbitalGraph(points, succ_u, succ_v, complete)
 
 
 def trace(g: OrbitalGraph, w: Word, start: int) -> int | None:
@@ -339,16 +334,17 @@ def trace(g: OrbitalGraph, w: Word, start: int) -> int | None:
 def is_loop_at_base(g: OrbitalGraph, w: Word) -> bool:
     if not g.fully_complete:
         raise ValueError("loop queries need a fully complete graph")
-    return trace(g, w, g.base) == g.base
+    # the base is vertex 0; a constant reads faster than the class attribute
+    return trace(g, w, 0) == 0
 
 
 @dataclass(frozen=True)
 class CoreReport:
     """Result of a core computation.
 
-    kind is "exact" when the whole graph was available and hanging trees
-    were pruned, or "certified-lower-bound" when membership was certified
-    vertex by vertex with a witness loop inside the complete region.
+    kind is "exact" when the whole graph was available, so the core is every
+    vertex, or "certified-lower-bound" when membership was certified vertex
+    by vertex with a witness loop inside the complete region.
     """
 
     kind: str
@@ -357,39 +353,15 @@ class CoreReport:
 
 
 def core_exact(g: OrbitalGraph) -> CoreReport:
-    """Iteratively delete vertices of undirected degree <= 1.
+    """The Stallings core of a fully complete graph, which is every vertex.
 
-    Only meaningful when the graph is the whole orbit, so partial graphs are
-    rejected; a self-loop contributes 2 to the degree and never prunes.
+    Such a graph has every edge, so each vertex has degree 4 (a self-loop
+    counts twice) and there is no hanging tree to prune.  Partial graphs are
+    rejected.
     """
     if not g.fully_complete:
         raise ValueError("core_exact needs a fully complete graph")
-    n = len(g.points)
-    maps = tuple(g.edges.values())
-    # the degree is 4 less one per missing edge; a complete mod-q graph has
-    # none, so its columns are only searched, never walked
-    deg = bytearray([4]) * n
-    for m in maps:
-        if NO_EDGE in m:
-            for v, t in enumerate(m):
-                if t < 0:
-                    deg[v] -= 1
-    if min(deg) > 1:
-        return CoreReport("exact", frozenset(range(n)), None)
-    alive = bytearray(b"\x01") * n
-    stack = [v for v in range(n) if deg[v] <= 1]
-    while stack:
-        v = stack.pop()
-        if not alive[v] or deg[v] > 1:
-            continue
-        alive[v] = 0
-        for m in maps:
-            t = m[v]
-            if t >= 0 and alive[t]:
-                deg[t] -= 1
-                if deg[t] <= 1:
-                    stack.append(t)
-    return CoreReport("exact", frozenset(v for v in range(n) if alive[v]), None)
+    return CoreReport("exact", frozenset(range(len(g.points))), None)
 
 
 def certified_core(g: OrbitalGraph, witness: Word) -> CoreReport:
@@ -429,6 +401,7 @@ def spanning_tree_generators(g: OrbitalGraph) -> list[Word]:
     """
     if not g.fully_complete:
         raise ValueError("spanning_tree_generators needs a fully complete graph")
+    # such a graph has every edge, and it is connected, so the tree spans it
     n = len(g.points)
     edges = g.edges
     # tree[v]: syllables of the tree word t_v; via[v]: the letter of the tree
@@ -443,7 +416,7 @@ def spanning_tree_generators(g: OrbitalGraph) -> list[Word]:
         word = tree[p]
         for c, m, gen, e in letters:
             t = m[p]
-            if t < 0 or tree[t] is not None:
+            if tree[t] is not None:
                 continue
             # word starts with the letter into p, whose inverse leads back to
             # p's parent, which is already in the tree; so this merge adds
@@ -454,15 +427,13 @@ def spanning_tree_generators(g: OrbitalGraph) -> list[Word]:
             size[t] = size[p] + 1
             via[t] = c
             queue.append(t)
-    if len(queue) != n:
-        raise ValueError("graph is not connected")
     out = []
     for p in range(n):
         for c in _GEN_CHARS:
             t = edges[c][p]
             # the edge p -c-> t is in the tree when it was walked forward into
             # t or backward into p
-            if t < 0 or via[t] == c or via[p] == c.lower():
+            if via[t] == c or via[p] == c.lower():
                 continue
             head = [(h, -e) for h, e in reversed(tree[t])]
             tail = tree[p]

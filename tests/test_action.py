@@ -262,6 +262,19 @@ def test_witness_sweep_rejects_a_wrong_power(monkeypatch, bad_n, whole_word):
     assert (calls[-1][1] == ORIGIN) == whole_word
 
 
+def test_witness_failure_message_is_short(monkeypatch):
+    # the broken witness of 3000 has about 9 million letters; the message
+    # names its length, not its text, and so does the verify report
+    _break_extension_at(monkeypatch, 3000)
+    with pytest.raises(ValueError, match="does not reach marked point 3000$") as info:
+        for _ in witness_sweep(3000):
+            pass
+    message = str(info.value)
+    assert len(message) < 100 and "n = 3000" in message
+    # the helper shortens the leading power by two letters
+    assert message.startswith(f"witness of {witness_length(3000) - 2} letters")
+
+
 def test_witness_schedule_refuses_a_predecessor_it_does_not_extend():
     # U^-8 V starts like the witness of 5, whose predecessor is -3, and U^-8
     # sends marked point -3 to marked point 5; but the word does not go on

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -6,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parabolic
 from parabolic import cli, verify
@@ -386,6 +390,21 @@ def test_snf_command_rejects_ragged_matrix(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_snf_command_refuses_oversized_matrices(capsys):
+    assert main(["snf", "--matrix", "; ".join(["1 2"] * 17)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    # 4000-digit entries are refused before any elimination, so at once
+    rng = random.Random(67)
+    big = [str(rng.randrange(10**3999, 10**4000)) for _ in range(4)]
+    start = time.perf_counter()
+    code = main(["snf", "--matrix", f"{big[0]} {big[1]}; {big[2]} {big[3]}"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+    assert elapsed < 1.0
+
+
 def test_python_m_parabolic_runs_without_warnings():
     # parabolic/__init__.py imports the CLI, so `-m parabolic.cli` warns from
     # runpy; `-m parabolic` goes through __main__.py and must not
@@ -489,3 +508,84 @@ def test_import_does_not_build_the_parser():
         timeout=60,
     )
     assert proc.returncode == 0 and proc.stdout == "True\n"
+
+
+# ---------------------------------------------------------------- argv fuzz
+
+# junk values: stray word characters, separators, and digits int() reads
+# (Arabic-Indic) or refuses (superscript)
+_JUNK = st.text(alphabet="UVuv^-+_ ;,.0123456789x\u00b2\u0663\u0660\u00e9", max_size=8)
+
+
+def _int_text(lo, hi, *oversize):
+    return st.one_of(
+        st.integers(lo, hi).map(str), st.sampled_from([str(v) for v in oversize]), _JUNK
+    )
+
+
+def _word_text(max_exponent):
+    run = st.tuples(
+        st.sampled_from("UVuv"), st.none() | st.integers(-max_exponent, max_exponent)
+    )
+    return st.lists(run, max_size=12).map(
+        lambda runs: " ".join(c if e is None else f"{c}^{e}" for c, e in runs)
+    )
+
+
+def _matrix_text():
+    entry = st.integers(-50, 50).map(str) | st.sampled_from(
+        [str(10**100), "-" + "9" * 100, "\u0663", "1_0", "x"]
+    )
+    rows = st.integers(1, 4).flatmap(
+        lambda c: st.lists(st.lists(entry, min_size=c, max_size=c), min_size=1, max_size=4)
+    )
+    oversize = st.sampled_from(["; ".join(["1 2"] * 17), " ".join(["1"] * 17)])
+    return rows.map(lambda r: "; ".join(" ".join(x) for x in r)) | oversize
+
+
+@st.composite
+def _cli_argv(draw):
+    """argv for one of the one-shot commands, each value bounded so that a
+    request within the guards stays fast, or oversize, or junk."""
+    command = draw(st.sampled_from(["orbit", "member", "rank", "abelianization", "core", "snf"]))
+    if command == "orbit":
+        argv = ["orbit", "--n", draw(_int_text(-300, 300, 3163, -3163, 10**6, 10**30))]
+    elif command == "member":
+        argv = ["member", "--word", draw(_word_text(10**12) | _JUNK)]
+        if draw(st.booleans()):
+            argv += ["--q", draw(_int_text(-3, 10**6, 10**30))]
+    elif command in ("rank", "abelianization"):
+        argv = [command, "--q", draw(_int_text(-3, 300, 4097, 10**9, 10**40))]
+    elif command == "core":
+        argv = ["core"]
+        which = draw(st.sampled_from(["q", "depth", "both", "neither"]))
+        if which in ("q", "both"):
+            argv += ["--q", draw(_int_text(-3, 40, 2049, 10**9))]
+        if which in ("depth", "both"):
+            argv += ["--depth", draw(_int_text(-3, 7, 14, 10**6))]
+        if draw(st.booleans()):
+            argv += ["--witness", draw(_word_text(99) | _JUNK)]
+    else:
+        argv = ["snf", "--matrix", draw(_matrix_text() | _JUNK)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json", "dot"]))]
+    return argv
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_cli_argv())
+def test_one_shot_commands_exit_cleanly_on_any_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse errors
+            assert exc.code == 2, argv
+            code = 2
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert lines and "error:" in lines[-1], argv
+    else:
+        assert not lines, argv

@@ -227,9 +227,25 @@ def test_snf_input_guards():
         smith_normal_form([[1, 2], [3]])
 
 
+def test_snf_size_guard():
+    with pytest.raises(ValueError, match="17x1 exceeds the guard of 16"):
+        smith_normal_form([[1]] * 17)
+    with pytest.raises(ValueError, match="1x17 exceeds the guard of 16"):
+        smith_normal_form([[1] * 17])
+    for big in (10**100, -(10**100)):
+        with pytest.raises(ValueError, match="entry exceeds the guard"):
+            smith_normal_form([[1, 2], [3, big]])
+    # at the bound: 16 x 16, and entries of 100 digits
+    assert smith_normal_form([[1] * 16] * 16) == [1]
+    top = 10**100 - 1
+    assert smith_normal_form([[top, 0], [0, -top]]) == [top, top]
+
+
 def test_snf_matches_minor_gcd_oracle():
     # about a third of the entries are zero, so zero rows and columns occur,
-    # and so do diagonal matrices that are not yet a divisibility chain
+    # and so do diagonal matrices that are not yet a divisibility chain; the
+    # sizes cover those of the oracle-agreement gate (4 x 6, entries in
+    # +-50) and of the queries benchmark (3 x 4, +-9), inside the size guard
     rng = random.Random(53)
     for _ in range(300):
         nrows = rng.randint(1, 5)

@@ -202,8 +202,8 @@ def test_trace_follows_action():
 
 def _partial_path():
     # 2 -U-> 0 -U-> 1: vertex 1 has no U-edge, and read as index -1 a missing
-    # edge would be the last vertex, 2
-    return OrbitalGraph([(0, 0), (1, 0), (2, 0)], [1, None, 0], [None] * 3, [True] * 3)
+    # edge would be the last vertex, 2; no vertex is complete
+    return OrbitalGraph([(0, 0), (1, 0), (2, 0)], [1, None, 0], [None] * 3, [False] * 3)
 
 
 def test_readers_skip_missing_edges():
@@ -216,17 +216,35 @@ def test_readers_skip_missing_edges():
 
 
 def test_connectivity_check_skips_missing_edges():
-    # vertex 2 has no edge at all; a missing edge of vertex 0 read as index
-    # -1 would reach it
-    with pytest.raises(ValueError, match="vertex 2 not reachable"):
-        OrbitalGraph([(0, 0), (1, 0), (2, 0)], [1, None, None], [None] * 3, [True] * 3)
+    # vertex 2 has no edge at all, so it is cut off from the base; a missing
+    # edge makes no vertex a neighbour
+    with pytest.raises(ValueError, match="vertex 2 has no neighbour with a smaller id"):
+        OrbitalGraph([(0, 0), (1, 0), (2, 0)], [1, None, None], [None] * 3, [False] * 3)
 
 
 def test_connected_graph_numbered_out_of_search_order():
-    # 0 -U-> 2 -U-> 1: vertex 1 has no neighbour with a smaller id, so the
-    # graph is searched from the base
-    g = OrbitalGraph([(0, 0), (1, 0), (2, 0)], [2, None, 1], [None] * 3, [True] * 3, base=1)
-    assert trace(g, Word("UU"), 0) == 1
+    # 0 -U-> 2 -U-> 1 is connected, but vertex 1's only neighbour is 2
+    pts = [(0, 0), (1, 0), (2, 0)]
+    with pytest.raises(ValueError, match="vertex 1 has no neighbour with a smaller id"):
+        OrbitalGraph(pts, [2, None, 1], [None] * 3, [False] * 3)
+    # the base is vertex 0; there is no option to move it
+    with pytest.raises(TypeError):
+        OrbitalGraph(pts, [2, None, 1], [None] * 3, [True] * 3, base=1)
+    # connected as 0 - 3 - 1 - 2, but both neighbours of vertex 1 are larger
+    with pytest.raises(ValueError, match="vertex 1 has no neighbour"):
+        OrbitalGraph(
+            [(i, 0) for i in range(4)], [None, 2, None, 0], [None, 3, None, None], [False] * 4
+        )
+    # the same path numbered in search order is accepted
+    g = OrbitalGraph([(0, 0), (2, 0), (1, 0)], [1, 2, None], [None] * 3, [False] * 3)
+    assert trace(g, Word("UU"), 0) == 2 and g.base == 0
+
+
+def test_base_is_vertex_0_and_read_only():
+    for g in (build_mod_q(3), build_ball(2), _partial_path()):
+        assert g.base == 0 and g.points[0] == (0, 0)
+        with pytest.raises(AttributeError):
+            g.base = 1
 
 
 def test_trace_leaving_region_returns_none():
@@ -261,46 +279,52 @@ def test_loops_agree_with_translation_divisibility():
 # ---------------------------------------------------------------- cores
 
 
-def test_core_exact_keeps_cycle_drops_pendant():
+def test_complete_graph_refuses_pendant_vertex():
+    # a U-triangle with vertex 3 hanging off vertex 2 by a V-edge
     pts = [(i, 0) for i in range(4)]
-    g = OrbitalGraph(pts, [1, 2, 0, None], [None, None, 3, None], [True] * 4)
-    assert core_exact(g).core_vertices == frozenset({0, 1, 2})
+    succ_u, succ_v = [1, 2, 0, None], [None, None, 3, None]
+    with pytest.raises(ValueError, match="vertex 3 has no U-edge in a fully complete graph"):
+        OrbitalGraph(pts, succ_u, succ_v, [True] * 4)
+    # flagged incomplete, the pendant is a partial graph, which core_exact refuses
+    g = OrbitalGraph(pts, succ_u, succ_v, [True, True, True, False])
+    with pytest.raises(ValueError, match="needs a fully complete graph"):
+        core_exact(g)
 
 
 def test_core_exact_self_loop_survives():
-    g = OrbitalGraph([(0, 0)], [0], [None], [True])
+    g = OrbitalGraph([(0, 0)], [0], [0], [True])
     assert core_exact(g).core_vertices == frozenset({0})
+    with pytest.raises(ValueError, match="vertex 0 has no V-edge"):
+        OrbitalGraph([(0, 0)], [0], [None], [True])
 
 
-def test_core_exact_isolated_vertex_is_empty():
-    g = OrbitalGraph([(0, 0)], [None], [None], [True])
-    assert core_exact(g).core_vertices == frozenset()
+def test_complete_graph_refuses_isolated_vertex():
+    with pytest.raises(ValueError, match="vertex 0 has no U-edge"):
+        OrbitalGraph([(0, 0)], [None], [None], [True])
+    with pytest.raises(ValueError, match="vertex 1 has no U-edge"):
+        OrbitalGraph([(0, 0), (1, 0)], [0, None], [0, None], [True, True])
 
 
-def _random_folded_graph(rng, n):
-    """U and V successors of a connected folded graph on n vertices: a
-    random spanning tree, so pendant trees hang off whatever cycles form,
-    then random extra edges, some of them self-loops."""
-    succ = {"U": [None] * n, "V": [None] * n}
-    pred = {"U": [None] * n, "V": [None] * n}
-
-    def add(gen, a, b):
-        if succ[gen][a] is not None or pred[gen][b] is not None:
-            return False
-        succ[gen][a], pred[gen][b] = b, a
-        return True
-
-    for v in range(1, n):
-        while not (
-            add(rng.choice("UV"), rng.randrange(v), v)
-            if rng.random() < 0.5
-            else add(rng.choice("UV"), v, rng.randrange(v))
-        ):
-            pass
-    for _ in range(rng.randint(0, n)):
-        a = rng.randrange(n)
-        add(rng.choice("UV"), a, a if rng.random() < 0.25 else rng.randrange(n))
-    return succ["U"], succ["V"]
+def _random_complete_graph(rng, n):
+    """U and V successors of a random complete folded graph: random
+    permutations of range(n) for U and V, cut to the orbit of 0 and
+    relabelled in breadth-first order from 0 (letters U, V, u, v)."""
+    perms = {c: rng.sample(range(n), n) for c in "UV"}
+    inverse = {c.lower(): [0] * n for c in "UV"}
+    for c, perm in perms.items():
+        for a, b in enumerate(perm):
+            inverse[c.lower()][b] = a
+    maps = [perms["U"], perms["V"], inverse["u"], inverse["v"]]
+    new_id = {0: 0}
+    order = [0]
+    for a in order:
+        for m in maps:
+            if m[a] not in new_id:
+                new_id[m[a]] = len(order)
+                order.append(m[a])
+    succ_u = [new_id[perms["U"][a]] for a in order]
+    succ_v = [new_id[perms["V"][a]] for a in order]
+    return len(order), succ_u, succ_v
 
 
 def _positive_edge_list(g):
@@ -309,11 +333,14 @@ def _positive_edge_list(g):
 
 def test_core_exact_matches_stripping_oracle_on_random_graphs():
     rng = random.Random(2027)
+    sizes = set()
     for _ in range(300):
-        n = rng.randint(1, 40)
-        succ_u, succ_v = _random_folded_graph(rng, n)
+        n, succ_u, succ_v = _random_complete_graph(rng, rng.randint(1, 40))
         g = OrbitalGraph([(i, 0) for i in range(n)], succ_u, succ_v, [True] * n)
         assert core_exact(g).core_vertices == core_by_stripping(n, _positive_edge_list(g))
+        sizes.add(n)
+    # the orbits of 0 range from a bouquet of self-loops to large ones
+    assert 1 in sizes and max(sizes) > 30
 
 
 def test_core_exact_matches_stripping_oracle_mod_q():
@@ -449,14 +476,19 @@ def test_graph_rejects_bad_shapes():
         OrbitalGraph(v, [None], [None], [True, True])
     with pytest.raises(ValueError):
         OrbitalGraph(v, [1, 0], [None], [True, True])
-    with pytest.raises(ValueError):
-        OrbitalGraph(v, [1, 0], [None, None], [True, True], base=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target 5 out of range"):
         OrbitalGraph(v, [5, 0], [None, None], [True, True])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target -1 out of range"):
         OrbitalGraph(v, [1, 0], [None, -1], [True, True])
-    with pytest.raises(ValueError):
-        OrbitalGraph([(0, 0), (0, 0)], [1, 0], [None, None], [True, True])
+    with pytest.raises(ValueError, match="duplicate vertex points"):
+        OrbitalGraph([(0, 0), (0, 0)], [1, 0], [None, None], [False, False])
+
+
+def test_graph_refuses_empty_graph():
+    with pytest.raises(ValueError, match="needs its base vertex 0"):
+        OrbitalGraph([], [], [], [])
+    with pytest.raises(ValueError, match="needs its base vertex 0"):
+        OrbitalGraph([], [], [], [], modulus=3)
 
 
 def test_graph_rejects_wrong_vertex_modulus():
@@ -484,15 +516,15 @@ def test_graph_refuses_modulus_past_the_guard():
 
 
 def test_graph_rejects_disconnected():
-    with pytest.raises(ValueError):
-        OrbitalGraph([(0, 0), (1, 1)], [None, None], [None, None], [True, True])
+    with pytest.raises(ValueError, match="vertex 1 has no neighbour"):
+        OrbitalGraph([(0, 0), (1, 1)], [None, None], [None, None], [False, False])
 
 
 def test_graph_rejects_unfolded():
     pts = [(0, 0), (1, 1), (2, 2)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two U-edges enter vertex 2"):
         OrbitalGraph(pts, [2, 2, None], [None, None, None], [True] * 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two V-edges enter vertex 2"):
         OrbitalGraph(pts, [None, None, None], [2, 2, None], [True] * 3)
 
 
@@ -590,7 +622,11 @@ def test_export_dispatch():
 def test_edge_consistency_catches_tampering():
     g = build_mod_q(2)
     bad = list(g.edges["U"])
-    bad[0], bad[1] = bad[1], bad[0]
+    # U-loops at vertices 2 and 3 instead of the U-edges between them; each
+    # still has a V-edge to a smaller vertex, so the graph stays in search
+    # order and fully complete, and only the audit sees the wrong edges
+    bad[2], bad[3] = bad[3], bad[2]
     h = OrbitalGraph(g.points, bad, g.edges["V"], g.complete, modulus=2)
-    with pytest.raises(AssertionError):
+    assert h.fully_complete
+    with pytest.raises(AssertionError, match="edge 2 -U-> 2 disagrees"):
         check_edge_consistency(h)
