@@ -130,29 +130,35 @@ def _predecessor(n: int) -> int:
     return -n if n < 0 else 2 - n
 
 
-def _extend_witness(n: int, pred_word: Word) -> Word:
+def _power(n: int) -> tuple[str, int]:
     # recurrences: beta^{-2n} sends (n, 1-n) to (-n, 1+n) and
     # alpha^{-2n-2} sends (-n, 1+n) to (n+2, -n-1), both for n >= 0
     # each power is one syllable, nonzero since n is not 0 or 1
-    gen, e = ("V", 2 * n) if n < 0 else ("U", 2 - 2 * n)
+    return ("V", 2 * n) if n < 0 else ("U", 2 - 2 * n)
+
+
+def _extend_witness(n: int, pred_word: Word) -> Word:
+    gen, e = _power(n)
     return concat(Word._from_syllables(((gen, e),), abs(e)), pred_word)
 
 
 def witness_word(n: int) -> WitnessSchedule:
     """Build and verify a word sending (0, 0) to (n, 1 - n).
 
-    The word is assembled by prepending one recurrence power, a single
-    syllable, to a previously built witness.  It has O(n^2) letters but only
-    O(|n|) syllables, and it is re-evaluated syllable by syllable before
-    being returned.
+    The word is the recurrence powers along the chain of predecessors from
+    n, one syllable each, followed by a base witness.  Successive powers
+    alternate between V (n < 0) and U (n > 1), so they are already reduced
+    and are joined to the base witness by one concat.  The word has O(n^2)
+    letters but only O(|n|) syllables, and it is re-evaluated syllable by
+    syllable before being returned.
     """
-    chain = [n]
-    while chain[-1] not in _BASE_WITNESSES:
-        chain.append(_predecessor(chain[-1]))
-    word = _BASE_WITNESSES[chain.pop()]
-    for k in reversed(chain):
-        word = _extend_witness(k, word)
-    return WitnessSchedule(n, word)
+    powers = []
+    k = n
+    while k not in _BASE_WITNESSES:
+        powers.append(_power(k))
+        k = _predecessor(k)
+    head = Word._from_syllables(tuple(powers), sum(abs(e) for _, e in powers))
+    return WitnessSchedule(n, concat(head, _BASE_WITNESSES[k]))
 
 
 def witness_length(n: int) -> int:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import operator
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
@@ -136,6 +137,8 @@ class OrbitalGraph:
     None for a missing edge, and u and v are filled as their inverses; per
     generator each vertex has at most one outgoing and one incoming edge, as
     in a folded Stallings graph.  points are (x, y) tuples in and out.
+    build_ball alone passes a dict as points, its own point -> id index in
+    discovery order, which the graph keeps instead of building another.
 
     Vertex 0 is the base, and vertices are numbered in search order: every
     vertex but 0 must have a neighbour with a smaller id, which makes the
@@ -176,7 +179,14 @@ class OrbitalGraph:
         self.points = _PointView(xs, ys)
         self.edges = {"U": fwd_u, "V": fwd_v, "u": back_u, "v": back_v}
         self.modulus = modulus
-        if modulus is None:
+        if type(points) is dict:
+            # build_ball's own index: its keys are the points, so they are
+            # distinct, and it is kept once its ids are checked to number
+            # them 0..n-1 in insertion order
+            if modulus is not None or not all(map(operator.eq, points.values(), range(n))):
+                raise ValueError("a point index must number its points 0..n-1 in order")
+            self._index = points
+        elif modulus is None:
             # keyed by the caller's tuples when it passes tuples, so a ball
             # keeps one tuple per point
             self._index = dict(zip(points, range(n)))
@@ -312,9 +322,11 @@ def build_ball(depth: int) -> OrbitalGraph:
             and (x - 2 * y + 2, y - 1) in index
             and (x - 1, y - 2 * x + 2) in index
         )
-    # the graph indexes the same tuples again; drop this index first
-    del index, get
-    return OrbitalGraph(points, succ_u, succ_v, complete)
+    # the graph keeps this index, keyed by the point tuples in discovery
+    # order, as its own instead of building a second dict over them; the
+    # list of the same tuples goes first, to lower the peak
+    del points, get
+    return OrbitalGraph(index, succ_u, succ_v, complete)
 
 
 def trace(g: OrbitalGraph, w: Word, start: int) -> int | None:
@@ -390,40 +402,99 @@ def certified_core(g: OrbitalGraph, witness: Word) -> CoreReport:
     return CoreReport("certified-lower-bound", frozenset(found), witness)
 
 
+def certified_core_depths(g: OrbitalGraph, depth: int, witness: Word) -> dict[int, int]:
+    """The certified cores of build_ball(d) for every d <= depth, read off
+    g = build_ball(depth) in one walk per vertex: each vertex certified at
+    some depth maps to the smallest such d, so the core of ball(d), as
+    certified_core(build_ball(d), witness) finds it, is the ids mapped to at
+    most d.
+
+    Breadth-first discovery makes ball(d) the first n_d vertices of g, and
+    its edges are g's edges between them.  Every vertex of ball(d - 1) is
+    complete in g, so n_0 = 1 and n_d = 1 + the largest neighbour id of the
+    first n_(d-1) vertices; a g with n_depth != n, or with an incomplete
+    vertex among the first n_(depth-1), is not the ball of that depth and is
+    refused.  A vertex v of ball(d) is complete there iff v and its four
+    neighbours have ids below n_d.  So the witness loop from v closes in
+    ball(d) iff it closes in g and the largest of those five ids, over every
+    vertex it steps from, is below n_d; that is worked out for the few loops
+    that close in g.
+    """
+    if witness.is_identity():
+        raise ValueError("certified_core_depths needs a nonempty witness word")
+    n = len(g.points)
+    edges = g.edges
+    cols = list(edges.values())
+    complete = g.complete
+    sizes = [1]
+    for _ in range(depth):
+        k = sizes[-1]
+        sizes.append(1 + max([max(col[:k]) for col in cols]))
+    inner = sizes[depth - 1] if depth > 0 else 0
+    if depth < 0 or sizes[-1] != n or 0 in complete[:inner]:
+        raise ValueError(f"a graph of {n} vertices is not the ball of depth {depth}")
+    seq = [edges[c] for c in reversed(witness.text)]
+    first = {}
+    for v in range(n):
+        cur = v
+        for m in seq:
+            if not complete[cur]:
+                break
+            cur = m[cur]
+            if cur < 0:
+                break
+        else:
+            if cur == v:
+                top = 0
+                for m in seq:
+                    top = max(top, cur, *[col[cur] for col in cols])
+                    cur = m[cur]
+                first[v] = bisect_right(sizes, top)
+    return first
+
+
 def spanning_tree_generators(g: OrbitalGraph) -> list[Word]:
     """Schreier generators read off a breadth-first spanning tree.
 
     Tree edges are chosen in letter order U, V, U^-1, V^-1, then discovery
     order.  Every positive non-tree edge (p, g, p') contributes the loop
     invert(t_p') g t_p at the base, and for a complete graph on n vertices
-    exactly n + 1 words come out.  Tree words are kept as syllable tuples and
-    each loop is joined with one syllable merge per junction.
+    exactly n + 1 words come out.  Each tree word t_v is kept as a syllable
+    tuple next to the tuple of its inverse, both extended by one syllable,
+    or one merge, when v is reached; each loop is then three tuples joined
+    with one syllable merge per junction.
     """
     if not g.fully_complete:
         raise ValueError("spanning_tree_generators needs a fully complete graph")
     # such a graph has every edge, and it is connected, so the tree spans it
     n = len(g.points)
     edges = g.edges
-    # tree[v]: syllables of the tree word t_v; via[v]: the letter of the tree
-    # edge into v, which is the first letter of t_v
+    # tree[v]: syllables of the tree word t_v; inv[v]: those of its inverse;
+    # via[v]: the letter of the tree edge into v, which is the first letter
+    # of t_v
     tree: list[tuple[tuple[str, int], ...] | None] = [None] * n
+    inv: list[tuple[tuple[str, int], ...] | None] = [None] * n
     size = [0] * n
     via: list[str | None] = [None] * n
-    tree[g.base] = ()
+    tree[g.base] = inv[g.base] = ()
     letters = [(c, m, c.upper(), 1 if c in _GEN_CHARS else -1) for c, m in edges.items()]
     queue = [g.base]
     for p in queue:
         word = tree[p]
+        back = inv[p]
         for c, m, gen, e in letters:
             t = m[p]
             if tree[t] is not None:
                 continue
             # word starts with the letter into p, whose inverse leads back to
-            # p's parent, which is already in the tree; so this merge adds
+            # p's parent, which is already in the tree; so this merge adds,
+            # and so does the mirror merge at the end of the inverse
             if word and word[0][0] == gen:
                 tree[t] = ((gen, word[0][1] + e),) + word[1:]
+                inv[t] = back[:-1] + ((gen, back[-1][1] - e),)
             else:
                 tree[t] = ((gen, e),) + word
+                inv[t] = back + ((gen, -e),)
             size[t] = size[p] + 1
             via[t] = c
             queue.append(t)
@@ -435,16 +506,16 @@ def spanning_tree_generators(g: OrbitalGraph) -> list[Word]:
             # t or backward into p
             if via[t] == c or via[p] == c.lower():
                 continue
-            head = [(h, -e) for h, e in reversed(tree[t])]
+            head = inv[t]
             tail = tree[p]
             e = 1
             if head and head[-1][0] == c:
-                e += _junction(head.pop()[1], p, c, t)
+                e += _junction(head[-1][1], p, c, t)
+                head = head[:-1]
             if tail and tail[0][0] == c:
                 e += _junction(tail[0][1], p, c, t)
                 tail = tail[1:]
-            head.append((c, e))
-            out.append(Word._from_syllables(tuple(head) + tail, size[t] + 1 + size[p]))
+            out.append(Word._from_syllables(head + ((c, e),) + tail, size[t] + 1 + size[p]))
     return out
 
 

@@ -8,7 +8,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .action import DEFAULT_WITNESS, act, loop_check, marked_point, witness_sweep
 from .linear import cocycle, freeness_sweep
@@ -24,6 +26,7 @@ from .schreier import (
     build_ball,
     build_mod_q,
     certified_core,
+    certified_core_depths,
     is_loop_at_base,
     spanning_tree_generators,
 )
@@ -88,17 +91,31 @@ def _random_reduced_word(rng: random.Random, length: int) -> Word:
 
 def _core_evidence(depth: int) -> tuple[list[int], list[tuple[int, tuple[int, int]]]]:
     """Certified core counts of the balls 4..depth, and the (depth, point)
-    pairs from depth 5 on where a base marked point is not certified.  The
-    balls are built and read one at a time, not kept for the whole run."""
-    counts = []
-    uncertified = []
-    for d in range(4, depth + 1):
-        ball = build_ball(d)
-        core = certified_core(ball, DEFAULT_WITNESS).core_vertices
-        counts.append(len(core))
-        if d >= 5:
-            uncertified += [(d, pt) for pt in ((0, 1), (1, 0)) if ball.vertex_id(pt) not in core]
-    return counts, uncertified
+    pairs from depth 5 on where a base marked point is not certified.
+
+    Only the ball of the top depth is built: every smaller ball is a prefix
+    of its vertex ids, so certified_core_depths reads the core of each off
+    it in one walk.  certified_core, the path the CLI takes, is run on the
+    same ball and must find the top depth's core, or the evidence fails."""
+    ball = build_ball(depth)
+    first = certified_core_depths(ball, depth, DEFAULT_WITNESS)
+    core = certified_core(ball, DEFAULT_WITNESS).core_vertices
+    if core != first.keys():
+        raise AssertionError(
+            f"certified_core finds {len(core)} core vertices at depth {depth},"
+            f" the per-depth walk {len(first)}"
+        )
+    # counts[d] is the size of the core of ball(d): the vertices first
+    # certified at a depth <= d
+    per_depth = Counter(first.values())
+    counts = list(accumulate(per_depth[d] for d in range(depth + 1)))
+    uncertified = [
+        (d, pt)
+        for d in range(5, depth + 1)
+        for pt in ((0, 1), (1, 0))
+        if first.get(ball.vertex_id(pt), depth + 1) > d
+    ]
+    return counts[4:], uncertified
 
 
 def _indices(q_max: int) -> dict[int, int]:

@@ -165,6 +165,36 @@ def test_witness_words_reach_marked_points():
         assert act(sched.word, ORIGIN) == marked_point(n).point
 
 
+def test_witness_word_matches_the_prepending_chain():
+    # the words the chain of one-syllable extensions builds, as witness_word
+    # built them before it joined its powers at once
+    for n in range(-300, 301):
+        chain = [n]
+        while chain[-1] not in (0, 1):
+            chain.append(action._predecessor(chain[-1]))
+        word = Word("UV"[chain.pop()])
+        for k in reversed(chain):
+            word = action._extend_witness(k, word)
+        single = witness_word(n).word
+        assert single.syllables == word.syllables and len(single) == len(word), n
+
+
+def test_witness_word_certifies_the_whole_word(monkeypatch):
+    calls = _record_act(monkeypatch)
+    sched = witness_word(40)
+    # one act, of every syllable, from the origin
+    assert calls == [(len(sched.word.syllables), ORIGIN)]
+    real = action._power
+
+    def wrong(n):
+        gen, e = real(n)
+        return gen, e + 2
+
+    monkeypatch.setattr(action, "_power", wrong)
+    with pytest.raises(ValueError, match="does not reach marked point 40$"):
+        witness_word(40)
+
+
 def test_witness_length_growth_is_quadratic():
     for n in range(-100, 101):
         assert len(witness_word(n).word) <= 4 * n * n + 10

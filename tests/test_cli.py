@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -97,6 +98,23 @@ def test_failing_shared_evidence_fails_its_readers(monkeypatch, producer, reader
         if c.id in readers:
             assert c.details == "RuntimeError: synthetic"
     assert len(calls) == 1  # the evidence is computed once, not once per reader
+
+
+def test_core_growth_fails_when_certified_core_disagrees(monkeypatch):
+    real = verify.certified_core
+
+    def short(g, w):
+        rep = real(g, w)
+        return dataclasses.replace(rep, core_vertices=rep.core_vertices - {min(rep.core_vertices)})
+
+    monkeypatch.setattr(verify, "certified_core", short)
+    report = run_verification(5, 5, 6, 3)
+    failed = {c.id: c.details for c in report.checks if c.status == "fail"}
+    # both checks read the same evidence, so both fail with its message
+    assert set(failed) == {"core-growth", "core-line-points"}
+    assert failed["core-growth"] == (
+        "AssertionError: certified_core finds 3 core vertices at depth 6, the per-depth walk 4"
+    )
 
 
 def test_report_json_shape():

@@ -18,6 +18,7 @@ from parabolic.schreier import (
     build_ball,
     build_mod_q,
     certified_core,
+    certified_core_depths,
     check_edge_consistency,
     core_exact,
     export,
@@ -423,6 +424,60 @@ def test_certified_core_rejects_empty_witness():
         certified_core(build_ball(3), Word(""))
 
 
+# witnesses whose certified vertices first appear at one, two and four depths
+_DEPTH_WITNESSES = (Word("uVUv"), DEFAULT_WITNESS, Word("VVuVuv"))
+
+
+def test_certified_core_depths_match_every_smaller_ball():
+    balls = [build_ball(d) for d in range(10)]
+    for w in _DEPTH_WITNESSES:
+        for top, ball in enumerate(balls):
+            first = certified_core_depths(ball, top, w)
+            for d in range(top + 1):
+                expected = certified_core(balls[d], w).core_vertices
+                assert {v for v, k in first.items() if k <= d} == expected, (w, top, d)
+    # the cores read off ball(9) grow at four distinct depths
+    assert sorted({*certified_core_depths(balls[9], 9, Word("VVuVuv")).values()}) == [3, 4, 7, 8]
+
+
+def test_ball_is_an_id_prefix_of_every_deeper_ball():
+    # the rule certified_core_depths relies on: ball(d) is the first n_d
+    # vertices of ball(D) with the edges between them, and a vertex is
+    # complete in ball(d) iff it and its four neighbours have ids below n_d
+    balls = [build_ball(d) for d in range(9)]
+    for big in balls:
+        n = len(big)
+        cols = [big.edges[c] for c in "UVuv"]
+        mx = [max(v, *[col[v] for col in cols]) if big.complete[v] else n for v in range(n)]
+        for small in balls:
+            k = len(small)
+            if k > n:
+                break
+            assert list(small.points) == list(big.points)[:k]
+            for c in "UVuv":
+                assert list(small.edges[c]) == [t if t < k else NO_EDGE for t in big.edges[c][:k]]
+            assert list(small.complete) == [int(m < k) for m in mx[:k]]
+
+
+def test_certified_core_depths_refuses_other_graphs():
+    ball = build_ball(6)
+    for depth in (-1, 0, 5, 7):
+        with pytest.raises(ValueError, match="is not the ball of depth"):
+            certified_core_depths(ball, depth, DEFAULT_WITNESS)
+    # a graph as large as ball(6) whose vertex 1 is incomplete
+    tampered = OrbitalGraph(
+        list(ball.points),
+        _none_for_no_edge(ball.edges["U"]),
+        _none_for_no_edge(ball.edges["V"]),
+        [v != 1 and c for v, c in enumerate(ball.complete)],
+    )
+    with pytest.raises(ValueError, match="is not the ball of depth 6"):
+        certified_core_depths(tampered, 6, DEFAULT_WITNESS)
+    with pytest.raises(ValueError, match="nonempty witness"):
+        certified_core_depths(ball, 6, Word(""))
+    assert certified_core_depths(build_ball(0), 0, DEFAULT_WITNESS) == {}
+
+
 # ---------------------------------------------------------------- schreier generators
 
 
@@ -448,7 +503,7 @@ def test_spanning_tree_generators_are_loops():
 
 
 def test_spanning_tree_generators_match_letterwise_assembly():
-    for q in range(2, 31):
+    for q in [*range(2, 31), 31, 40, 50]:
         g = build_mod_q(q)
         gens = spanning_tree_generators(g)
         expected = [Word(t) for t in schreier_generators_letterwise(g.edges, g.base)]
@@ -482,6 +537,20 @@ def test_graph_rejects_bad_shapes():
         OrbitalGraph(v, [1, 0], [None, -1], [True, True])
     with pytest.raises(ValueError, match="duplicate vertex points"):
         OrbitalGraph([(0, 0), (0, 0)], [1, 0], [None, None], [False, False])
+
+
+def test_ball_hands_its_index_to_the_graph():
+    ball = build_ball(5)
+    assert type(ball._index) is dict
+    assert list(ball._index.values()) == list(range(len(ball)))
+    assert all(ball.vertex_id(p) == i for i, p in enumerate(ball.points))
+    path = ([1, None], [None, None], [False, False])
+    assert OrbitalGraph({(0, 0): 0, (0, 1): 1}, *path).vertex_id((0, 1)) == 1
+    for bad in ({(0, 0): 0, (0, 1): 2}, {(0, 1): 1, (0, 0): 0}, {(0, 0): 1, (0, 1): 0}):
+        with pytest.raises(ValueError, match="must number its points 0..n-1 in order"):
+            OrbitalGraph(bad, *path)
+    with pytest.raises(ValueError, match="must number its points 0..n-1 in order"):
+        OrbitalGraph({(0, 0): 0, (0, 1): 1}, *path, modulus=3)
 
 
 def test_graph_refuses_empty_graph():
