@@ -53,13 +53,13 @@ def generator_power(gen: str, m: int, p: Vec2) -> Vec2:
     return Vec2(nx, ny, p.modulus)
 
 
-def act(w: Word, p: Vec2) -> Vec2:
-    """Apply a word to a point, rightmost syllable first.
+def act_ints(w: Word, x: int, y: int, q: int | None = None) -> tuple[int, int]:
+    """The point w sends (x, y) to, as two plain ints, rightmost syllable
+    first; reduced mod q after every syllable when q is given.
 
     Each syllable, a run of one generator, is applied with the closed-form
     power, so a word built from long generator powers costs one step per run.
     """
-    x, y, q = p.x, p.y, p.modulus
     for c, m in reversed(w.syllables):
         if c == "U":
             x, y = x + 2 * m * y + m * (m - 1), y + m
@@ -68,7 +68,14 @@ def act(w: Word, p: Vec2) -> Vec2:
         if q is not None:
             x %= q
             y %= q
-    return Vec2(x, y, q)
+    return x, y
+
+
+def act(w: Word, p: Vec2) -> Vec2:
+    """Apply a word to a point, rightmost syllable first: act_ints on the
+    point's coordinates, mod its modulus when it has one."""
+    x, y = act_ints(w, p.x, p.y, p.modulus)
+    return Vec2(x, y, p.modulus)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word, _NEXT_LETTERS
+from .words import Word, _NEXT_LETTERS, concat, invert
 
 
 def _merge_modulus(m1: int | None, m2: int | None) -> int | None:
@@ -170,19 +170,30 @@ _CHAR_AFF = {"U": U_AFF, "V": V_AFF, "u": U_AFF.inverse(), "v": V_AFF.inverse()}
 
 
 def eval_linear(w: Word) -> Mat2:
-    """Product of the letter matrices, leftmost letter leftmost."""
-    out = Mat2.identity()
-    for c in w.text:
-        out = out * _CHAR_MAT[c]
-    return out
+    """Product of the letter matrices, leftmost letter leftmost.  The
+    product is kept as four plain ints, read off _CHAR_MAT letter by letter,
+    and one Mat2 is built at the end."""
+    a, b, c, d = 1, 0, 0, 1
+    for ch in w.text:
+        m = _CHAR_MAT[ch]
+        e, f, g, h = m.a, m.b, m.c, m.d
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return Mat2(a, b, c, d)
 
 
 def eval_affine(w: Word) -> AffineElement:
-    """Product of the letter affine elements, leftmost letter leftmost."""
-    out = AffineElement.identity()
-    for c in w.text:
-        out = out * _CHAR_AFF[c]
-    return out
+    """Product of the letter affine elements, leftmost letter leftmost.  The
+    product is kept as six plain ints, the linear part and the translation
+    (x, y), and one AffineElement is built at the end."""
+    a, b, c, d, x, y = 1, 0, 0, 1, 0, 0
+    for ch in w.text:
+        el = _CHAR_AFF[ch]
+        m, t = el.linear, el.translation
+        e, f, g, h, tx, ty = m.a, m.b, m.c, m.d, t.x, t.y
+        # (v, A)(v', A') = (v + A v', A A')
+        x, y = x + a * tx + b * ty, y + c * tx + d * ty
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return AffineElement(Vec2(x, y), Mat2(a, b, c, d))
 
 
 def cocycle(w: Word) -> Vec2:
@@ -192,32 +203,70 @@ def cocycle(w: Word) -> Vec2:
 
 @dataclass(frozen=True)
 class FreenessSweepResult:
+    """The verdict of freeness_sweep(max_len).
+
+    words_checked counts the nonempty reduced words of length <= max_len
+    certified not to be the identity: all 2 * (3^max_len - 1) of them on a
+    pass.  On a failure it counts those of length <= min(max_len, 2k - 2),
+    where k is the length of the word whose matrix repeated.  products counts
+    the matrices actually computed, the identity's included.
+    """
+
     passed: bool
     words_checked: int
     counterexample: Word | None
+    products: int
 
 
 def freeness_sweep(max_len: int) -> FreenessSweepResult:
     """Check that no nonempty reduced word of length <= max_len evaluates to
-    the identity matrix.  Walks the prefix tree once, one matrix product per
-    node, each product kept as four plain ints."""
+    the identity matrix, by meet in the middle.
+
+    Every nonempty reduced word w of length l <= max_len splits as w = x y
+    with |x| = ceil(l/2) and |y| = floor(l/2), and w is the identity iff
+    M(x) = M(y^-1).  x and y^-1 are distinct reduced words, since x y is
+    reduced and nonempty.  Conversely, two distinct reduced words x and z
+    with M(x) = M(z) give the nonempty reduced relation x z^-1.  So the
+    sweep computes the matrices of the reduced words of length <=
+    ceil(max_len/2), layer by layer, one product of four plain ints per word,
+    and keeps those of length <= floor(max_len/2): a word whose matrix is
+    kept already is a relation of at most max_len letters, and none is
+    missed.  That is 2 * 3^ceil(max_len/2) - 1 products, against one per
+    word certified.
+
+    The letter matrices are read from _CHAR_MAT["U"] and _CHAR_MAT["V"] at
+    call time, and the inverse letters are their inverses.
+    """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    letters = {c: (m.a, m.b, m.c, m.d) for c, m in _CHAR_MAT.items()}
-    checked = 0
-    # stack holds (a, b, c, d, text), the row-major product of text's
-    # letters; children extend on the right
-    stack: list[tuple[int, int, int, int, str]] = [(1, 0, 0, 1, "")] if max_len else []
-    while stack:
-        a, b, c, d, text = stack.pop()
-        # the children of a node one letter short of max_len are leaves
-        push = stack.append if len(text) + 1 < max_len else None
-        for ch in _NEXT_LETTERS[text[-1:]]:
-            e, f, g, h = letters[ch]
-            na, nb, nc, nd = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-            checked += 1
-            if na == 1 and nd == 1 and not nb and not nc:
-                return FreenessSweepResult(False, checked, Word(text + ch))
-            if push:
-                push((na, nb, nc, nd, text + ch))
-    return FreenessSweepResult(True, checked, None)
+    letters = {}
+    for ch in "UV":
+        m = _CHAR_MAT[ch]
+        inv = m.inverse()
+        letters[ch] = (m.a, m.b, m.c, m.d)
+        letters[ch.lower()] = (inv.a, inv.b, inv.c, inv.d)
+    keep, reach = max_len // 2, (max_len + 1) // 2
+    # the kept products, each with the text of the first word that gave it
+    seen = {(1, 0, 0, 1): ""}
+    layer = [(1, 0, 0, 1, "")]
+    products = 1
+    for length in range(1, reach + 1):
+        store = length <= keep
+        nxt = []
+        for a, b, c, d, text in layer:
+            for ch in _NEXT_LETTERS[text[-1:]]:
+                e, f, g, h = letters[ch]
+                m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                products += 1
+                word = text + ch
+                prev = seen.get(m)
+                if prev is not None:
+                    relation = concat(Word(prev), invert(Word(word)))
+                    certified = 2 * (3 ** min(max_len, 2 * length - 2) - 1)
+                    return FreenessSweepResult(False, certified, relation, products)
+                if store:
+                    seen[m] = word
+                if length < reach:
+                    nxt.append((*m, word))
+        layer = nxt
+    return FreenessSweepResult(True, 2 * (3**max_len - 1), None, products)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .action import ORIGIN, act
+from .action import act_ints
 from .linear import U_MAT, V_MAT, Vec2
 from .words import Word
 
@@ -114,14 +114,13 @@ _SIEVE_PRIME = 2**28 - 57
 
 
 def membership(w: Word, q: int | None = None) -> bool:
-    """Does w fix the origin (exactly, or mod q when given)?"""
+    """Does w fix the origin (exactly, or mod q when given)?  The word is
+    walked on plain ints by act_ints; no Vec2 is built."""
     if q is not None and q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     if q is None and not membership(w, _SIEVE_PRIME):
         return False
-    start = ORIGIN if q is None else Vec2(0, 0, q)
-    end = act(w, start)
-    return (end.x, end.y) == (0, 0)
+    return act_ints(w, 0, 0, q) == (0, 0)
 
 
 _MAX_SNF_SIDE = 16

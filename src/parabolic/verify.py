@@ -37,7 +37,8 @@ _RNG_SEED = 0x5EED
 _ORACLE_MODULI = (2, 3, 4, 5, 10)
 # the largest q for which a check builds a graph or a Smith normal form per q
 _Q_SMALL = 50
-# the freeness sweep checks 2 * (3^L - 1) words, about 9.6e6 at L = 14
+# the freeness sweep certifies 2 * (3^L - 1) words, about 9.6e6 at L = 14,
+# from 2 * 3^ceil(L/2) - 1 matrix products: 4,373 at L = 14
 _MAX_SWEEP_LEN = 14
 # the witness sweep acts one syllable per witness, but copies each word's
 # syllables, about n_max^2 pointers in all: 0.04 s at 1000, 1.9 s at 10,000

@@ -37,6 +37,32 @@ def translation_m3(text: str) -> tuple[int, int]:
     return (m[0][2], m[1][2])
 
 
+def freeness_sweep_dfs(max_len: int, letters: dict):
+    """The reference freeness sweep: walk the prefix tree of reduced words
+    depth first, one 2x2 product per nonempty word, and stop at the first
+    word whose product is the identity.  letters maps each of "UVuv" to its
+    matrix as (a, b, c, d), row-major.
+
+    Returns (passed, words checked, the identity word's text or None).
+    """
+    inverse = {"U": "u", "u": "U", "V": "v", "v": "V"}
+    checked = 0
+    stack = [(1, 0, 0, 1, "")] if max_len else []
+    while stack:
+        a, b, c, d, text = stack.pop()
+        for ch in "UVuv":
+            if text and ch == inverse[text[-1]]:
+                continue
+            e, f, g, h = letters[ch]
+            na, nb, nc, nd = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+            checked += 1
+            if (na, nb, nc, nd) == (1, 0, 0, 1):
+                return False, checked, text + ch
+            if len(text) + 1 < max_len:
+                stack.append((na, nb, nc, nd, text + ch))
+    return True, checked, None
+
+
 def step_point(char: str, x: int, y: int) -> tuple[int, int]:
     if char == "U":
         return x + 2 * y, y + 1

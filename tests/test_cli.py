@@ -117,6 +117,28 @@ def test_core_growth_fails_when_certified_core_disagrees(monkeypatch):
     )
 
 
+def test_schreier_generators_fail_on_a_generator_off_the_stabilizer(monkeypatch):
+    real = verify.spanning_tree_generators
+
+    def tampered(g):
+        # one more letter on the first syllable of the first generator at
+        # q = 7: the word is now a letter times a loop, and no letter fixes
+        # the origin mod 7
+        gens = real(g)
+        if g.modulus == 7:
+            (c, e), *rest = gens[0].syllables
+            first = (c, e + 1 if e > 0 else e - 1)
+            gens[0] = Word._from_syllables((first, *rest), len(gens[0]) + 1)
+        return gens
+
+    monkeypatch.setattr(verify, "spanning_tree_generators", tampered)
+    report = run_verification(2, 12, 4, 2)
+    failed = {c.id: c.details for c in report.checks if c.status == "fail"}
+    assert set(failed) == {"schreier-generators"}
+    assert failed["schreier-generators"].startswith("AssertionError: generator ")
+    assert failed["schreier-generators"].endswith(" escapes the stabilizer mod 7")
+
+
 def test_report_json_shape():
     report = run_verification(2, 3, 4, 2)
     obj = json.loads(report.to_json())
@@ -561,12 +583,47 @@ def _matrix_text():
     return rows.map(lambda r: "; ".join(" ".join(x) for x in r)) | oversize
 
 
+# verify's flags: (range within the guards, range drawn when the flag is
+# broken, values past the guards)
+_VERIFY_FLAGS = {
+    "--n-max": ((1, 20), -2, 20, (10_001, 10**9)),
+    "--q-max": ((2, 12), -2, 12, (4097, 10**9)),
+    "--depth": ((4, 6), -2, 6, (14, 10**6)),
+    "--sweep-len": ((1, 14), -2, 20, (15, 10**6)),
+}
+# values past the guards of the graph command, which it must refuse with exit 2
+_GRAPH_OVERSIZE = {"--q": ("2049", "1000000000"), "--depth": ("14", "1000000")}
+
+
 @st.composite
 def _cli_argv(draw):
-    """argv for one of the one-shot commands, each value bounded so that a
-    request within the guards stays fast, or oversize, or junk."""
-    command = draw(st.sampled_from(["orbit", "member", "rank", "abelianization", "core", "snf"]))
-    if command == "orbit":
+    """argv for one of the commands, each value bounded so that a request
+    within the guards stays fast, or oversize, or junk."""
+    command = draw(
+        st.sampled_from(
+            ["orbit", "member", "rank", "abelianization", "core", "snf", "verify", "graph"]
+        )
+    )
+    if command == "verify":
+        # every flag is given, as the defaults run at full size, and at most
+        # one is drawn from a range past its guards, oversize values or junk;
+        # the report goes to the null device, and stdout still gets it
+        argv = ["verify", "--out", os.devnull]
+        broken = draw(st.sampled_from([None, None, *_VERIFY_FLAGS]))
+        for flag, (valid, lo, hi, oversize) in _VERIFY_FLAGS.items():
+            value = _int_text(lo, hi, *oversize) if flag == broken else st.integers(*valid)
+            argv += [flag, str(draw(value))]
+    elif command == "graph":
+        # half the values lie within the guards
+        argv = ["graph"]
+        which = draw(st.sampled_from(["q", "q", "depth", "depth", "both", "neither"]))
+        if which in ("q", "both"):
+            q = st.integers(2, 40).map(str) | _int_text(-3, 40, *_GRAPH_OVERSIZE["--q"])
+            argv += ["--q", draw(q)]
+        if which in ("depth", "both"):
+            depth = st.integers(0, 6).map(str) | _int_text(-3, 6, *_GRAPH_OVERSIZE["--depth"])
+            argv += ["--depth", draw(depth)]
+    elif command == "orbit":
         argv = ["orbit", "--n", draw(_int_text(-300, 300, 3163, -3163, 10**6, 10**30))]
     elif command == "member":
         argv = ["member", "--word", draw(_word_text(10**12) | _JUNK)]
@@ -603,6 +660,10 @@ def test_one_shot_commands_exit_cleanly_on_any_argv(argv):
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+    if argv[0] == "graph" and any(
+        value in _GRAPH_OVERSIZE.get(flag, ()) for flag, value in zip(argv, argv[1:])
+    ):
+        assert code == 2, argv
     if code == 2:
         assert lines and "error:" in lines[-1], argv
     else:

@@ -18,7 +18,7 @@ from parabolic.linear import (
 )
 from parabolic.words import EMPTY, Word, concat, enumerate_reduced, invert
 
-from oracles import act_letterwise, eval_word_m3, translation_m3
+from oracles import act_letterwise, eval_word_m3, freeness_sweep_dfs, translation_m3
 
 
 def _words_up_to(max_len):
@@ -104,8 +104,22 @@ def test_eval_affine_examples():
 
 
 def test_eval_matches_3x3_oracle():
-    for w in _words_up_to(5):
-        assert eval_affine(w).matrix3() == eval_word_m3(w.text)
+    # every reduced word of length <= 6, and long random words whose entries
+    # outgrow one machine word
+    rng = random.Random(29)
+    words = _words_up_to(6) + [_random_word(rng, rng.randint(0, 300)) for _ in range(200)]
+    for w in words:
+        m3 = eval_word_m3(w.text)
+        assert eval_affine(w).matrix3() == m3
+        lin = eval_linear(w)
+        assert ((lin.a, lin.b), (lin.c, lin.d)) == (m3[0][:2], m3[1][:2])
+
+
+def test_inverse_letters_are_inverse_matrices():
+    for c in "UV":
+        assert linear._CHAR_MAT[c.lower()] == linear._CHAR_MAT[c].inverse()
+        assert linear._CHAR_MAT[c] * linear._CHAR_MAT[c.lower()] == Mat2.identity()
+        assert linear._CHAR_AFF[c.lower()] == linear._CHAR_AFF[c].inverse()
 
 
 def test_eval_homomorphism_exhaustive():
@@ -195,10 +209,14 @@ def test_freeness_sweep_small():
 
 
 def test_freeness_sweep_checks_every_reduced_word():
-    # one product per nonempty reduced word: 4 * 3^(k-1) of length k
-    for max_len in range(9):
+    # 4 * 3^(k-1) nonempty reduced words of length k, certified by the
+    # products of the words of length <= ceil(L/2), the identity's included
+    for max_len in range(15):
         res = freeness_sweep(max_len)
         assert res.passed and res.words_checked == 2 * (3**max_len - 1)
+        assert res.products == 2 * 3 ** ((max_len + 1) // 2) - 1
+    assert freeness_sweep(10).words_checked == 118096
+    assert (freeness_sweep(10).products, freeness_sweep(14).products) == (485, 4373)
 
 
 def test_freeness_sweep_reports_a_relation(monkeypatch):
@@ -208,6 +226,41 @@ def test_freeness_sweep_reports_a_relation(monkeypatch):
     res = freeness_sweep(4)
     assert not res.passed and res.counterexample == Word("UUUU")
     assert 0 < res.words_checked <= 2 * (3**4 - 1)
+
+
+# U replaced by a matrix of finite order, keyed by that order
+_FINITE_ORDER_U = {3: Mat2(0, -1, 1, -1), 4: Mat2(0, -1, 1, 0), 6: Mat2(1, -1, 1, 0)}
+
+
+def _patch_u(monkeypatch, order):
+    u = _FINITE_ORDER_U[order]
+    monkeypatch.setitem(linear._CHAR_MAT, "U", u)
+    monkeypatch.setitem(linear._CHAR_MAT, "u", u.inverse())
+
+
+@pytest.mark.parametrize("order", [None, 3, 4, 6])
+def test_freeness_sweep_matches_reference_sweep(monkeypatch, order):
+    if order is not None:
+        _patch_u(monkeypatch, order)
+    letters = {c: (m.a, m.b, m.c, m.d) for c, m in linear._CHAR_MAT.items()}
+    for max_len in range(9):
+        res = freeness_sweep(max_len)
+        passed, _, _ = freeness_sweep_dfs(max_len, letters)
+        assert res.passed == passed, max_len
+        if passed:
+            assert res.counterexample is None
+            continue
+        w = res.counterexample
+        assert Word(w.text) == w  # Word refuses text that is not reduced
+        assert 0 < len(w) <= max_len
+        assert eval_linear(w) == Mat2.identity()
+        # the words counted as checked hold no relation
+        certified = next(k for k in range(max_len + 1) if 2 * (3**k - 1) == res.words_checked)
+        assert certified < len(w) and freeness_sweep_dfs(certified, letters)[0]
+    if order is not None:
+        # U^order is the shortest relation: no longer one is reported below it
+        assert freeness_sweep(order - 1).passed
+        assert len(freeness_sweep(order).counterexample) == order
 
 
 def test_freeness_sweep_rejects_negative():
