@@ -34,7 +34,7 @@ def step(char: str, p: Vec2) -> Vec2:
         nx, ny = x - 1, y - 2 * x + 2
     else:
         raise ValueError(f"bad letter {char!r}")
-    return Vec2(nx, ny, p.modulus)
+    return Vec2(nx, ny)
 
 
 def generator_power(gen: str, m: int, p: Vec2) -> Vec2:
@@ -50,7 +50,7 @@ def generator_power(gen: str, m: int, p: Vec2) -> Vec2:
         nx, ny = x + m, y + 2 * m * x + m * (m - 1)
     else:
         raise ValueError(f"generator must be 'U' or 'V', got {gen!r}")
-    return Vec2(nx, ny, p.modulus)
+    return Vec2(nx, ny)
 
 
 def act_ints(w: Word, x: int, y: int, q: int | None = None) -> tuple[int, int]:
@@ -73,9 +73,8 @@ def act_ints(w: Word, x: int, y: int, q: int | None = None) -> tuple[int, int]:
 
 def act(w: Word, p: Vec2) -> Vec2:
     """Apply a word to a point, rightmost syllable first: act_ints on the
-    point's coordinates, mod its modulus when it has one."""
-    x, y = act_ints(w, p.x, p.y, p.modulus)
-    return Vec2(x, y, p.modulus)
+    point's coordinates."""
+    return Vec2(*act_ints(w, p.x, p.y))
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ class MarkedPoint:
     point: Vec2
 
     def __post_init__(self):
-        if (self.point.x, self.point.y) != (self.n, 1 - self.n) or self.point.modulus is not None:
+        if (self.point.x, self.point.y) != (self.n, 1 - self.n):
             raise ValueError(f"marked point {self.n} must be ({self.n}, {1 - self.n})")
 
 

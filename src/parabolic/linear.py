@@ -13,56 +13,27 @@ from dataclasses import dataclass
 from .words import Word, _NEXT_LETTERS, concat, invert
 
 
-def _merge_modulus(m1: int | None, m2: int | None) -> int | None:
-    if m1 is not None and m2 is not None and m1 != m2:
-        raise ValueError(f"mixing distinct moduli {m1} and {m2}")
-    return m1 if m1 is not None else m2
-
-
 class Vec2:
-    """Integer column vector, optionally tagged with a modulus q.
+    """Exact integer column vector.  Residues mod q are not points: the
+    mod-q kernels take q as an explicit argument on plain ints."""
 
-    A tagged vector keeps its coordinates normalised into [0, q).  Combining
-    vectors with distinct moduli is a contract violation and raises.
-    """
+    __slots__ = ("x", "y")
 
-    __slots__ = ("x", "y", "modulus")
-
-    def __init__(self, x: int, y: int, modulus: int | None = None):
-        if modulus is not None:
-            if modulus < 2:
-                raise ValueError(f"modulus must be >= 2, got {modulus}")
-            x %= modulus
-            y %= modulus
+    def __init__(self, x: int, y: int):
         self.x = x
         self.y = y
-        self.modulus = modulus
-
-    def __add__(self, other: Vec2) -> Vec2:
-        q = _merge_modulus(self.modulus, other.modulus)
-        return Vec2(self.x + other.x, self.y + other.y, q)
-
-    def __neg__(self) -> Vec2:
-        return Vec2(-self.x, -self.y, self.modulus)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Vec2)
-            and self.x == other.x
-            and self.y == other.y
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, Vec2) and self.x == other.x and self.y == other.y
 
     def __hash__(self) -> int:
-        return hash((self.x, self.y, self.modulus))
+        return hash((self.x, self.y))
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
 
     def __repr__(self) -> str:
-        if self.modulus is None:
-            return f"Vec2({self.x}, {self.y})"
-        return f"Vec2({self.x}, {self.y}, modulus={self.modulus})"
+        return f"Vec2({self.x}, {self.y})"
 
 
 class Mat2:
@@ -75,23 +46,11 @@ class Mat2:
             raise ValueError(f"determinant must be 1, got {a * d - b * c}")
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    @classmethod
-    def identity(cls) -> Mat2:
-        return cls(1, 0, 0, 1)
-
     def inverse(self) -> Mat2:
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def __mul__(self, other: Mat2) -> Mat2:
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def apply(self, p: Vec2) -> Vec2:
-        return Vec2(self.a * p.x + self.b * p.y, self.c * p.x + self.d * p.y, p.modulus)
+        return Vec2(self.a * p.x + self.b * p.y, self.c * p.x + self.d * p.y)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -102,9 +61,6 @@ class Mat2:
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.c, self.d))
 
-    def __str__(self) -> str:
-        return f"{self.a} {self.b} {self.c} {self.d}"
-
     def __repr__(self) -> str:
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
 
@@ -112,35 +68,24 @@ class Mat2:
 class AffineElement:
     """Pair (translation, linear) acting on Z^2 by p -> linear p + translation.
 
-    Composition matches 3x3 block matrices [[A, v], [0, 1]]:
-    (v, A)(v', A') = (v + A v', A A').
+    Its 3x3 block matrix is [[A, v], [0, 1]], so products compose as
+    (v, A)(v', A') = (v + A v', A A'), the rule eval_affine follows.
     """
 
     __slots__ = ("translation", "linear")
 
     def __init__(self, translation: Vec2, linear: Mat2):
-        if translation.modulus is not None:
-            raise ValueError("affine elements carry exact translations, not residues")
         self.translation = translation
         self.linear = linear
 
-    @classmethod
-    def identity(cls) -> AffineElement:
-        return cls(Vec2(0, 0), Mat2.identity())
-
-    def __mul__(self, other: AffineElement) -> AffineElement:
-        return AffineElement(
-            self.translation + self.linear.apply(other.translation),
-            self.linear * other.linear,
-        )
-
     def inverse(self) -> AffineElement:
         inv = self.linear.inverse()
-        return AffineElement(-inv.apply(self.translation), inv)
+        t = inv.apply(self.translation)
+        return AffineElement(Vec2(-t.x, -t.y), inv)
 
     def apply(self, p: Vec2) -> Vec2:
         moved = self.linear.apply(p)
-        return Vec2(moved.x + self.translation.x, moved.y + self.translation.y, p.modulus)
+        return Vec2(moved.x + self.translation.x, moved.y + self.translation.y)
 
     def matrix3(self) -> tuple[tuple[int, int, int], ...]:
         m, t = self.linear, self.translation

@@ -13,8 +13,9 @@ mod-q graph finds a point through a dense table of q^2 ids keyed by
 x * q + y (-1 off the orbit); a ball keeps a dict keyed by (x, y) tuples.
 Points are (x, y) tuples in and out: the constructor takes them, `points`
 is a read-only view reading one tuple per indexed read, `vertex_id` takes a
-tuple, and `vertices` makes one Vec2 per indexed read.  Exports list the
-positive (U, V) edges only.  Two builders are provided: the full orbit of
+tuple, and `vertices` makes one Vec2 per indexed read; a Vec2 carries no
+modulus, so on a mod-q graph it holds residues.  Exports list the positive
+(U, V) edges only.  Two builders are provided: the full orbit of
 (0, 0) modulo q, and the exact ball of given radius around (0, 0) in the
 infinite orbit.  A vertex of a partial graph is flagged complete when all
 four of its neighbours lie in the explored region, which is what core
@@ -66,20 +67,20 @@ class _PointView:
 
 
 class _Vec2View:
-    """Read-only view of a graph's points as Vec2, one made per indexed read."""
+    """Read-only view of a graph's points as Vec2, one made per indexed
+    read."""
 
-    __slots__ = ("_points", "_modulus")
+    __slots__ = ("_points",)
 
-    def __init__(self, points: _PointView, modulus: int | None):
+    def __init__(self, points: _PointView):
         self._points = points
-        self._modulus = modulus
 
     def __len__(self) -> int:
         return len(self._points)
 
     def __getitem__(self, vid: int) -> Vec2:
         x, y = self._points[vid]
-        return Vec2(x, y, self._modulus)
+        return Vec2(x, y)
 
 
 def _columns(points, modulus: int | None) -> tuple[array, array]:
@@ -203,8 +204,9 @@ class OrbitalGraph:
 
     @property
     def vertices(self) -> _Vec2View:
-        """The points as Vec2, one made per indexed read and none kept."""
-        return _Vec2View(self.points, self.modulus)
+        """The points as Vec2, one made per indexed read and none kept; on a
+        mod-q graph each holds the residues of its point."""
+        return _Vec2View(self.points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -568,14 +570,17 @@ def export_json(g: OrbitalGraph) -> str:
 
 def check_edge_consistency(g: OrbitalGraph) -> None:
     """Audit that every stored edge matches the affine action, and that a
-    complete vertex has all four incident edges.  Raises on any mismatch."""
-    points = g.points
+    complete vertex has all four incident edges.  Each point is stepped
+    exactly, and the image reduced mod q on a mod-q graph.  Raises on any
+    mismatch."""
+    points, q = g.points, g.modulus
     for vid, (x, y) in enumerate(points):
-        v = Vec2(x, y, g.modulus)
+        v = Vec2(x, y)
         for c in _GEN_CHARS:
             expected = step(c, v)
+            image = (expected.x, expected.y) if q is None else (expected.x % q, expected.y % q)
             tgt = g.edges[c][vid]
-            if tgt >= 0 and points[tgt] != (expected.x, expected.y):
+            if tgt >= 0 and points[tgt] != image:
                 raise AssertionError(
                     f"edge {vid} -{c}-> {tgt} disagrees with the action at {v}"
                 )

@@ -11,6 +11,7 @@ from parabolic.action import (
     MarkedPoint,
     WitnessSchedule,
     act,
+    act_ints,
     generator_power,
     loop_check,
     marked_point,
@@ -76,9 +77,8 @@ def test_act_equals_letterwise_oracle_mod():
     for _ in range(200):
         q = rng.randint(2, 30)
         w = _random_word(rng, rng.randint(0, 40))
-        p = Vec2(rng.randint(0, q - 1), rng.randint(0, q - 1), q)
-        expect = act_letterwise(w.text, p.x, p.y, q)
-        assert act(w, p) == Vec2(expect[0], expect[1], q)
+        x, y = rng.randint(0, q - 1), rng.randint(0, q - 1)
+        assert act_ints(w, x, y, q) == act_letterwise(w.text, x, y, q)
 
 
 # syllable normal forms: nonzero exponents on alternating generators
@@ -98,10 +98,11 @@ def test_act_on_syllables_matches_letterwise_oracle(syllables, x, y, q):
     text = "".join(g * e if e > 0 else g.lower() * -e for g, e in syllables)
     if q is not None:
         x, y = x % q, y % q
-    expect = Vec2(*act_letterwise(text, x, y, q), q)
-    p = Vec2(x, y, q)
-    assert act(Word(text), p) == expect
-    assert act(parse(" ".join(f"{g}^{e}" for g, e in syllables)), p) == expect
+    for w in (Word(text), parse(" ".join(f"{g}^{e}" for g, e in syllables))):
+        if q is None:
+            assert act(w, Vec2(x, y)) == Vec2(*act_letterwise(text, x, y))
+        else:
+            assert act_ints(w, x, y, q) == act_letterwise(text, x, y, q)
 
 
 def test_act_equals_affine_evaluation():
@@ -142,7 +143,7 @@ def test_marked_point_validation():
     with pytest.raises(ValueError):
         MarkedPoint(3, Vec2(3, 2))
     with pytest.raises(ValueError):
-        MarkedPoint(0, Vec2(0, 1, 5))
+        MarkedPoint(0, Vec2(1, 0))
 
 
 def test_witness_word_base_cases():
@@ -327,13 +328,6 @@ def test_loop_check_examples():
     assert not loop_check(Word("U"), ORIGIN)
     assert not loop_check(DEFAULT_WITNESS, ORIGIN)
     assert not loop_check(Word("UV"), ORIGIN)
-
-
-def test_loop_check_respects_modulus():
-    # the witness translates the origin by (-4, 4), a loop mod 2 and 4 only
-    assert loop_check(DEFAULT_WITNESS, Vec2(0, 0, 2))
-    assert loop_check(DEFAULT_WITNESS, Vec2(0, 0, 4))
-    assert not loop_check(DEFAULT_WITNESS, Vec2(0, 0, 3))
 
 
 def test_loop_check_matches_direct_action():

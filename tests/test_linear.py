@@ -18,11 +18,25 @@ from parabolic.linear import (
 )
 from parabolic.words import EMPTY, Word, concat, enumerate_reduced, invert
 
-from oracles import act_letterwise, eval_word_m3, freeness_sweep_dfs, translation_m3
+from oracles import (
+    M3_IDENTITY,
+    act_letterwise,
+    eval_word_m3,
+    freeness_sweep_dfs,
+    m3_mul,
+    translation_m3,
+)
+
+IDENTITY = Mat2(1, 0, 0, 1)
 
 
 def _words_up_to(max_len):
     return list(enumerate_reduced(max_len))
+
+
+def _lift(m):
+    """The 3x3 block matrix of the linear map m, with zero translation."""
+    return AffineElement(Vec2(0, 0), m).matrix3()
 
 
 def _random_word(rng, length):
@@ -49,55 +63,47 @@ def test_mat2_det_guard():
 
 def test_mat2_inverse():
     m = Mat2(3, 2, 4, 3)
-    assert m * m.inverse() == Mat2.identity()
-    assert m.inverse() * m == Mat2.identity()
+    assert m3_mul(_lift(m), _lift(m.inverse())) == M3_IDENTITY
+    assert m3_mul(_lift(m.inverse()), _lift(m)) == M3_IDENTITY
 
 
-def test_vec2_modulus_normalisation():
-    v = Vec2(7, -3, 5)
-    assert (v.x, v.y) == (2, 2)
-    assert Vec2(1, 2) + Vec2(3, 4) == Vec2(4, 6)
-    assert Vec2(1, 2, 5) + Vec2(3, 4) == Vec2(4, 1, 5)
-    with pytest.raises(ValueError):
-        Vec2(1, 2, 3) + Vec2(1, 2, 5)
-    with pytest.raises(ValueError):
-        Vec2(0, 0, 1)
+def test_vec2_is_exact():
+    # coordinates are kept as given; a residue is not a point
+    v = Vec2(7, -3)
+    assert (v.x, v.y) == (7, -3)
+    assert v == Vec2(7, -3) and hash(v) == hash(Vec2(7, -3)) and v != Vec2(2, 2)
+    with pytest.raises(TypeError):
+        Vec2(1, 2, 3)
 
 
 def test_affine_compose_example():
-    prod = U_AFF * V_AFF
-    assert prod.linear == Mat2(5, 2, 2, 1)
-    assert prod.translation == Vec2(1, 1)
-    assert U_AFF * AffineElement.identity() == U_AFF
+    prod = m3_mul(U_AFF.matrix3(), V_AFF.matrix3())
+    assert prod == AffineElement(Vec2(1, 1), Mat2(5, 2, 2, 1)).matrix3()
+    assert AffineElement(Vec2(0, 0), IDENTITY).matrix3() == M3_IDENTITY
 
 
 def test_affine_apply_examples():
     origin = Vec2(0, 0)
     assert U_AFF.apply(origin) == Vec2(0, 1)
     assert V_AFF.apply(origin) == Vec2(1, 0)
-    assert AffineElement.identity().apply(Vec2(9, -4)) == Vec2(9, -4)
+    assert AffineElement(Vec2(0, 0), IDENTITY).apply(Vec2(9, -4)) == Vec2(9, -4)
 
 
 def test_affine_inverse():
-    for g in (U_AFF, V_AFF, U_AFF * V_AFF, V_AFF.inverse() * U_AFF):
-        assert g * g.inverse() == AffineElement.identity()
-        assert g.inverse() * g == AffineElement.identity()
-
-
-def test_affine_rejects_residue_translation():
-    with pytest.raises(ValueError):
-        AffineElement(Vec2(0, 1, 5), Mat2.identity())
+    for g in (U_AFF, V_AFF, eval_affine(Word("UV")), eval_affine(Word("vU"))):
+        assert m3_mul(g.matrix3(), g.inverse().matrix3()) == M3_IDENTITY
+        assert m3_mul(g.inverse().matrix3(), g.matrix3()) == M3_IDENTITY
 
 
 def test_eval_linear_examples():
     assert eval_linear(Word("U")) == U_MAT
-    assert eval_linear(EMPTY) == Mat2.identity()
+    assert eval_linear(EMPTY) == IDENTITY
     assert eval_linear(Word("UV")) == Mat2(5, 2, 2, 1)
 
 
 def test_eval_affine_examples():
     assert eval_affine(Word("U")) == U_AFF
-    assert eval_affine(EMPTY) == AffineElement.identity()
+    assert eval_affine(EMPTY) == AffineElement(Vec2(0, 0), IDENTITY)
     inv = eval_affine(Word("u"))
     assert inv.translation == Vec2(2, -1)
     assert inv.linear == Mat2(1, -2, 0, 1)
@@ -118,19 +124,25 @@ def test_eval_matches_3x3_oracle():
 def test_inverse_letters_are_inverse_matrices():
     for c in "UV":
         assert linear._CHAR_MAT[c.lower()] == linear._CHAR_MAT[c].inverse()
-        assert linear._CHAR_MAT[c] * linear._CHAR_MAT[c.lower()] == Mat2.identity()
+        product = m3_mul(_lift(linear._CHAR_MAT[c]), _lift(linear._CHAR_MAT[c.lower()]))
+        assert product == M3_IDENTITY
         assert linear._CHAR_AFF[c.lower()] == linear._CHAR_AFF[c].inverse()
 
 
 def test_eval_homomorphism_exhaustive():
+    # the linear block of a product of affine matrices is the product of
+    # their linear parts, so one 3x3 product per pair checks both
+    # evaluations; the pairs (w1, EMPTY) pin eval_linear(w1) to the linear
+    # part of eval_affine(w1)
     words = _words_up_to(5)
-    lin = {w.text: eval_linear(w) for w in words}
-    aff = {w.text: eval_affine(w) for w in words}
+    aff = {w.text: eval_affine(w).matrix3() for w in words}
     for w1 in words:
         for w2 in words:
             w = concat(w1, w2)
-            assert eval_linear(w) == lin[w1.text] * lin[w2.text]
-            assert eval_affine(w) == aff[w1.text] * aff[w2.text]
+            m3 = m3_mul(aff[w1.text], aff[w2.text])
+            assert eval_affine(w).matrix3() == m3
+            lin = eval_linear(w)
+            assert ((lin.a, lin.b), (lin.c, lin.d)) == (m3[0][:2], m3[1][:2])
 
 
 def test_eval_homomorphism_random_longer():
@@ -139,8 +151,10 @@ def test_eval_homomorphism_random_longer():
         w1 = _random_word(rng, rng.randint(6, 14))
         w2 = _random_word(rng, rng.randint(6, 14))
         w = concat(w1, w2)
-        assert eval_linear(w) == eval_linear(w1) * eval_linear(w2)
-        assert eval_affine(w) == eval_affine(w1) * eval_affine(w2)
+        lin = m3_mul(_lift(eval_linear(w1)), _lift(eval_linear(w2)))
+        aff = m3_mul(eval_affine(w1).matrix3(), eval_affine(w2).matrix3())
+        assert _lift(eval_linear(w)) == lin
+        assert eval_affine(w).matrix3() == aff
 
 
 def test_eval_inverse_words():
@@ -160,14 +174,10 @@ def test_apply_composition_associates():
         g = eval_affine(_random_word(rng, 6))
         h = eval_affine(_random_word(rng, 6))
         p = Vec2(rng.randint(-50, 50), rng.randint(-50, 50))
-        assert (g * h).apply(p) == g.apply(h.apply(p))
-
-
-def test_apply_respects_modulus():
-    g = U_AFF * V_AFF
-    p = Vec2(3, 4, 5)
-    exact = g.apply(Vec2(3, 4))
-    assert g.apply(p) == Vec2(exact.x, exact.y, 5)
+        # the last column of (g h) t_p is (g h) applied to p
+        gh_p = m3_mul(m3_mul(g.matrix3(), h.matrix3()), AffineElement(p, IDENTITY).matrix3())
+        r = g.apply(h.apply(p))
+        assert (gh_p[0][2], gh_p[1][2]) == (r.x, r.y)
 
 
 def test_cocycle_examples():
@@ -182,8 +192,8 @@ def test_cocycle_identity_exhaustive():
     for w1 in words:
         for w2 in words:
             w = concat(w1, w2)
-            expected = cocycle(w1) + eval_linear(w1).apply(cocycle(w2))
-            assert cocycle(w) == expected
+            c1, moved = cocycle(w1), eval_linear(w1).apply(cocycle(w2))
+            assert cocycle(w) == Vec2(c1.x + moved.x, c1.y + moved.y)
 
 
 def test_cocycle_paths_agree():
@@ -253,7 +263,7 @@ def test_freeness_sweep_matches_reference_sweep(monkeypatch, order):
         w = res.counterexample
         assert Word(w.text) == w  # Word refuses text that is not reduced
         assert 0 < len(w) <= max_len
-        assert eval_linear(w) == Mat2.identity()
+        assert eval_linear(w) == IDENTITY
         # the words counted as checked hold no relation
         certified = next(k for k in range(max_len + 1) if 2 * (3**k - 1) == res.words_checked)
         assert certified < len(w) and freeness_sweep_dfs(certified, letters)[0]

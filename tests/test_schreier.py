@@ -10,7 +10,7 @@ from oracles import (
     schreier_generators_letterwise,
 )
 
-from parabolic.action import DEFAULT_WITNESS, ORIGIN, act, marked_point
+from parabolic.action import DEFAULT_WITNESS, ORIGIN, act, act_ints, marked_point
 from parabolic.linear import Vec2
 from parabolic.schreier import (
     NO_EDGE,
@@ -50,7 +50,7 @@ def test_mod_2_graph():
     g = build_mod_q(2)
     assert len(g) == 4
     assert g.modulus == 2 and g.base == 0 and g.fully_complete
-    assert [(v.x, v.y) for v in g.vertices] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(g.points) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert {c: list(m) for c, m in g.edges.items()} == {
         "U": [1, 0, 3, 2], "V": [2, 3, 0, 1], "u": [1, 0, 3, 2], "v": [2, 3, 0, 1]
     }
@@ -135,7 +135,7 @@ def test_ball_depth_zero():
 
 def test_ball_depth_one():
     b = build_ball(1)
-    assert [(v.x, v.y) for v in b.vertices] == [(0, 0), (0, 1), (1, 0), (2, -1), (-1, 2)]
+    assert list(b.points) == [(0, 0), (0, 1), (1, 0), (2, -1), (-1, 2)]
     assert list(map(bool, b.complete)) == [True, False, False, False, False]
     assert sorted(b.positive_edges()) == [(0, "U", 1), (0, "V", 2), (3, "U", 0), (4, "V", 0)]
     assert _none_for_no_edge(b.edges["u"]) == [3, 0, None, None, None]
@@ -194,11 +194,10 @@ def test_trace_follows_action():
     g = build_mod_q(5)
     b = build_ball(6)
     for w in enumerate_reduced(5):
-        expect = act(w, Vec2(0, 0, 5))
-        assert g.vertices[trace(g, w, g.base)] == expect
+        assert g.points[trace(g, w, g.base)] == act_ints(w, 0, 0, 5)
         t = trace(b, w, b.base)
         if t is not None:
-            assert b.vertices[t] == act(w, ORIGIN)
+            assert Vec2(*b.points[t]) == act(w, ORIGIN)
 
 
 def _partial_path():
@@ -388,7 +387,7 @@ def test_certified_core_frozen_counts():
 def test_certified_core_points_sit_on_the_line():
     b = build_ball(7)
     rep = certified_core(b, DEFAULT_WITNESS)
-    pts = sorted((b.vertices[v].x, b.vertices[v].y) for v in rep.core_vertices)
+    pts = sorted(b.points[v] for v in rep.core_vertices)
     assert pts == [(-2, 3), (-1, 2), (0, 1), (1, 0), (2, -1), (3, -2)]
     for n in (0, 1):
         p = marked_point(n).point
@@ -400,10 +399,7 @@ def test_certified_core_monotone_in_depth():
     prev_pts: set[tuple[int, int]] = set()
     for d in range(2, 13):
         b = build_ball(d)
-        pts = {
-            (b.vertices[v].x, b.vertices[v].y)
-            for v in certified_core(b, DEFAULT_WITNESS).core_vertices
-        }
+        pts = {b.points[v] for v in certified_core(b, DEFAULT_WITNESS).core_vertices}
         assert prev_pts <= pts
         prev_pts = pts
 
@@ -570,7 +566,7 @@ def test_graph_rejects_wrong_vertex_modulus():
 def test_graph_refuses_points_other_than_pairs():
     for bad, modulus in (
         (Vec2(0, 0), None),
-        (Vec2(0, 0, 3), 3),
+        (Vec2(0, 0), 3),
         ([0, 0], None),
         ((0, 0, 0), None),
     ):
@@ -640,7 +636,7 @@ def test_vertex_reads_keep_no_vec2():
 def test_vertices_is_an_indexed_view():
     g = build_mod_q(7)
     assert len(g.vertices) == len(g)
-    assert g.vertices[1] == Vec2(*g.points[1], 7)
+    assert g.vertices[1] == Vec2(*g.points[1])
     with pytest.raises(TypeError):
         g.vertices[0:2]
 
