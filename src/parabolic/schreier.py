@@ -30,7 +30,7 @@ import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 
 from .action import step
 from .linear import Vec2
@@ -43,6 +43,10 @@ _MAX_BALL_DEPTH = 13
 _MAX_GRAPH_MODULUS = 2048
 
 _DOT_COLORS = {"U": "#1f77b4", "V": "#d62728"}
+
+# bytes.translate table from a count of edges met to a complete flag:
+# 4 -> 1, anything else -> 0
+_MET_FOUR_TIMES = bytes(i == 4 for i in range(256))
 
 
 class _PointView:
@@ -243,38 +247,66 @@ def _orbit_mod_q(q: int) -> tuple[_PointView, list[int], list[int]]:
     come from ranks.stabilizer_index.  Raises ValueError for
     q > _MAX_GRAPH_MODULUS before the q*q id table is allocated; at the
     guard the table has 2^22 slots.
+
+    The search keeps each point only as its code x * q + y, in discovery
+    order, and the xs and ys columns are decoded from those codes once,
+    after it, as code // q and code % q.  Each letter moves one coordinate
+    by +-1 and the other by an amount that depends on the first alone, so
+    its code comes from two tables indexed by that coordinate: for U, adding
+    u_shift[y] = 2y * q and reducing mod q^2 moves x to x + 2y mod q, and
+    adding u_step[y] = (y + 1) mod q - y then moves y to y + 1 mod q; for V,
+    v_row[x] = (x + 1 mod q) * q is the new row and y + v_shift[x] = y + 2x,
+    reduced mod q, the new column.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     if q > _MAX_GRAPH_MODULUS:
         raise ValueError(f"q {q} exceeds the guard {_MAX_GRAPH_MODULUS}")
-    # lists during the search, as CPython indexes them fastest; points are
-    # encoded as x * q + y
-    ids = [-1] * (q * q)
-    order = [0]
+    qq = q * q
+    u_shift = [2 * y * q for y in range(q)]
+    u_step = [(y + 1) % q - y for y in range(q)]
+    back_u_shift = [(2 - 2 * y) * q % qq for y in range(q)]
+    back_u_step = [(y - 1) % q - y for y in range(q)]
+    v_row = [(x + 1) % q * q for x in range(q)]
+    v_shift = [2 * x % q for x in range(q)]
+    back_v_row = [(x - 1) % q * q for x in range(q)]
+    back_v_shift = [(2 - 2 * x) % q for x in range(q)]
+    # lists during the search, as CPython indexes them fastest; order grows
+    # while it is read, and the read reaches every point appended
+    ids = [-1] * qq
     ids[0] = 0
-    xs: list[int] = []
-    ys: list[int] = []
+    order = [0]
     succ_u: list[int] = []
     succ_v: list[int] = []
-    i = 0
-    while i < len(order):
-        code = order[i]
-        i += 1
-        x, y = divmod(code, q)
-        xs.append(x)
-        ys.append(y)
-        a = ((x + 2 * y) % q) * q + (y + 1) % q
-        b = ((x + 1) % q) * q + (2 * x + y) % q
-        c = ((x - 2 * y + 2) % q) * q + (y - 1) % q
-        d = ((x - 1) % q) * q + (y - 2 * x + 2) % q
-        for t in (a, b, c, d):
-            if ids[t] < 0:
-                ids[t] = len(order)
-                order.append(t)
-        succ_u.append(ids[a])
-        succ_v.append(ids[b])
-    return _PointView(array("i", xs), array("i", ys)), succ_u, succ_v
+    for code in order:
+        y = code % q
+        x = code // q
+        a = (code + u_shift[y]) % qq + u_step[y]
+        b = v_row[x] + (y + v_shift[x]) % q
+        c = (code + back_u_shift[y]) % qq + back_u_step[y]
+        d = back_v_row[x] + (y + back_v_shift[x]) % q
+        t = ids[a]
+        if t < 0:
+            t = ids[a] = len(order)
+            order.append(a)
+        succ_u.append(t)
+        t = ids[b]
+        if t < 0:
+            t = ids[b] = len(order)
+            order.append(b)
+        succ_v.append(t)
+        if ids[c] < 0:
+            ids[c] = len(order)
+            order.append(c)
+        if ids[d] < 0:
+            ids[d] = len(order)
+            order.append(d)
+    # the constructor builds its own id table, so this one goes first, to
+    # lower the peak
+    del ids
+    xs = array("i", map(operator.floordiv, order, repeat(q)))
+    ys = array("i", map(operator.mod, order, repeat(q)))
+    return _PointView(xs, ys), succ_u, succ_v
 
 
 def build_mod_q(q: int) -> OrbitalGraph:
@@ -288,46 +320,68 @@ def build_ball(depth: int) -> OrbitalGraph:
 
     Edges are recorded whenever both endpoints were explored; a vertex is
     complete iff all four neighbours were explored.
+
+    Every letter changes x + y by an odd amount: U by 2y + 1, V by 2x + 1,
+    U^-1 by 1 - 2y and V^-1 by 1 - 2x.  So the orbital graph is bipartite
+    and no edge joins two points of one distance layer: each edge of the
+    last layer leads back into the layer before it.  The search of that
+    layer keeps the ids of all four neighbours of each point, and the last
+    layer's edges and complete flags are read off them, with no lookup of
+    their own; a last-layer vertex is complete iff four such edges meet it.
+    The last layer is about two thirds of the ball.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if depth > _MAX_BALL_DEPTH:
         raise ValueError(f"depth {depth} exceeds the guard {_MAX_BALL_DEPTH}")
     index = {(0, 0): 0}
-    points = [(0, 0)]
+    add = index.setdefault
     succ_u: list[int | None] = []
     succ_v: list[int | None] = []
-    # points are read in discovery order, one distance layer at a time; each
-    # layer before the last adds all four neighbours (letter order U, V,
-    # U^-1, V^-1), so its vertices are complete and by the time the last
-    # layer is read every point of the ball is known
+    # points are read in discovery order, one distance layer at a time from
+    # its first id; each layer before the last adds all four neighbours
+    # (letter order U, V, U^-1, V^-1), so its vertices are complete and by
+    # the time the last layer is reached every point of the ball is known.
+    # setdefault gives a neighbour's id, numbering it next when it is new;
+    # back_u and back_v keep the U^-1 and V^-1 ids of the layer searched,
+    # and stay empty at depth 0.
+    first = 0
+    back_u = back_v = array("i")
     for _ in range(depth):
-        for x, y in islice(points, len(succ_u), len(points)):
-            a = (x + 2 * y, y + 1)
-            b = (x + 1, 2 * x + y)
-            for p in (a, b, (x - 2 * y + 2, y - 1), (x - 1, y - 2 * x + 2)):
-                if p not in index:
-                    index[p] = len(points)
-                    points.append(p)
-            succ_u.append(index[a])
-            succ_v.append(index[b])
-    complete = bytearray(b"\x01") * len(succ_u)
-    get = index.get
-    for x, y in islice(points, len(succ_u), len(points)):
-        a = get((x + 2 * y, y + 1))
-        b = get((x + 1, 2 * x + y))
-        succ_u.append(a)
-        succ_v.append(b)
-        complete.append(
-            a is not None
-            and b is not None
-            and (x - 2 * y + 2, y - 1) in index
-            and (x - 1, y - 2 * x + 2) in index
-        )
+        first = len(succ_u)
+        back_u = array("i")
+        back_v = array("i")
+        for x, y in list(islice(index, first, None)):
+            succ_u.append(add((x + 2 * y, y + 1), len(index)))
+            succ_v.append(add((x + 1, 2 * x + y), len(index)))
+            back_u.append(add((x - 2 * y + 2, y - 1), len(index)))
+            back_v.append(add((x - 1, y - 2 * x + 2), len(index)))
+    # layer depth - 1 has the ids first..last-1.  A last-layer edge
+    # t -U-> s is found there as U^-1(s) = t, and likewise for V; for an
+    # inner t that is the edge already stored.  met counts the edges of
+    # layer depth - 1 meeting each vertex.  The writes go to the layers on
+    # either side, so the layer's own successors are read in place, and
+    # its ids come off the index, so the edges share its int objects.
+    last = len(succ_u)
+    n = len(index)
+    succ_u.extend(repeat(None, n - last))
+    succ_v.extend(repeat(None, n - last))
+    met = bytearray(n)
+    layer = islice(index.values(), first, last)
+    for s, a, b, c, d in zip(
+        layer, islice(succ_u, first, last), islice(succ_v, first, last), back_u, back_v
+    ):
+        succ_u[c] = s
+        succ_v[d] = s
+        met[a] += 1
+        met[b] += 1
+        met[c] += 1
+        met[d] += 1
+    complete = bytearray(b"\x01") * last + met[last:].translate(_MET_FOUR_TIMES)
     # the graph keeps this index, keyed by the point tuples in discovery
     # order, as its own instead of building a second dict over them; the
-    # list of the same tuples goes first, to lower the peak
-    del points, get
+    # search's own columns go first, to lower the peak
+    del back_u, back_v, met
     return OrbitalGraph(index, succ_u, succ_v, complete)
 
 
@@ -569,14 +623,14 @@ def export_json(g: OrbitalGraph) -> str:
 
 
 def check_edge_consistency(g: OrbitalGraph) -> None:
-    """Audit that every stored edge matches the affine action, and that a
-    complete vertex has all four incident edges.  Each point is stepped
-    exactly, and the image reduced mod q on a mod-q graph.  Raises on any
-    mismatch."""
+    """Audit that every stored edge, in all four letter columns, matches the
+    affine action, and that a complete vertex has all four incident edges.
+    Each point is stepped exactly by action.step, and the image reduced mod q
+    on a mod-q graph.  Raises on any mismatch."""
     points, q = g.points, g.modulus
     for vid, (x, y) in enumerate(points):
         v = Vec2(x, y)
-        for c in _GEN_CHARS:
+        for c in "UVuv":
             expected = step(c, v)
             image = (expected.x, expected.y) if q is None else (expected.x % q, expected.y % q)
             tgt = g.edges[c][vid]

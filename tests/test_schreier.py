@@ -8,6 +8,7 @@ from oracles import (
     core_by_stripping,
     mod_q_letterwise,
     schreier_generators_letterwise,
+    step_point,
 )
 
 from parabolic.action import DEFAULT_WITNESS, ORIGIN, act, act_ints, marked_point
@@ -92,7 +93,7 @@ def test_vertex_id_reduces_mod_q():
 
 def test_mod_q_matches_letterwise_bfs():
     # vertex order is part of the output contract, for every q, not only q = 7
-    for q in range(2, 31):
+    for q in [*range(2, 31), 64, 211, 256]:
         g = build_mod_q(q)
         points, succ_u, succ_v = mod_q_letterwise(q)
         assert list(g.points) == points, q
@@ -160,13 +161,31 @@ def test_ball_edges_match_action():
 
 
 def test_ball_matches_letterwise_bfs():
-    for d in range(7):
+    # the last layer is filled from the layer before it, so every depth is
+    # checked, up to a ball of 25k vertices
+    for d in range(10):
         b = build_ball(d)
         points, succ_u, succ_v, complete = ball_letterwise(d)
         assert list(b.points) == points
         assert _none_for_no_edge(b.edges["U"]) == succ_u
         assert _none_for_no_edge(b.edges["V"]) == succ_v
         assert list(map(bool, b.complete)) == complete
+
+
+def test_every_letter_flips_the_parity_of_x_plus_y():
+    # U, V, U^-1, V^-1 change x + y by 2y + 1, 2x + 1, 1 - 2y and 1 - 2x,
+    # so the orbital graph is bipartite: build_ball reads its last layer off
+    # the layer before it on that ground
+    for c in "UVuv":
+        for x in range(-3, 4):
+            for y in range(-3, 4):
+                nx, ny = step_point(c, x, y)
+                assert (nx + ny - x - y) % 2 == 1, (c, x, y)
+    b = build_ball(9)
+    parity = [(x + y) % 2 for x, y in b.points]
+    for c, column in b.edges.items():
+        for src, tgt in enumerate(column):
+            assert tgt < 0 or parity[src] != parity[tgt], (src, c, tgt)
 
 
 def test_marked_point_graph_distances():
@@ -659,8 +678,20 @@ def test_vertices_is_an_indexed_view():
             lambda: export_json(build_ball(3)),
             "921945057801b93c34a8f2ac202288766aa81502c6d14a31629212310d8baa1e",
         ),
+        (
+            lambda: export_json(build_ball(9)),
+            "801affb21414593dd209e3f34aa6bcab63602ab2d8b162d2be1f2fc1952adbb2",
+        ),
+        (
+            lambda: export_json(build_mod_q(64)),
+            "ff1584a0dcd15d0994b028203bdbcb7559630be5c7ae1e19208d8bfc34de9951",
+        ),
+        (
+            lambda: export_json(build_mod_q(211)),
+            "0db7f27d306bc8fba6fe5c8db2f807b2b85cd9e11599d023a870bf3841f96e10",
+        ),
     ],
-    ids=["json-mod-7", "dot-ball-4", "json-ball-3"],
+    ids=["json-mod-7", "dot-ball-4", "json-ball-3", "json-ball-9", "json-mod-64", "json-mod-211"],
 )
 def test_export_bytes_are_pinned(build, digest):
     # vertex ids and edge order are part of the output contract
@@ -695,3 +726,16 @@ def test_edge_consistency_catches_tampering():
     assert h.fully_complete
     with pytest.raises(AssertionError, match="edge 2 -U-> 2 disagrees"):
         check_edge_consistency(h)
+
+
+def test_edge_consistency_audits_the_inverse_columns():
+    # the last layer's edges are written from the inverse side, so a wrong
+    # u entry of a last-layer vertex must be caught as well
+    g = build_ball(4)
+    check_edge_consistency(g)
+    inner = len(build_ball(3))
+    vid = next(v for v in range(inner, len(g)) if g.edges["u"][v] >= 0)
+    # the base lies at distance 4 from every last-layer vertex
+    g.edges["u"][vid] = 0
+    with pytest.raises(AssertionError, match=f"edge {vid} -u-> 0 disagrees"):
+        check_edge_consistency(g)
