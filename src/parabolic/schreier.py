@@ -518,7 +518,10 @@ def spanning_tree_generators(g: OrbitalGraph) -> list[Word]:
     exactly n + 1 words come out.  Each tree word t_v is kept as a syllable
     tuple next to the tuple of its inverse, both extended by one syllable,
     or one merge, when v is reached; each loop is then three tuples joined
-    with one syllable merge per junction.
+    with one syllable merge per junction.  The one-syllable tuples
+    ((G, e),) and ((G, -e),) of each letter are built once and shared by
+    every tree step that adds a syllable, so a step allocates only the two
+    joined tuples.
     """
     if not g.fully_complete:
         raise ValueError("spanning_tree_generators needs a fully complete graph")
@@ -533,46 +536,59 @@ def spanning_tree_generators(g: OrbitalGraph) -> list[Word]:
     size = [0] * n
     via: list[str | None] = [None] * n
     tree[g.base] = inv[g.base] = ()
-    letters = [(c, m, c.upper(), 1 if c in _GEN_CHARS else -1) for c, m in edges.items()]
+    # (letter, column, generator, exponent, ((generator, exponent),),
+    # ((generator, -exponent),)): the last two start a tree word and end
+    # its inverse when the step adds a syllable
+    letters = []
+    for c, m in edges.items():
+        gen = c.upper()
+        e = 1 if c == gen else -1
+        letters.append((c, m, gen, e, ((gen, e),), ((gen, -e),)))
     queue = [g.base]
     for p in queue:
         word = tree[p]
         back = inv[p]
-        for c, m, gen, e in letters:
+        first = word[0] if word else (None, 0)
+        grown = size[p] + 1
+        for c, m, gen, e, head, tail in letters:
             t = m[p]
             if tree[t] is not None:
                 continue
             # word starts with the letter into p, whose inverse leads back to
             # p's parent, which is already in the tree; so this merge adds,
             # and so does the mirror merge at the end of the inverse
-            if word and word[0][0] == gen:
-                tree[t] = ((gen, word[0][1] + e),) + word[1:]
+            if first[0] == gen:
+                tree[t] = ((gen, first[1] + e),) + word[1:]
                 inv[t] = back[:-1] + ((gen, back[-1][1] - e),)
             else:
-                tree[t] = ((gen, e),) + word
-                inv[t] = back + ((gen, -e),)
-            size[t] = size[p] + 1
+                tree[t] = head + word
+                inv[t] = back + tail
+            size[t] = grown
             via[t] = c
             queue.append(t)
     out = []
-    for p in range(n):
-        for c in _GEN_CHARS:
-            t = edges[c][p]
-            # the edge p -c-> t is in the tree when it was walked forward into
-            # t or backward into p
-            if via[t] == c or via[p] == c.lower():
-                continue
-            head = inv[t]
-            tail = tree[p]
-            e = 1
-            if head and head[-1][0] == c:
-                e += _junction(head[-1][1], p, c, t)
-                head = head[:-1]
-            if tail and tail[0][0] == c:
-                e += _junction(tail[0][1], p, c, t)
-                tail = tail[1:]
-            out.append(Word._from_syllables(head + ((c, e),) + tail, size[t] + 1 + size[p]))
+    for p, (tu, tv) in enumerate(zip(edges["U"], edges["V"])):
+        # the edge p -c-> t is in the tree when it was walked forward into t
+        # or backward into p
+        into = via[p]
+        if via[tu] != "U" and into != "u":
+            out.append(_loop(inv[tu], "U", tree[p], p, tu, size[tu] + 1 + size[p]))
+        if via[tv] != "V" and into != "v":
+            out.append(_loop(inv[tv], "V", tree[p], p, tv, size[tv] + 1 + size[p]))
     return out
+
+
+def _loop(head: tuple, c: str, tail: tuple, p: int, t: int, length: int) -> Word:
+    # the word t_t^-1 c t_p of the non-tree edge p -c-> t, with c merged into
+    # the syllable it meets at either junction
+    e = 1
+    if head and head[-1][0] == c:
+        e += _junction(head[-1][1], p, c, t)
+        head = head[:-1]
+    if tail and tail[0][0] == c:
+        e += _junction(tail[0][1], p, c, t)
+        tail = tail[1:]
+    return Word._from_syllables(head + ((c, e),) + tail, length)
 
 
 def _junction(exponent: int, p: int, c: str, t: int) -> int:

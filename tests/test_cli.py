@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -22,6 +23,7 @@ from parabolic.words import Word
 _GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "golden")
 
 _FAST = ["--n-max", "5", "--q-max", "5", "--depth", "4", "--sweep-len", "3"]
+_TINY = dict(n_max=20, q_max=12, depth=5, sweep_len=5)
 
 _CHECK_IDS = [
     "freeness-sweep",
@@ -71,8 +73,56 @@ def test_run_verification_parameter_guards():
 def test_tiny_report_matches_golden_file():
     with open(os.path.join(_GOLDEN_DIR, "verification_tiny.json"), encoding="utf-8") as fh:
         golden = fh.read()
-    report = run_verification(n_max=20, q_max=12, depth=5, sweep_len=5)
+    report = run_verification(**_TINY)
     assert report.to_json() == golden
+
+
+def test_run_verification_restores_an_enabled_collector():
+    assert gc.isenabled()
+    assert run_verification(**_TINY).all_passed
+    assert gc.isenabled()
+
+
+def test_run_verification_leaves_a_disabled_collector_off():
+    gc.disable()
+    try:
+        assert run_verification(**_TINY).all_passed
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_run_verification_restores_the_collector_when_a_check_raises(monkeypatch):
+    paused = []
+
+    def broken(q):
+        paused.append(not gc.isenabled())
+        raise RuntimeError("synthetic")
+
+    monkeypatch.setattr(verify, "build_mod_q", broken)
+    assert gc.isenabled()
+    report = run_verification(**_TINY)
+    assert gc.isenabled()
+    assert paused == [True, True]  # once per check that builds a mod-q graph
+    failed = {c.id: c.details for c in report.checks if c.status == "fail"}
+    assert failed == {
+        "schreier-generators": "RuntimeError: synthetic",
+        "membership-oracle": "RuntimeError: synthetic",
+    }
+
+
+def test_run_verification_leaves_no_cyclic_garbage():
+    # the run pauses the collector because what it allocates holds no
+    # reference cycle; a cycle made by a later check shows up here first
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert run_verification(**_TINY).all_passed
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize(
