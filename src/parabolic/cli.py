@@ -110,9 +110,12 @@ def _cmd_core(args) -> int:
         rep = core_exact(g)
     else:
         rep = certified_core(g, witness)
-    ids = sorted(rep.core_vertices)
-    points = [g.points[i] for i in ids]
+    # only the points printed are read: an exact core is every vertex, so
+    # its ids need no sort and its points are read in one pass
+    every = len(rep.core_vertices) == len(g.points)
+    ids = range(len(g.points)) if every else sorted(rep.core_vertices)
     if args.format == "json":
+        points = list(g.points) if every else [g.points[i] for i in ids]
         # the layout json.dumps(..., indent=2) prints, with the vertex list
         # written in one join rather than encoded value by value
         vertices = "[]"
@@ -133,8 +136,8 @@ def _cmd_core(args) -> int:
         if rep.witness is not None:
             print(f"witness = {_format_word(rep.witness)}")
         print(f"count = {len(ids)}")
-        shown = ", ".join(f"({x}, {y})" for x, y in points[:12])
-        more = "" if len(points) <= 12 else f" ... and {len(points) - 12} more"
+        shown = ", ".join(f"({x}, {y})" for x, y in map(g.points.__getitem__, ids[:12]))
+        more = "" if len(ids) <= 12 else f" ... and {len(ids) - 12} more"
         print(f"vertices = {shown}{more}")
     return 0
 
@@ -266,14 +269,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_parser(parser: argparse.ArgumentParser, name: str):
+    """The subparser of command `name`, or None if no command has that name."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices.get(name)
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """The namespace the top-level parser gives argv (sys.argv[1:] if None),
+    or its exit.  argv that starts with a command is parsed by that
+    command's subparser alone, the parser the top-level one would hand the
+    rest to.  Anything else, and arguments the subparser leaves over, goes
+    through the top-level parser, which answers or reports them."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = _command_parser(_parser, argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.  May be called repeatedly in
     one process: the parser depends on no argv, and each call parses into a
     fresh namespace and computes its answer anew."""
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parse(argv)
     try:
         return args.fn(args)
     except (ValueError, OverflowError, OSError) as exc:

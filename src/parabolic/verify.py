@@ -1,6 +1,29 @@
 """The verification run: each desk-scale claim re-derived by one check of
 CHECKS.  The report serializes to byte-identical JSON across runs with
 equal parameters.
+
+The paths each check's values are computed on, independently of each other:
+
+    check                paths
+    -------------------  ---------------------------------------------------
+    freeness-sweep       the meet-in-the-middle sweep of matrix products
+    orbit-witnesses      act, one syllable on each predecessor's endpoint
+    line-loops           act; the affine maps eval_affine multiplies out
+    core-growth,         certified_core_depths; at the top depth also
+    core-line-points     certified_core, on the same ball
+    abelianization       the Smith normal form of the relation matrix,
+                         against the closed form Z^2 x (Z/2)^2
+    stabilizer-index,    the V-cycle label count stabilizer_index; for
+    rank-bound           q <= 50 also the breadth-first orbit mod q, whose
+                         spanning tree schreier-generators counts
+    schreier-generators  the spanning-tree count against the label count;
+                         each generator walked mod q by membership
+    membership-oracle    a loop at the base of the mod-q graph; the
+                         vanishing of the translation cocycle
+
+Some checks still rest on one path: stabilizer-index and rank-bound for
+50 < q <= q_max, orbit-witnesses, freeness-sweep, and core-growth below
+the top depth (and core-line-points, which reads the same evidence).
 """
 
 from __future__ import annotations
@@ -14,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .action import DEFAULT_WITNESS, act, loop_check, marked_point, witness_sweep
-from .linear import cocycle, freeness_sweep
+from .linear import cocycle, eval_affine, freeness_sweep
 from .ranks import (
     _MAX_COUNT_MODULUS,
     abelianization,
@@ -151,14 +174,23 @@ def _witnesses(p: dict, ev: dict) -> str:
 
 
 def _line_loops(p: dict, ev: dict) -> str:
+    # two paths: act walks each word's syllables on the point, and the
+    # affine map eval_affine multiplies out of the letters is applied to it
     n_max = p["n_max"]
     swap = Word("uV")
+    swap_map = eval_affine(swap)
+    loop_map = eval_affine(DEFAULT_WITNESS)
     for n in range(-n_max, n_max + 1):
         pt = marked_point(n).point
-        if act(swap, pt) != marked_point(1 - n).point:
+        image = marked_point(1 - n).point
+        if act(swap, pt) != image:
             raise AssertionError(f"U^-1 V at marked point {n}")
+        if swap_map.apply(pt) != image:
+            raise AssertionError(f"affine map of U^-1 V at marked point {n}")
         if not loop_check(DEFAULT_WITNESS, pt):
             raise AssertionError(f"witness loop open at marked point {n}")
+        if loop_map.apply(pt) != pt:
+            raise AssertionError(f"affine map of the witness loop moves marked point {n}")
     return f"checked marked points |n| <= {n_max}"
 
 

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,28 @@ def test_schreier_generators_fail_on_a_generator_off_the_stabilizer(monkeypatch)
     assert set(failed) == {"schreier-generators"}
     assert failed["schreier-generators"].startswith("AssertionError: generator ")
     assert failed["schreier-generators"].endswith(" escapes the stabilizer mod 7")
+
+
+@pytest.mark.parametrize(
+    "path, tampered_word, details",
+    [
+        ("act", "uV", "U^-1 V at marked point -20"),
+        ("loop_check", "uVuV", "witness loop open at marked point -20"),
+        ("eval_affine", "uV", "affine map of U^-1 V at marked point -20"),
+        ("eval_affine", "uVuV", "affine map of the witness loop moves marked point -20"),
+    ],
+)
+def test_line_loops_fail_when_one_path_is_tampered(monkeypatch, path, tampered_word, details):
+    real = getattr(verify, path)
+
+    def tampered(w, *pt):
+        # one more V on the left of the word, on this path alone
+        return real(Word("V" + w.text) if w.text == tampered_word else w, *pt)
+
+    monkeypatch.setattr(verify, path, tampered)
+    report = run_verification(**_TINY)
+    failed = {c.id: c.details for c in report.checks if c.status == "fail"}
+    assert failed == {"line-loops": f"AssertionError: {details}"}
 
 
 def test_report_json_shape():
@@ -718,3 +741,92 @@ def test_one_shot_commands_exit_cleanly_on_any_argv(argv):
         assert lines and "error:" in lines[-1], argv
     else:
         assert not lines, argv
+
+
+# ---------------------------------------------------------------- dispatch
+
+
+@st.composite
+def _edge_argv(draw):
+    """_cli_argv, or one of its argv respelled at argparse's edges."""
+    argv = draw(_cli_argv())
+    edit = draw(
+        st.sampled_from(
+            [
+                None, "help", "equals", "abbrev", "repeat", "dashdash", "positional",
+                "unknown", "bare", "empty", "unknown command", "top-level",
+            ]
+        )
+    )
+    at = draw(st.integers(1, len(argv)))
+    options = [i for i, a in enumerate(argv) if a.startswith("--") and i + 1 < len(argv)]
+    if edit == "help":
+        argv.insert(at, draw(st.sampled_from(["-h", "--help", "--he"])))
+    elif edit == "equals" and options:
+        i = draw(st.sampled_from(options))
+        argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    elif edit == "abbrev" and options:
+        # --wo for --word, --n-m for --n-max, or the whole option
+        i = draw(st.sampled_from(options))
+        argv[i] = argv[i][: draw(st.integers(3, len(argv[i])))]
+    elif edit == "repeat" and options:
+        i = draw(st.sampled_from(options))
+        argv += argv[i : i + 2]
+    elif edit == "dashdash":
+        argv.insert(at, "--")
+    elif edit == "positional":
+        argv.append(draw(st.sampled_from(["junk", "5", "-3", "uV"])))
+    elif edit == "unknown":
+        argv.insert(at, draw(st.sampled_from(["--bogus", "-x", "--bogus=1", "--formats"])))
+    elif edit == "bare":
+        argv = argv[:1]
+    elif edit == "empty":
+        argv = []
+    elif edit == "unknown command":
+        argv[0] = draw(st.sampled_from(["frobnicate", "ran", "Rank", "", "-", "--"]))
+    elif edit == "top-level":
+        argv.insert(0, draw(st.sampled_from(["-h", "--help", "--", "-x"])))
+    return argv
+
+
+def _through(parse, argv):
+    """(exit code or None, stdout, stderr, namespace or None) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns, code = vars(parse(argv)), None
+        except SystemExit as exc:
+            ns, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), ns
+
+
+def _main_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_edge_argv())
+def test_command_subparser_answers_like_the_top_level_parser(argv):
+    parsed = _through(cli._parse, argv)
+    # the parser main() holds, parsing the whole argv itself
+    assert parsed == _through(cli._parser.parse_args, argv), argv
+    # main with no command's subparser to hand argv to
+    with mock.patch.object(cli, "_command_parser", lambda parser, name: None):
+        full = _main_outcome(argv)
+    assert _main_outcome(argv) == full, argv
+    assert full[0] in (0, 1, 2), argv
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["parabolic", "rank", "--q", "5", "junk"])
+    code, out, err = _outcome(capsys, None)
+    usage = cli._parser.format_usage()
+    assert (code, out, err) == (2, "", usage + "parabolic: error: unrecognized arguments: junk\n")
+    monkeypatch.setattr(sys, "argv", ["parabolic", "rank", "--q", "5"])
+    assert _outcome(capsys, None) == _outcome(capsys, ["rank", "--q", "5"])

@@ -11,7 +11,7 @@ from oracles import (
     step_point,
 )
 
-from parabolic.action import DEFAULT_WITNESS, ORIGIN, act, act_ints, marked_point
+from parabolic.action import DEFAULT_WITNESS, ORIGIN, act, act_ints, marked_point, witness_length
 from parabolic.linear import Vec2
 from parabolic.schreier import (
     NO_EDGE,
@@ -153,6 +153,19 @@ def test_ball_depth_guards():
         build_ball(-1)
     with pytest.raises(ValueError, match="exceeds the guard 13"):
         build_ball(14)
+
+
+def test_marked_points_first_appear_at_their_witness_length():
+    # the graph distance of marked point n from the origin is witness_length(n)
+    # for -2 <= n <= 3; this is the range balls of depth <= 10 certify, and
+    # nothing is claimed beyond it
+    first = {n: witness_length(n) for n in range(-2, 4)}
+    assert first == {-2: 5, -1: 1, 0: 1, 1: 1, 2: 1, 3: 5}
+    for d in range(11):
+        ball = build_ball(d)
+        for n in range(-2, 4):
+            assert (ball.vertex_id((n, 1 - n)) is not None) == (d >= first[n]), (d, n)
+        assert ball.vertex_id((-3, 4)) is None and ball.vertex_id((4, -3)) is None, d
 
 
 def test_ball_edges_match_action():
