@@ -21,9 +21,9 @@ ORIGIN = Vec2(0, 0)
 DEFAULT_WITNESS = Word("uVuV")
 
 
-def step(char: str, p: Vec2) -> Vec2:
+def step(char: str, p: tuple[int, int]) -> Vec2:
     """Apply a single letter to a point.  Reference path for everything else."""
-    x, y = p.x, p.y
+    x, y = p
     if char == "U":
         nx, ny = x + 2 * y, y + 1
     elif char == "u":
@@ -37,13 +37,13 @@ def step(char: str, p: Vec2) -> Vec2:
     return Vec2(nx, ny)
 
 
-def generator_power(gen: str, m: int, p: Vec2) -> Vec2:
-    """Apply the m-th power of one generator in closed form.
+def generator_power(gen: str, m: int, p: tuple[int, int]) -> Vec2:
+    """Apply the m-th power of one generator to a point in closed form.
 
     alpha^m(x, y) = (x + 2my + m(m-1), y + m)
     beta^m(x, y)  = (x + m, y + 2mx + m(m-1))
     """
-    x, y = p.x, p.y
+    x, y = p
     if gen == "U":
         nx, ny = x + 2 * m * y + m * (m - 1), y + m
     elif gen == "V":
@@ -71,10 +71,10 @@ def act_ints(w: Word, x: int, y: int, q: int | None = None) -> tuple[int, int]:
     return x, y
 
 
-def act(w: Word, p: Vec2) -> Vec2:
-    """Apply a word to a point, rightmost syllable first: act_ints on the
-    point's coordinates."""
-    return Vec2(*act_ints(w, p.x, p.y))
+def act(w: Word, p: tuple[int, int]) -> Vec2:
+    """Apply a word to a point (x, y), rightmost syllable first: act_ints on
+    its coordinates."""
+    return Vec2(*act_ints(w, *p))
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class MarkedPoint:
     point: Vec2
 
     def __post_init__(self):
-        if (self.point.x, self.point.y) != (self.n, 1 - self.n):
+        if self.point != (self.n, 1 - self.n):
             raise ValueError(f"marked point {self.n} must be ({self.n}, {1 - self.n})")
 
 
@@ -199,8 +199,8 @@ def witness_sweep(n_max: int) -> Iterator[WitnessSchedule]:
         yield sched
 
 
-def loop_check(w: Word, p: Vec2) -> bool:
-    """True iff the nonempty word w fixes p."""
+def loop_check(w: Word, p: tuple[int, int]) -> bool:
+    """True iff the nonempty word w fixes the point p."""
     if w.is_identity():
         raise ValueError("loop_check needs a nonempty word")
     return act(w, p) == p

@@ -48,10 +48,11 @@ def _cmd_verify(args) -> int:
     if out_path is None:
         out_dir = os.environ.get(OUTPUT_DIR_ENV, ".")
         out_path = os.path.join(out_dir, "verification.json")
+    encoded = report.to_json()
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+        fh.write(encoded)
     if args.format == "json":
-        sys.stdout.write(report.to_json())
+        sys.stdout.write(encoded)
     else:
         sys.stdout.write(report.to_text())
         print(f"report written to {out_path}")
@@ -68,7 +69,7 @@ def _cmd_orbit(args) -> int:
                 "n": sched.n,
                 "word": sched.word.text,
                 "length": len(sched.word),
-                "endpoint": [endpoint.x, endpoint.y],
+                "endpoint": endpoint,
                 "verified": True,
             }
         )

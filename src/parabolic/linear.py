@@ -9,31 +9,29 @@ first (see the action module).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import Word, _NEXT_LETTERS, concat, invert
 
 
-class Vec2:
-    """Exact integer column vector.  Residues mod q are not points: the
-    mod-q kernels take q as an explicit argument on plain ints."""
+class Vec2(NamedTuple):
+    """Exact integer point: equals, hashes and unpacks as its pair (x, y),
+    but + and * raise TypeError rather than concatenate or repeat.  Residues
+    mod q are not points: the mod-q kernels take q as an argument on plain ints."""
 
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: int, y: int):
-        self.x = x
-        self.y = y
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Vec2) and self.x == other.x and self.y == other.y
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
+    x: int
+    y: int
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
 
     def __repr__(self) -> str:
         return f"Vec2({self.x}, {self.y})"
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
 
 
 class Mat2:
@@ -49,8 +47,9 @@ class Mat2:
     def inverse(self) -> Mat2:
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def apply(self, p: Vec2) -> Vec2:
-        return Vec2(self.a * p.x + self.b * p.y, self.c * p.x + self.d * p.y)
+    def apply(self, p: tuple[int, int]) -> Vec2:
+        x, y = p
+        return Vec2(self.a * x + self.b * y, self.c * x + self.d * y)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -80,12 +79,12 @@ class AffineElement:
 
     def inverse(self) -> AffineElement:
         inv = self.linear.inverse()
-        t = inv.apply(self.translation)
-        return AffineElement(Vec2(-t.x, -t.y), inv)
+        x, y = inv.apply(self.translation)
+        return AffineElement(Vec2(-x, -y), inv)
 
-    def apply(self, p: Vec2) -> Vec2:
-        moved = self.linear.apply(p)
-        return Vec2(moved.x + self.translation.x, moved.y + self.translation.y)
+    def apply(self, p: tuple[int, int]) -> Vec2:
+        x, y = self.linear.apply(p)
+        return Vec2(x + self.translation.x, y + self.translation.y)
 
     def matrix3(self) -> tuple[tuple[int, int, int], ...]:
         m, t = self.linear, self.translation

@@ -14,7 +14,7 @@ from math import gcd
 from typing import Sequence
 
 from .action import act_ints
-from .linear import U_MAT, V_MAT, Vec2
+from .linear import U_MAT, V_MAT
 from .words import Word
 
 
@@ -183,9 +183,9 @@ def lattice_relation_matrix(q: int) -> list[list[int]]:
         raise ValueError(f"q must be >= 2, got {q}")
     cols = []
     for mat in (U_MAT, V_MAT):
-        for basis in (Vec2(q, 0), Vec2(0, q)):
-            img = mat.apply(basis)
-            dx, dy = img.x - basis.x, img.y - basis.y
+        for bx, by in ((q, 0), (0, q)):
+            x, y = mat.apply((bx, by))
+            dx, dy = x - bx, y - by
             if dx % q or dy % q:
                 raise AssertionError("lattice image left the lattice")
             cols.append((dx // q, dy // q))

@@ -11,11 +11,11 @@ a missing edge, so every reader tests `< 0` before it indexes.  The points
 are two array('i') columns, xs and ys, and `complete` is a bytearray.  A
 mod-q graph finds a point through a dense table of q^2 ids keyed by
 x * q + y (-1 off the orbit); a ball keeps a dict keyed by (x, y) tuples.
-Points are (x, y) tuples in and out: the constructor takes them, `points`
-is a read-only view reading one tuple per indexed read, `vertex_id` takes a
-tuple, and `vertices` makes one Vec2 per indexed read; a Vec2 carries no
-modulus, so on a mod-q graph it holds residues.  Exports list the positive
-(U, V) edges only.  Two builders are provided: the full orbit of
+Points are (x, y) pairs in and out, tuples or Vec2 alike: the constructor
+and `vertex_id` take either, and `points` is a read-only view making one
+Vec2 per indexed read, residues on a mod-q graph, and yielding plain tuples
+when iterated; `vertices` is another name for it.  Exports list the
+positive (U, V) edges only.  Two builders are provided: the full orbit of
 (0, 0) modulo q, and the exact ball of given radius around (0, 0) in the
 infinite orbit.  A vertex of a partial graph is flagged complete when all
 four of its neighbours lie in the explored region, which is what core
@@ -50,8 +50,8 @@ _MET_FOUR_TIMES = bytes(i == 4 for i in range(256))
 
 
 class _PointView:
-    """Read-only view of a graph's points: len, an indexed read gives an
-    (x, y) tuple, and iteration yields tuples."""
+    """Read-only view of a graph's points: len, an indexed read makes one
+    Vec2 and keeps none, and iteration yields plain (x, y) tuples."""
 
     __slots__ = ("_xs", "_ys")
 
@@ -62,41 +62,24 @@ class _PointView:
     def __len__(self) -> int:
         return len(self._xs)
 
-    def __getitem__(self, vid: int) -> tuple[int, int]:
+    def __getitem__(self, vid: int) -> Vec2:
         i = operator.index(vid)
-        return self._xs[i], self._ys[i]
+        return Vec2(self._xs[i], self._ys[i])
 
     def __iter__(self):
         return zip(self._xs, self._ys)
 
 
-class _Vec2View:
-    """Read-only view of a graph's points as Vec2, one made per indexed
-    read."""
-
-    __slots__ = ("_points",)
-
-    def __init__(self, points: _PointView):
-        self._points = points
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __getitem__(self, vid: int) -> Vec2:
-        x, y = self._points[vid]
-        return Vec2(x, y)
-
-
 def _columns(points, modulus: int | None) -> tuple[array, array]:
-    """The points as xs and ys columns.  Each must be an (x, y) tuple, and a
-    point of a mod-q graph must lie in [0, q)^2.  A _PointView hands over
-    its columns as they are."""
+    """The points as xs and ys columns.  Each must be an (x, y) pair, a tuple
+    or a Vec2, and a point of a mod-q graph must lie in [0, q)^2.  A
+    _PointView hands over its columns as they are."""
     if type(points) is _PointView:
         xs, ys = points._xs, points._ys
     else:
-        if not ({*map(type, points)} <= {tuple} and {*map(len, points)} <= {2}):
-            bad = next(p for p in points if type(p) is not tuple or len(p) != 2)
-            raise ValueError(f"point {bad!r} is not an (x, y) tuple")
+        if not ({*map(type, points)} <= {tuple, Vec2} and {*map(len, points)} <= {2}):
+            bad = next(p for p in points if type(p) not in (tuple, Vec2) or len(p) != 2)
+            raise ValueError(f"point {bad!r} is not an (x, y) pair")
         # a letter takes m = max(|x|, |y|) to at most 3m + 2, so m + 1 at
         # most triples and a ball point has |x|, |y| <= 3^depth - 1; at
         # depth 13 that is 1,594,322, far below 2^31.  Past 32 bits array
@@ -141,7 +124,7 @@ class OrbitalGraph:
     or NO_EDGE.  Only the U and V successors are passed in, as sequences with
     None for a missing edge, and u and v are filled as their inverses; per
     generator each vertex has at most one outgoing and one incoming edge, as
-    in a folded Stallings graph.  points are (x, y) tuples in and out.
+    in a folded Stallings graph.  points are (x, y) pairs in and out.
     build_ball alone passes a dict as points, its own point -> id index in
     discovery order, which the graph keeps instead of building another.
 
@@ -192,8 +175,7 @@ class OrbitalGraph:
                 raise ValueError("a point index must number its points 0..n-1 in order")
             self._index = points
         elif modulus is None:
-            # keyed by the caller's tuples when it passes tuples, so a ball
-            # keeps one tuple per point
+            # keyed by the caller's own pairs, one kept per point
             self._index = dict(zip(points, range(n)))
             if len(self._index) != n:
                 raise ValueError("duplicate vertex points")
@@ -207,17 +189,16 @@ class OrbitalGraph:
                 index[code] = vid
 
     @property
-    def vertices(self) -> _Vec2View:
-        """The points as Vec2, one made per indexed read and none kept; on a
-        mod-q graph each holds the residues of its point."""
-        return _Vec2View(self.points)
+    def vertices(self) -> _PointView:
+        """Another name for points, which bench/workload_graphs.py reads."""
+        return self.points
 
     def __len__(self) -> int:
         return len(self.points)
 
     def vertex_id(self, point: tuple[int, int]) -> int | None:
-        """Id of the point (x, y), reduced mod q on a mod-q graph; None if
-        the point is not a vertex."""
+        """Id of the point (x, y), a tuple or a Vec2, reduced mod q on a mod-q
+        graph; None if the point is not a vertex."""
         x, y = point
         q = self.modulus
         if q is None:
@@ -644,15 +625,14 @@ def check_edge_consistency(g: OrbitalGraph) -> None:
     Each point is stepped exactly by action.step, and the image reduced mod q
     on a mod-q graph.  Raises on any mismatch."""
     points, q = g.points, g.modulus
-    for vid, (x, y) in enumerate(points):
-        v = Vec2(x, y)
+    for vid, p in enumerate(points):
         for c in "UVuv":
-            expected = step(c, v)
-            image = (expected.x, expected.y) if q is None else (expected.x % q, expected.y % q)
+            x, y = step(c, p)
+            image = (x, y) if q is None else (x % q, y % q)
             tgt = g.edges[c][vid]
             if tgt >= 0 and points[tgt] != image:
                 raise AssertionError(
-                    f"edge {vid} -{c}-> {tgt} disagrees with the action at {v}"
+                    f"edge {vid} -{c}-> {tgt} disagrees with the action at {p}"
                 )
         if g.complete[vid] and g.degree(vid) != 4:
             raise AssertionError(f"complete vertex {vid} is missing incident edges")

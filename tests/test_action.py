@@ -20,7 +20,7 @@ from parabolic.action import (
     witness_sweep,
     witness_word,
 )
-from parabolic.linear import Vec2, eval_affine
+from parabolic.linear import U_MAT, Vec2, eval_affine, eval_linear
 from parabolic.words import EMPTY, Word, enumerate_reduced, parse
 
 from oracles import act_letterwise, step_point
@@ -48,7 +48,28 @@ def test_step_matches_oracle():
     for _ in range(500):
         p = Vec2(rng.randint(-100, 100), rng.randint(-100, 100))
         for ch in "UVuv":
-            assert step(ch, p) == Vec2(*step_point(ch, p.x, p.y))
+            assert step(ch, p) == step_point(ch, *p)
+
+
+def test_point_maps_agree_on_tuple_and_vec2():
+    # a Vec2 is its pair, so each map gives one Vec2 for either
+    rng = random.Random(29)
+    for _ in range(200):
+        w = _random_word(rng, rng.randint(1, 12))
+        c, m = rng.choice("UVuv"), rng.randint(-5, 5)
+        x, y = rng.randint(-100, 100), rng.randint(-100, 100)
+        for f in (
+            lambda p: step(c, p),
+            lambda p: generator_power(c.upper(), m, p),
+            lambda p: act(w, p),
+            eval_linear(w).apply,
+            eval_affine(w).apply,
+        ):
+            got = f((x, y))
+            assert type(got) is Vec2 and f(Vec2(x, y)) == got
+        assert loop_check(w, (x, y)) == loop_check(w, Vec2(x, y))
+    assert loop_check(DEFAULT_WITNESS, (0, 1)) and loop_check(DEFAULT_WITNESS, Vec2(0, 1))
+    assert U_MAT.apply((1, 1)) == U_MAT.apply(Vec2(1, 1)) == (3, 1)
 
 
 def test_act_examples():
@@ -69,7 +90,7 @@ def test_act_equals_letterwise_oracle():
     for _ in range(400):
         w = _random_word(rng, rng.randint(0, 40))
         p = Vec2(rng.randint(-1000, 1000), rng.randint(-1000, 1000))
-        assert act(w, p) == Vec2(*act_letterwise(w.text, p.x, p.y))
+        assert act(w, p) == act_letterwise(w.text, *p)
 
 
 def test_act_equals_letterwise_oracle_mod():
@@ -100,7 +121,7 @@ def test_act_on_syllables_matches_letterwise_oracle(syllables, x, y, q):
         x, y = x % q, y % q
     for w in (Word(text), parse(" ".join(f"{g}^{e}" for g, e in syllables))):
         if q is None:
-            assert act(w, Vec2(x, y)) == Vec2(*act_letterwise(text, x, y))
+            assert act(w, (x, y)) == act_letterwise(text, x, y)
         else:
             assert act_ints(w, x, y, q) == act_letterwise(text, x, y, q)
 

@@ -76,6 +76,21 @@ def test_vec2_is_exact():
         Vec2(1, 2, 3)
 
 
+def test_vec2_is_its_pair():
+    # a Vec2 and an (x, y) tuple name one point, in a dict or a set too
+    v = Vec2(7, -3)
+    assert v == (7, -3) and (7, -3) == v and v != (-3, 7)
+    assert hash(v) == hash((7, -3))
+    assert {(7, -3): "p"}[v] == "p" and {v: "p"}[(7, -3)] == "p"
+    x, y = v
+    assert (x, y) == (7, -3) and tuple(v) == (7, -3)
+    # a point is not a tuple to concatenate or repeat
+    for op in (lambda: v + v, lambda: v + (1, 2), lambda: v * 2, lambda: 2 * v):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+    assert str(v) == "(7, -3)" and repr(v) == "Vec2(7, -3)"
+
+
 def test_affine_compose_example():
     prod = m3_mul(U_AFF.matrix3(), V_AFF.matrix3())
     assert prod == AffineElement(Vec2(1, 1), Mat2(5, 2, 2, 1)).matrix3()
@@ -177,7 +192,7 @@ def test_apply_composition_associates():
         # the last column of (g h) t_p is (g h) applied to p
         gh_p = m3_mul(m3_mul(g.matrix3(), h.matrix3()), AffineElement(p, IDENTITY).matrix3())
         r = g.apply(h.apply(p))
-        assert (gh_p[0][2], gh_p[1][2]) == (r.x, r.y)
+        assert (gh_p[0][2], gh_p[1][2]) == r
 
 
 def test_cocycle_examples():
@@ -198,16 +213,14 @@ def test_cocycle_identity_exhaustive():
 
 def test_cocycle_paths_agree():
     for w in _words_up_to(6):
-        c = cocycle(w)
-        assert (c.x, c.y) == translation_m3(w.text)
+        assert cocycle(w) == translation_m3(w.text)
 
 
 def test_cocycle_matches_action_on_origin():
     rng = random.Random(23)
     for _ in range(300):
         w = _random_word(rng, rng.randint(0, 15))
-        c = cocycle(w)
-        assert (c.x, c.y) == act_letterwise(w.text, 0, 0)
+        assert cocycle(w) == act_letterwise(w.text, 0, 0)
 
 
 def test_freeness_sweep_small():

@@ -114,11 +114,16 @@ def test_vertex_id_misses_every_point_off_the_orbit():
         assert [g.vertex_id(p) for p in g.points] == list(range(len(g)))
 
 
-def test_vertex_id_refuses_vec2():
-    # a tuple-keyed lookup would answer None for a Vec2; it raises instead
-    for g in (build_mod_q(2), build_ball(2)):
-        with pytest.raises(TypeError):
-            g.vertex_id(Vec2(0, 1))
+def test_vertex_id_takes_a_vec2_as_its_pair():
+    # a Vec2 is its (x, y) pair, so it finds the vertex the tuple finds, or
+    # none; a mod-q graph reduces either first
+    for g in (build_mod_q(7), build_ball(3)):
+        for x in range(-3, 9):
+            for y in range(-3, 9):
+                assert g.vertex_id(Vec2(x, y)) == g.vertex_id((x, y))
+        assert g.vertex_id(Vec2(0, 1)) == 1
+        # an indexed read of points is a Vec2
+        assert all(g.vertex_id(g.points[vid]) == vid for vid in range(len(g)))
 
 
 # ---------------------------------------------------------------- balls
@@ -208,7 +213,6 @@ def test_marked_point_graph_distances():
 
     def distance_known(n):
         p = marked_point(n).point
-        p = (p.x, p.y)
         return next((d for d in sorted(balls) if balls[d].vertex_id(p) is not None), None)
 
     for n in (-1, 0, 1, 2):
@@ -229,7 +233,7 @@ def test_trace_follows_action():
         assert g.points[trace(g, w, g.base)] == act_ints(w, 0, 0, 5)
         t = trace(b, w, b.base)
         if t is not None:
-            assert Vec2(*b.points[t]) == act(w, ORIGIN)
+            assert b.points[t] == act(w, ORIGIN)
 
 
 def _partial_path():
@@ -423,7 +427,7 @@ def test_certified_core_points_sit_on_the_line():
     assert pts == [(-2, 3), (-1, 2), (0, 1), (1, 0), (2, -1), (3, -2)]
     for n in (0, 1):
         p = marked_point(n).point
-        assert b.vertex_id((p.x, p.y)) in rep.core_vertices
+        assert b.vertex_id(p) in rep.core_vertices
 
 
 def test_certified_core_monotone_in_depth():
@@ -596,14 +600,14 @@ def test_graph_rejects_wrong_vertex_modulus():
 
 
 def test_graph_refuses_points_other_than_pairs():
-    for bad, modulus in (
-        (Vec2(0, 0), None),
-        (Vec2(0, 0), 3),
-        ([0, 0], None),
-        ((0, 0, 0), None),
-    ):
+    for bad, modulus in (([0, 0], None), ([0, 0], 3), ((0, 0, 0), None)):
         with pytest.raises(ValueError, match="not an"):
             OrbitalGraph([bad], [None], [None], [True], modulus=modulus)
+    # a Vec2 is a pair: a graph of Vec2 points is the graph of their tuples
+    for modulus in (None, 3):
+        g = OrbitalGraph([Vec2(0, 0), (1, 2)], [1, 0], [None] * 2, [False] * 2, modulus=modulus)
+        assert list(g.points) == [(0, 0), (1, 2)]
+        assert g.vertex_id((0, 0)) == 0 and g.vertex_id(Vec2(1, 2)) == 1
 
 
 def test_graph_refuses_modulus_past_the_guard():
@@ -668,7 +672,9 @@ def test_vertex_reads_keep_no_vec2():
 def test_vertices_is_an_indexed_view():
     g = build_mod_q(7)
     assert len(g.vertices) == len(g)
-    assert g.vertices[1] == Vec2(*g.points[1])
+    assert g.vertices is g.points and type(g.vertices[1]) is Vec2
+    # iteration yields the plain pairs the exports unpack
+    assert {type(p) for p in g.points} == {tuple}
     with pytest.raises(TypeError):
         g.vertices[0:2]
 
