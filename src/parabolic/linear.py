@@ -16,8 +16,11 @@ from .words import Word, _NEXT_LETTERS, concat, invert
 
 class Vec2(NamedTuple):
     """Exact integer point: equals, hashes and unpacks as its pair (x, y),
-    but + and * raise TypeError rather than concatenate or repeat.  Residues
-    mod q are not points: the mod-q kernels take q as an argument on plain ints."""
+    but + and * raise TypeError rather than concatenate or repeat.  That
+    holds for + only with a Vec2 on the left: tuple.__add__ takes any tuple,
+    so (1, 2) + Vec2(3, 4) is (1, 2, 3, 4), and no __radd__ is consulted.
+    Residues mod q are not points: the mod-q kernels take q as an argument
+    on plain ints."""
 
     x: int
     y: int

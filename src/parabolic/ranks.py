@@ -64,8 +64,17 @@ def stabilizer_index(q: int) -> int:
     In a finite group every element has finite order, so every inverse is a
     positive power: U^-1 = U^(k-1) when U^k = 1.  The closure of (0, 0)
     under U and V alone is therefore the whole orbit under U, V and their
-    inverses.  The loop stops early only once |S| = q: then the orbit is all
-    of (Z/q)^2, which is exact.
+    inverses.
+
+    The loop stops as soon as |S| reaches the most labels the orbit can
+    have, so an early stop is exact: no label is left to find.  When 4 does
+    not divide q that most is q, the whole of (Z/q)^2.  When 4 | q it is
+    q // 2.  U and V have integer coefficients, so reducing mod 4 maps the
+    orbit of (0, 0) mod q into the orbit of (0, 0) mod 4, which holds 8 of
+    the 16 points (build_mod_q(4) has 8 vertices).  Each point mod 4 lifts to
+    (q/4)^2 points mod q, so the orbit mod q has at most 8 (q/4)^2 = q^2/2
+    points, that is at most q/2 V-cycles.  Were some such orbit smaller,
+    the stack would empty first and the smaller count would be returned.
 
     The work is at most q^2 label steps in O(q) memory.  Raises ValueError
     for q > _MAX_COUNT_MODULUS, which bounds the time.  build_mod_q's
@@ -80,6 +89,7 @@ def stabilizer_index(q: int) -> int:
     b = [(x + 2 * ax) % q for x, ax in enumerate(a)]  # x' = b_x + 2c mod q
     a2 = a + a
     residues = list(range(q)) * 2
+    most = q // 2 if q % 4 == 0 else q
     labels = {0}
     stack = [0]
     while stack:
@@ -91,7 +101,7 @@ def stabilizer_index(q: int) -> int:
         fresh = {shift[ax - a_image[bx]] for ax, bx in zip(a, b)} - labels
         if fresh:
             labels |= fresh
-            if len(labels) == q:
+            if len(labels) == most:
                 break
             stack.extend(fresh)
     return q * len(labels)

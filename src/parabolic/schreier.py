@@ -30,7 +30,7 @@ import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 
 from .action import step
 from .linear import Vec2
@@ -425,7 +425,8 @@ def certified_core(g: OrbitalGraph, witness: Word) -> CoreReport:
     seq = [g.edges[c] for c in reversed(witness.text)]
     found = []
     complete = g.complete
-    for v in range(len(g.points)):
+    # a walk from an incomplete vertex stops before its first step
+    for v in compress(range(len(g.points)), complete):
         cur = v
         for m in seq:
             if not complete[cur]:
@@ -472,7 +473,7 @@ def certified_core_depths(g: OrbitalGraph, depth: int, witness: Word) -> dict[in
         raise ValueError(f"a graph of {n} vertices is not the ball of depth {depth}")
     seq = [edges[c] for c in reversed(witness.text)]
     first = {}
-    for v in range(n):
+    for v in compress(range(n), complete):
         cur = v
         for m in seq:
             if not complete[cur]:

@@ -13,9 +13,11 @@ The paths each check's values are computed on, independently of each other:
     core-line-points     certified_core, on the same ball
     abelianization       the Smith normal form of the relation matrix,
                          against the closed form Z^2 x (Z/2)^2
-    stabilizer-index,    the V-cycle label count stabilizer_index; for
-    rank-bound           q <= 50 also the breadth-first orbit mod q, whose
-                         spanning tree schreier-generators counts
+    stabilizer-index,    the V-cycle label count stabilizer_index, which
+    rank-bound           stops at q labels, or at q // 2 when 4 | q (the
+                         orbit mod 4 bounds it); for q <= 50 also the
+                         breadth-first orbit mod q, whose spanning tree
+                         schreier-generators counts
     schreier-generators  the spanning-tree count against the label count;
                          each generator walked mod q by membership
     membership-oracle    a loop at the base of the mod-q graph; the

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -39,16 +40,32 @@ def test_stabilizer_index_small_values():
 
 
 def test_stabilizer_index_matches_graph_size():
-    for q in range(2, 101):
-        assert stabilizer_index(q) == len(build_mod_q(q))
+    # every q to 100, and every 4 | q to 200, where the count stops at q // 2
+    for q in list(range(2, 101)) + list(range(104, 201, 4)):
+        assert stabilizer_index(q) == len(build_mod_q(q)), q
 
 
 def test_stabilizer_index_matches_four_letter_oracle():
     # every q in 2..64: the orbit is all of (Z/q)^2, where the kernel stops
     # as soon as every V-cycle is seen, except when 4 | q, where it is half
-    # and the kernel closes the label set in full
+    # and the kernel stops at q // 2 labels
     for q in range(2, 65):
         assert stabilizer_index(q) == orbit_size_mod_q(q)
+
+
+def test_stabilizer_index_stop_premise_at_4():
+    # the stop at q // 2 labels when 4 | q rests on the orbit mod 4 having 8
+    # of its 16 points, found here by the independent four-letter BFS
+    assert stabilizer_index(4) == orbit_size_mod_q(4) == 8
+
+
+@pytest.mark.parametrize("q", [4096, 4092])
+def test_stabilizer_index_stop_time_budget(q):
+    # 4 | q: the closure ends once it holds q // 2 labels, long before its
+    # stack is empty (the full closure takes over a second at these q)
+    start = time.perf_counter()
+    assert stabilizer_index(q) == q * q // 2
+    assert time.perf_counter() - start < 0.25
 
 
 def _label(x, y, q):
@@ -89,14 +106,17 @@ def test_stabilizer_index_closed_form():
 
 
 def test_stabilizer_index_memory_budget():
-    # O(q) lists and label sets: no q*q table at the largest q allowed
-    tracemalloc.start()
-    try:
-        assert stabilizer_index(4096) == 4096 * 4096 // 2
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 1024 * 1024
+    # O(q) lists and label sets: no q*q table at the largest q allowed.
+    # 4096 stops after a few labels; 4095 (4 does not divide it) meets all
+    # q labels, so it covers a full closure
+    for q in (4096, 4095):
+        tracemalloc.start()
+        try:
+            assert stabilizer_index(q) == (q * q if q % 4 else q * q // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024, q
 
 
 def test_stabilizer_index_at_least_q():
