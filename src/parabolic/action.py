@@ -10,7 +10,7 @@ witness_word(n) constructs an explicit word reaching each of them.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .linear import Vec2
 from .words import Word, concat
@@ -77,20 +77,18 @@ def act(w: Word, p: tuple[int, int]) -> Vec2:
     return Vec2(*act_ints(w, *p))
 
 
-@dataclass(frozen=True)
-class MarkedPoint:
-    """The point (n, 1 - n) on the invariant line x + y = 1."""
+class MarkedPoint(NamedTuple):
+    """The point (n, 1 - n) on the invariant line x + y = 1, named by n."""
 
     n: int
-    point: Vec2
 
-    def __post_init__(self):
-        if self.point != (self.n, 1 - self.n):
-            raise ValueError(f"marked point {self.n} must be ({self.n}, {1 - self.n})")
+    @property
+    def point(self) -> Vec2:
+        return Vec2(self.n, 1 - self.n)
 
 
 def marked_point(n: int) -> MarkedPoint:
-    return MarkedPoint(n, Vec2(n, 1 - n))
+    return MarkedPoint(n)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .ranks import (
     smith_normal_form,
     stabilizer_index,
 )
-from .schreier import build_ball, build_mod_q, certified_core, core_exact, export
+from .schreier import _json_list, build_ball, build_mod_q, certified_core, core_exact, export
 from .verify import run_verification
 from .words import Word, parse
 
@@ -105,6 +105,8 @@ def _cmd_core(args) -> int:
     # a bad witness is refused before the ball is built; mod q it is unused
     witness = parse(args.witness) if args.q is None else None
     if witness is not None:
+        if witness.is_identity():
+            raise ValueError("certified_core needs a nonempty witness word")
         _check_letters(len(witness))
     g = _build_graph_from_args(args)
     if args.q is not None:
@@ -119,10 +121,7 @@ def _cmd_core(args) -> int:
         points = list(g.points) if every else [g.points[i] for i in ids]
         # the layout json.dumps(..., indent=2) prints, with the vertex list
         # written in one join rather than encoded value by value
-        vertices = "[]"
-        if points:
-            rows = ",\n".join([f"    [\n      {x},\n      {y}\n    ]" for x, y in points])
-            vertices = f"[\n{rows}\n  ]"
+        vertices = _json_list([f"    [\n      {x},\n      {y}\n    ]" for x, y in points])
         witness = rep.witness.text if rep.witness else None
         print(
             "{\n"

@@ -3,7 +3,9 @@
 Everything is plain Python int arithmetic, so entries may grow without
 overflow.  A word evaluates with its leftmost letter as the leftmost factor;
 the corresponding action on points therefore applies the rightmost letter
-first (see the action module).
+first (see the action module).  _CHAR_AFF is the one table of the four
+letters: eval_affine multiplies its entries letter by letter, and
+eval_linear and freeness_sweep read their linear parts.
 """
 
 from __future__ import annotations
@@ -112,20 +114,7 @@ V_MAT = Mat2(1, 0, 2, 1)
 U_AFF = AffineElement(Vec2(0, 1), U_MAT)
 V_AFF = AffineElement(Vec2(1, 0), V_MAT)
 
-_CHAR_MAT = {"U": U_MAT, "V": V_MAT, "u": U_MAT.inverse(), "v": V_MAT.inverse()}
 _CHAR_AFF = {"U": U_AFF, "V": V_AFF, "u": U_AFF.inverse(), "v": V_AFF.inverse()}
-
-
-def eval_linear(w: Word) -> Mat2:
-    """Product of the letter matrices, leftmost letter leftmost.  The
-    product is kept as four plain ints, read off _CHAR_MAT letter by letter,
-    and one Mat2 is built at the end."""
-    a, b, c, d = 1, 0, 0, 1
-    for ch in w.text:
-        m = _CHAR_MAT[ch]
-        e, f, g, h = m.a, m.b, m.c, m.d
-        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-    return Mat2(a, b, c, d)
 
 
 def eval_affine(w: Word) -> AffineElement:
@@ -141,6 +130,12 @@ def eval_affine(w: Word) -> AffineElement:
         x, y = x + a * tx + b * ty, y + c * tx + d * ty
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     return AffineElement(Vec2(x, y), Mat2(a, b, c, d))
+
+
+def eval_linear(w: Word) -> Mat2:
+    """Product of the letter matrices, leftmost letter leftmost: the linear
+    part of eval_affine(w)."""
+    return eval_affine(w).linear
 
 
 def cocycle(w: Word) -> Vec2:
@@ -181,17 +176,15 @@ def freeness_sweep(max_len: int) -> FreenessSweepResult:
     missed.  That is 2 * 3^ceil(max_len/2) - 1 products, against one per
     word certified.
 
-    The letter matrices are read from _CHAR_MAT["U"] and _CHAR_MAT["V"] at
-    call time, and the inverse letters are their inverses.
+    The four letter matrices are the linear parts of the _CHAR_AFF entries,
+    read at call time.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     letters = {}
-    for ch in "UV":
-        m = _CHAR_MAT[ch]
-        inv = m.inverse()
+    for ch, el in _CHAR_AFF.items():
+        m = el.linear
         letters[ch] = (m.a, m.b, m.c, m.d)
-        letters[ch.lower()] = (inv.a, inv.b, inv.c, inv.d)
     keep, reach = max_len // 2, (max_len + 1) // 2
     # the kept products, each with the text of the first word that gave it
     seen = {(1, 0, 0, 1): ""}

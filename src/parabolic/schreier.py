@@ -25,7 +25,6 @@ has every edge.
 
 from __future__ import annotations
 
-import json
 import operator
 from array import array
 from bisect import bisect_right
@@ -607,17 +606,29 @@ def export_dot(g: OrbitalGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_list(rows: list[str]) -> str:
+    """A list of preformatted rows as json.dumps(..., indent=2) lays out the
+    value of a top-level key, in one join: "[]" when empty."""
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
 def export_json(g: OrbitalGraph) -> str:
-    obj = {
-        "modulus": g.modulus,
-        "base": g.base,
-        "vertices": [
-            {"id": i, "x": x, "y": y, "complete": bool(g.complete[i])}
-            for i, (x, y) in enumerate(g.points)
-        ],
-        "edges": [{"from": s, "to": t, "gen": gen} for s, gen, t in g.positive_edges()],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """The bytes json.dumps(..., indent=2) prints for the graph's vertices
+    and positive edges, with each row written by one f-string rather than
+    a dict per row encoded value by value."""
+    flag = ("false", "true")
+    vertices = _json_list([
+        f'    {{\n      "id": {i},\n      "x": {x},\n      "y": {y},\n'
+        f'      "complete": {flag[c]}\n    }}'
+        for i, ((x, y), c) in enumerate(zip(g.points, g.complete))
+    ])
+    edges = _json_list([
+        f'    {{\n      "from": {s},\n      "to": {t},\n      "gen": "{c}"\n    }}'
+        for s, c, t in g.positive_edges()
+    ])
+    modulus = "null" if g.modulus is None else g.modulus
+    head = f'{{\n  "modulus": {modulus},\n  "base": {g.base},\n'
+    return f'{head}  "vertices": {vertices},\n  "edges": {edges}\n}}\n'
 
 
 def check_edge_consistency(g: OrbitalGraph) -> None:

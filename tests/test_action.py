@@ -159,12 +159,12 @@ def test_marked_point_examples():
     assert marked_point(5).point == Vec2(5, -4)
 
 
-def test_marked_point_validation():
-    MarkedPoint(3, Vec2(3, -2))
-    with pytest.raises(ValueError):
-        MarkedPoint(3, Vec2(3, 2))
-    with pytest.raises(ValueError):
-        MarkedPoint(0, Vec2(1, 0))
+def test_marked_point_is_named_by_n():
+    # n is the only field, so no marked point can disagree with its point
+    assert MarkedPoint._fields == ("n",)
+    for n in range(-50, 51):
+        assert marked_point(n) == MarkedPoint(n)
+        assert marked_point(n).point == Vec2(n, 1 - n)
 
 
 def test_witness_word_base_cases():

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 from unittest import mock
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parabolic
-from parabolic import cli, verify
+from parabolic import action, cli, schreier, verify, words
 from parabolic.cli import OUTPUT_DIR_ENV, main
 from parabolic.schreier import build_ball, build_mod_q, certified_core, core_exact, export_json
 from parabolic.verify import CheckResult, VerificationReport, run_verification
@@ -420,6 +421,17 @@ def test_core_command_rejects_bad_witness(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_core_command_refuses_an_identity_witness_before_building(monkeypatch, capsys):
+    # "", U^0 and Uu all parse to the identity, which certifies nothing
+    def no_ball(depth):
+        raise AssertionError("the ball was built")
+
+    monkeypatch.setattr(cli, "build_ball", no_ball)
+    for witness in ("Uu", "", "U^0"):
+        assert main(["core", "--depth", "13", "--witness", witness]) == 2
+        assert capsys.readouterr().err == "error: certified_core needs a nonempty witness word\n"
+
+
 def test_member_command_refuses_word_too_long_to_print(capsys):
     # the JSON answer prints the word; the first has more letters than an
     # index holds, the second one more than the letter budget of 10^7
@@ -605,6 +617,31 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, monkeypatch, capsys):
     random.Random(11).shuffle(shuffled)
     for argv in order + shuffled:
         assert _outcome(capsys, argv) == fresh[tuple(argv)], argv
+
+
+def test_package_binds_only_the_names_the_benchmark_reads():
+    # bench/ reads these nine through the package; each is the object its
+    # module defines, so a rebinding tracer sees one function under two names
+    read = {
+        "DEFAULT_WITNESS": action.DEFAULT_WITNESS,
+        "Word": words.Word,
+        "build_ball": schreier.build_ball,
+        "build_mod_q": schreier.build_mod_q,
+        "certified_core": schreier.certified_core,
+        "core_exact": schreier.core_exact,
+        "is_loop_at_base": schreier.is_loop_at_base,
+        "run_verification": verify.run_verification,
+        "trace": schreier.trace,
+    }
+    for name, obj in read.items():
+        assert getattr(parabolic, name) is obj, name
+    assert parabolic.cli is cli
+    # besides those nine, the package binds only its submodules
+    rest = {
+        k for k, v in vars(parabolic).items()
+        if not k.startswith("_") and k not in read and not isinstance(v, types.ModuleType)
+    }
+    assert rest == set()
 
 
 def test_import_does_not_build_the_parser():

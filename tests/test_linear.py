@@ -138,10 +138,10 @@ def test_eval_matches_3x3_oracle():
 
 def test_inverse_letters_are_inverse_matrices():
     for c in "UV":
-        assert linear._CHAR_MAT[c.lower()] == linear._CHAR_MAT[c].inverse()
-        product = m3_mul(_lift(linear._CHAR_MAT[c]), _lift(linear._CHAR_MAT[c.lower()]))
-        assert product == M3_IDENTITY
-        assert linear._CHAR_AFF[c.lower()] == linear._CHAR_AFF[c].inverse()
+        el, inv = linear._CHAR_AFF[c], linear._CHAR_AFF[c.lower()]
+        assert inv == el.inverse()
+        assert m3_mul(el.matrix3(), inv.matrix3()) == M3_IDENTITY
+        assert m3_mul(inv.matrix3(), el.matrix3()) == M3_IDENTITY
 
 
 def test_eval_homomorphism_exhaustive():
@@ -244,8 +244,8 @@ def test_freeness_sweep_checks_every_reduced_word():
 
 def test_freeness_sweep_reports_a_relation(monkeypatch):
     # with U replaced by a rotation of order 4, U^4 is the identity; the sweep
-    # reads the letter matrices from _CHAR_MAT, so it must find the relation
-    monkeypatch.setitem(linear._CHAR_MAT, "U", Mat2(0, -1, 1, 0))
+    # reads the letter matrices from _CHAR_AFF, so it must find the relation
+    _patch_u(monkeypatch, 4)
     res = freeness_sweep(4)
     assert not res.passed and res.counterexample == Word("UUUU")
     assert 0 < res.words_checked <= 2 * (3**4 - 1)
@@ -256,16 +256,18 @@ _FINITE_ORDER_U = {3: Mat2(0, -1, 1, -1), 4: Mat2(0, -1, 1, 0), 6: Mat2(1, -1, 1
 
 
 def _patch_u(monkeypatch, order):
+    # the sweep and eval_linear both read the linear parts of _CHAR_AFF
     u = _FINITE_ORDER_U[order]
-    monkeypatch.setitem(linear._CHAR_MAT, "U", u)
-    monkeypatch.setitem(linear._CHAR_MAT, "u", u.inverse())
+    monkeypatch.setitem(linear._CHAR_AFF, "U", AffineElement(Vec2(0, 0), u))
+    monkeypatch.setitem(linear._CHAR_AFF, "u", AffineElement(Vec2(0, 0), u.inverse()))
 
 
 @pytest.mark.parametrize("order", [None, 3, 4, 6])
 def test_freeness_sweep_matches_reference_sweep(monkeypatch, order):
     if order is not None:
         _patch_u(monkeypatch, order)
-    letters = {c: (m.a, m.b, m.c, m.d) for c, m in linear._CHAR_MAT.items()}
+    lin = {c: el.linear for c, el in linear._CHAR_AFF.items()}
+    letters = {c: (m.a, m.b, m.c, m.d) for c, m in lin.items()}
     for max_len in range(9):
         res = freeness_sweep(max_len)
         passed, _, _ = freeness_sweep_dfs(max_len, letters)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import tracemalloc
 
@@ -715,6 +716,41 @@ def test_vertices_is_an_indexed_view():
 def test_export_bytes_are_pinned(build, digest):
     # vertex ids and edge order are part of the output contract
     assert hashlib.sha256(build().encode()).hexdigest() == digest
+
+
+def _export_json_by_dumps(g):
+    obj = {
+        "modulus": g.modulus,
+        "base": g.base,
+        "vertices": [
+            {"id": i, "x": x, "y": y, "complete": bool(g.complete[i])}
+            for i, (x, y) in enumerate(g.points)
+        ],
+        "edges": [{"from": s, "to": t, "gen": gen} for s, gen, t in g.positive_edges()],
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def test_export_json_bytes_match_json_dumps():
+    # export_json writes its rows by hand, in json.dumps' layout; depth 0 has
+    # no edges, so its edge list is "[]"
+    graphs = [build_ball(d) for d in range(6)] + [build_mod_q(q) for q in range(2, 21)]
+    for g in graphs:
+        assert export_json(g) == _export_json_by_dumps(g)
+    assert '"edges": []' in export_json(build_ball(0))
+
+
+def test_export_json_peak_is_a_few_times_its_output():
+    # one string per row and one join per list: about 7 MB of output for
+    # 32,768 vertices, where a dict per row encoded by json.dumps peaked at 13x
+    g = build_mod_q(256)
+    tracemalloc.start()
+    try:
+        out = export_json(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * len(out)
 
 
 def test_dot_output_shape():
