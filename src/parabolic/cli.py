@@ -109,16 +109,18 @@ def _cmd_core(args) -> int:
             raise ValueError("certified_core needs a nonempty witness word")
         _check_letters(len(witness))
     g = _build_graph_from_args(args)
-    if args.q is not None:
+    # only the points printed are read.  An exact core is range(n), every
+    # vertex in id order, so its ids need no sort and its points are read in
+    # one pass over the columns
+    exact = args.q is not None
+    if exact:
         rep = core_exact(g)
+        ids = rep.core_vertices
     else:
         rep = certified_core(g, witness)
-    # only the points printed are read: an exact core is every vertex, so
-    # its ids need no sort and its points are read in one pass
-    every = len(rep.core_vertices) == len(g.points)
-    ids = range(len(g.points)) if every else sorted(rep.core_vertices)
+        ids = sorted(rep.core_vertices)
     if args.format == "json":
-        points = list(g.points) if every else [g.points[i] for i in ids]
+        points = g.points if exact else map(g.points.__getitem__, ids)
         # the layout json.dumps(..., indent=2) prints, with the vertex list
         # written in one join rather than encoded value by value
         vertices = _json_list([f"    [\n      {x},\n      {y}\n    ]" for x, y in points])

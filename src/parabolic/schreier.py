@@ -29,7 +29,7 @@ import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, count, islice, repeat
 
 from .action import step
 from .linear import Vec2
@@ -37,9 +37,17 @@ from .words import Word
 
 NO_EDGE = -1
 
-_GEN_CHARS = ("U", "V")
 _MAX_BALL_DEPTH = 13
 _MAX_GRAPH_MODULUS = 2048
+# the smallest q * q id table that _orbit_mod_q keeps in array('i') columns
+# rather than lists.  Build time with the constructor, arrays over lists,
+# best of 5-9 on a 2-core Xeon VM with Python 3.11.7: 1.2-1.3x at q <= 128,
+# 1.0-1.1x at q = 181..300, 0.85-0.87x at q = 331 and 362, 0.79x at q = 499
+# and 0.87x at q = 1000.  The orbit has q^2 points, or q^2 / 2 when 4 | q,
+# and arrays win from about 2^16 points, so the switch at a table of 2^17
+# slots (q >= 363) leaves every q on the side that is no slower.  At
+# q = 1000 the search's tracemalloc peak falls from 48 to 10 MB.
+_ARRAY_MIN_TABLE = 1 << 17
 
 _DOT_COLORS = {"U": "#1f77b4", "V": "#d62728"}
 
@@ -208,16 +216,8 @@ class OrbitalGraph:
     def degree(self, vid: int) -> int:
         return sum(m[vid] >= 0 for m in self.edges.values())
 
-    def positive_edges(self) -> list[tuple[int, str, int]]:
-        return [
-            (src, c, t)
-            for src in range(len(self.points))
-            for c in _GEN_CHARS
-            if (t := self.edges[c][src]) >= 0
-        ]
 
-
-def _orbit_mod_q(q: int) -> tuple[_PointView, list[int], list[int]]:
+def _orbit_mod_q(q: int) -> tuple[_PointView, list[int] | array, list[int] | array]:
     """Breadth-first closure of the orbit of (0, 0) mod q.
 
     Returns (points in discovery order, U-successor ids, V-successor ids);
@@ -251,13 +251,22 @@ def _orbit_mod_q(q: int) -> tuple[_PointView, list[int], list[int]]:
     v_shift = [2 * x % q for x in range(q)]
     back_v_row = [(x - 1) % q * q for x in range(q)]
     back_v_shift = [(2 - 2 * x) % q for x in range(q)]
-    # lists during the search, as CPython indexes them fastest; order grows
-    # while it is read, and the read reaches every point appended
-    ids = [-1] * qq
+    # order grows while it is read, and the read reaches every point
+    # appended.  Below _ARRAY_MIN_TABLE the id table, order and successors
+    # are lists, which CPython indexes fastest there; past it they are
+    # array('i') columns, one C int per entry, where a list keeps an int
+    # object per vertex for its id and one for its code
+    if qq < _ARRAY_MIN_TABLE:
+        ids = [-1] * qq
+        order = [0]
+        succ_u = []
+        succ_v = []
+    else:
+        ids = array("i", [-1]) * qq
+        order = array("i", [0])
+        succ_u = array("i")
+        succ_v = array("i")
     ids[0] = 0
-    order = [0]
-    succ_u: list[int] = []
-    succ_v: list[int] = []
     for code in order:
         y = code % q
         x = code // q
@@ -391,17 +400,20 @@ class CoreReport:
     """Result of a core computation.
 
     kind is "exact" when the whole graph was available, so the core is every
-    vertex, or "certified-lower-bound" when membership was certified vertex
-    by vertex with a witness loop inside the complete region.
+    vertex and core_vertices is range(n), which holds no int per vertex; or
+    "certified-lower-bound" when membership was certified vertex by vertex
+    with a witness loop inside the complete region, and core_vertices is the
+    frozenset of the certified ids.  Both answer len, `in` and iteration.
     """
 
     kind: str
-    core_vertices: frozenset[int]
+    core_vertices: range | frozenset[int]
     witness: Word | None
 
 
 def core_exact(g: OrbitalGraph) -> CoreReport:
-    """The Stallings core of a fully complete graph, which is every vertex.
+    """The Stallings core of a fully complete graph, which is every vertex,
+    returned as range(n).
 
     Such a graph has every edge, so each vertex has degree 4 (a self-loop
     counts twice) and there is no hanging tree to prune.  Partial graphs are
@@ -409,7 +421,7 @@ def core_exact(g: OrbitalGraph) -> CoreReport:
     """
     if not g.fully_complete:
         raise ValueError("core_exact needs a fully complete graph")
-    return CoreReport("exact", frozenset(range(len(g.points))), None)
+    return CoreReport("exact", range(len(g.points)), None)
 
 
 def certified_core(g: OrbitalGraph, witness: Word) -> CoreReport:
@@ -589,6 +601,17 @@ def export(g: OrbitalGraph, fmt: str) -> str:
     raise ValueError(f"format must be 'dot' or 'json', got {fmt!r}")
 
 
+def _positive_edges(g: OrbitalGraph):
+    """(src, gen, tgt) of every U- and V-edge, by src, then U before V: the
+    order the exports list edges in.  The U and V columns are walked as the
+    rows are written, so no tuple is kept per edge."""
+    for src, tu, tv in zip(count(), g.edges["U"], g.edges["V"]):
+        if tu >= 0:
+            yield src, "U", tu
+        if tv >= 0:
+            yield src, "V", tv
+
+
 def export_dot(g: OrbitalGraph) -> str:
     """Graphviz rendering: base doubly circled, incomplete vertices dashed,
     U-edges and V-edges in distinct colors."""
@@ -600,7 +623,7 @@ def export_dot(g: OrbitalGraph) -> str:
         if not g.complete[i]:
             attrs.append("style=dashed")
         lines.append(f"  v{i} [{', '.join(attrs)}];")
-    for src, gen, tgt in g.positive_edges():
+    for src, gen, tgt in _positive_edges(g):
         lines.append(f'  v{src} -> v{tgt} [label="{gen}", color="{_DOT_COLORS[gen]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -624,7 +647,7 @@ def export_json(g: OrbitalGraph) -> str:
     ])
     edges = _json_list([
         f'    {{\n      "from": {s},\n      "to": {t},\n      "gen": "{c}"\n    }}'
-        for s, c, t in g.positive_edges()
+        for s, c, t in _positive_edges(g)
     ])
     modulus = "null" if g.modulus is None else g.modulus
     head = f'{{\n  "modulus": {modulus},\n  "base": {g.base},\n'

@@ -15,6 +15,7 @@ from oracles import (
 from parabolic.action import DEFAULT_WITNESS, ORIGIN, act, act_ints, marked_point, witness_length
 from parabolic.linear import Vec2
 from parabolic.schreier import (
+    _ARRAY_MIN_TABLE,
     NO_EDGE,
     OrbitalGraph,
     build_ball,
@@ -43,6 +44,16 @@ def _random_word(rng, length):
 
 def _none_for_no_edge(column):
     return [None if t == NO_EDGE else t for t in column]
+
+
+def _positive_edge_list(g):
+    """(src, gen, tgt) of every U- and V-edge, by src, then U before V: the
+    order the exports list edges in."""
+    return [(a, c, b) for a in range(len(g)) for c in "UV" if (b := g.edges[c][a]) != NO_EDGE]
+
+
+def _undirected_edge_list(g):
+    return [(a, b) for a, _, b in _positive_edge_list(g)]
 
 
 # ---------------------------------------------------------------- mod q
@@ -93,13 +104,17 @@ def test_vertex_id_reduces_mod_q():
 
 
 def test_mod_q_matches_letterwise_bfs():
-    # vertex order is part of the output contract, for every q, not only q = 7
-    for q in [*range(2, 31), 64, 211, 256]:
+    # vertex order is part of the output contract, for every q, not only q = 7,
+    # and on both sides of the size at which the search switches from lists
+    # to array columns
+    assert 256 * 256 < _ARRAY_MIN_TABLE <= 364 * 364
+    for q in [*range(2, 31), 64, 211, 256, 364]:
         g = build_mod_q(q)
         points, succ_u, succ_v = mod_q_letterwise(q)
         assert list(g.points) == points, q
         assert list(g.edges["U"]) == succ_u, q
         assert list(g.edges["V"]) == succ_v, q
+    check_edge_consistency(g)  # q = 364, built with array columns
 
 
 def test_vertex_id_misses_every_point_off_the_orbit():
@@ -144,7 +159,7 @@ def test_ball_depth_one():
     b = build_ball(1)
     assert list(b.points) == [(0, 0), (0, 1), (1, 0), (2, -1), (-1, 2)]
     assert list(map(bool, b.complete)) == [True, False, False, False, False]
-    assert sorted(b.positive_edges()) == [(0, "U", 1), (0, "V", 2), (3, "U", 0), (4, "V", 0)]
+    assert _positive_edge_list(b) == [(0, "U", 1), (0, "V", 2), (3, "U", 0), (4, "V", 0)]
     assert _none_for_no_edge(b.edges["u"]) == [3, 0, None, None, None]
     assert _none_for_no_edge(b.edges["v"]) == [4, None, 0, None, None]
     assert b.degree(0) == 4
@@ -248,7 +263,7 @@ def test_readers_skip_missing_edges():
     assert trace(g, Word("UU"), 0) is None
     assert trace(g, Word("UU"), 2) == 1
     assert [g.degree(v) for v in range(3)] == [2, 1, 1]
-    assert g.positive_edges() == [(0, "U", 1), (2, "U", 0)]
+    assert _positive_edge_list(g) == [(0, "U", 1), (2, "U", 0)]
     assert _none_for_no_edge(g.edges["u"]) == [2, 0, None]
 
 
@@ -330,7 +345,7 @@ def test_complete_graph_refuses_pendant_vertex():
 
 def test_core_exact_self_loop_survives():
     g = OrbitalGraph([(0, 0)], [0], [0], [True])
-    assert core_exact(g).core_vertices == frozenset({0})
+    assert frozenset(core_exact(g).core_vertices) == frozenset({0})
     with pytest.raises(ValueError, match="vertex 0 has no V-edge"):
         OrbitalGraph([(0, 0)], [0], [None], [True])
 
@@ -364,17 +379,14 @@ def _random_complete_graph(rng, n):
     return len(order), succ_u, succ_v
 
 
-def _positive_edge_list(g):
-    return [(a, b) for c in "UV" for a, b in enumerate(g.edges[c]) if b != NO_EDGE]
-
-
 def test_core_exact_matches_stripping_oracle_on_random_graphs():
     rng = random.Random(2027)
     sizes = set()
     for _ in range(300):
         n, succ_u, succ_v = _random_complete_graph(rng, rng.randint(1, 40))
         g = OrbitalGraph([(i, 0) for i in range(n)], succ_u, succ_v, [True] * n)
-        assert core_exact(g).core_vertices == core_by_stripping(n, _positive_edge_list(g))
+        exact = frozenset(core_exact(g).core_vertices)
+        assert exact == core_by_stripping(n, _undirected_edge_list(g))
         sizes.add(n)
     # the orbits of 0 range from a bouquet of self-loops to large ones
     assert 1 in sizes and max(sizes) > 30
@@ -383,7 +395,9 @@ def test_core_exact_matches_stripping_oracle_on_random_graphs():
 def test_core_exact_matches_stripping_oracle_mod_q():
     for q in range(2, 41):
         g = build_mod_q(q)
-        assert core_exact(g).core_vertices == core_by_stripping(len(g), _positive_edge_list(g))
+        assert frozenset(core_exact(g).core_vertices) == core_by_stripping(
+            len(g), _undirected_edge_list(g)
+        )
 
 
 def test_core_exact_requires_complete_graph():
@@ -409,7 +423,7 @@ def test_core_exact_mod_q_is_everything():
         g = build_mod_q(q)
         rep = core_exact(g)
         assert rep.kind == "exact"
-        assert rep.core_vertices == frozenset(range(len(g)))
+        assert frozenset(rep.core_vertices) == frozenset(range(len(g)))
 
 
 def test_certified_core_frozen_counts():
@@ -444,7 +458,8 @@ def test_certified_core_monotone_in_depth():
 def test_certified_core_is_subset_of_exact_core():
     for q in (2, 3, 4, 5, 6):
         g = build_mod_q(q)
-        assert certified_core(g, DEFAULT_WITNESS).core_vertices <= core_exact(g).core_vertices
+        exact = frozenset(core_exact(g).core_vertices)
+        assert certified_core(g, DEFAULT_WITNESS).core_vertices <= exact
 
 
 def test_certified_core_useless_witness():
@@ -633,7 +648,13 @@ def test_graph_rejects_unfolded():
 # ---------------------------------------------------------------- memory
 
 
-@pytest.mark.parametrize("build, arg, budget", [(build_ball, 9, 300), (build_mod_q, 211, 240)])
+@pytest.mark.parametrize(
+    "build, arg, budget",
+    # q = 364 is the first multiple of 4 past the switch to array columns,
+    # where the search keeps no int object per vertex: about 43 bytes per
+    # vertex there, where lists took 103
+    [(build_ball, 9, 300), (build_mod_q, 211, 240), (build_mod_q, 364, 64)],
+)
 def test_build_peak_bytes_per_vertex(build, arg, budget):
     tracemalloc.start()
     try:
@@ -655,6 +676,20 @@ def test_retained_bytes_per_vertex(build, arg, budget):
     finally:
         tracemalloc.stop()
     assert retained / len(g) < budget
+
+
+def test_core_exact_keeps_no_int_per_vertex():
+    # the exact core is range(n), so it allocates the same few hundred bytes
+    # for 32,768 vertices as for one; a frozenset of the ids took about 3 MB
+    g = build_mod_q(256)
+    tracemalloc.start()
+    try:
+        rep = core_exact(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.core_vertices) == len(g) == 32768
+    assert peak < 4 * 1024
 
 
 def test_vertex_reads_keep_no_vec2():
@@ -726,7 +761,7 @@ def _export_json_by_dumps(g):
             {"id": i, "x": x, "y": y, "complete": bool(g.complete[i])}
             for i, (x, y) in enumerate(g.points)
         ],
-        "edges": [{"from": s, "to": t, "gen": gen} for s, gen, t in g.positive_edges()],
+        "edges": [{"from": s, "to": t, "gen": gen} for s, gen, t in _positive_edge_list(g)],
     }
     return json.dumps(obj, indent=2) + "\n"
 
