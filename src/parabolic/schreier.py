@@ -39,15 +39,6 @@ NO_EDGE = -1
 
 _MAX_BALL_DEPTH = 13
 _MAX_GRAPH_MODULUS = 2048
-# the smallest q * q id table that _orbit_mod_q keeps in array('i') columns
-# rather than lists.  Build time with the constructor, arrays over lists,
-# best of 5-9 on a 2-core Xeon VM with Python 3.11.7: 1.2-1.3x at q <= 128,
-# 1.0-1.1x at q = 181..300, 0.85-0.87x at q = 331 and 362, 0.79x at q = 499
-# and 0.87x at q = 1000.  The orbit has q^2 points, or q^2 / 2 when 4 | q,
-# and arrays win from about 2^16 points, so the switch at a table of 2^17
-# slots (q >= 363) leaves every q on the side that is no slower.  At
-# q = 1000 the search's tracemalloc peak falls from 48 to 10 MB.
-_ARRAY_MIN_TABLE = 1 << 17
 
 _DOT_COLORS = {"U": "#1f77b4", "V": "#d62728"}
 
@@ -217,7 +208,7 @@ class OrbitalGraph:
         return sum(m[vid] >= 0 for m in self.edges.values())
 
 
-def _orbit_mod_q(q: int) -> tuple[_PointView, list[int] | array, list[int] | array]:
+def _orbit_mod_q(q: int) -> tuple[_PointView, array, array]:
     """Breadth-first closure of the orbit of (0, 0) mod q.
 
     Returns (points in discovery order, U-successor ids, V-successor ids);
@@ -251,21 +242,14 @@ def _orbit_mod_q(q: int) -> tuple[_PointView, list[int] | array, list[int] | arr
     v_shift = [2 * x % q for x in range(q)]
     back_v_row = [(x - 1) % q * q for x in range(q)]
     back_v_shift = [(2 - 2 * x) % q for x in range(q)]
-    # order grows while it is read, and the read reaches every point
-    # appended.  Below _ARRAY_MIN_TABLE the id table, order and successors
-    # are lists, which CPython indexes fastest there; past it they are
-    # array('i') columns, one C int per entry, where a list keeps an int
-    # object per vertex for its id and one for its code
-    if qq < _ARRAY_MIN_TABLE:
-        ids = [-1] * qq
-        order = [0]
-        succ_u = []
-        succ_v = []
-    else:
-        ids = array("i", [-1]) * qq
-        order = array("i", [0])
-        succ_u = array("i")
-        succ_v = array("i")
+    # the id table, order and successors are array('i') columns, one C int
+    # per entry, where a list would keep an int object per vertex for its id
+    # and one for its code.  order grows while it is read, and the read
+    # reaches every point appended
+    ids = array("i", [-1]) * qq
+    order = array("i", [0])
+    succ_u = array("i")
+    succ_v = array("i")
     ids[0] = 0
     for code in order:
         y = code % q

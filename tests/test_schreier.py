@@ -15,7 +15,6 @@ from oracles import (
 from parabolic.action import DEFAULT_WITNESS, ORIGIN, act, act_ints, marked_point, witness_length
 from parabolic.linear import Vec2
 from parabolic.schreier import (
-    _ARRAY_MIN_TABLE,
     NO_EDGE,
     OrbitalGraph,
     build_ball,
@@ -104,17 +103,14 @@ def test_vertex_id_reduces_mod_q():
 
 
 def test_mod_q_matches_letterwise_bfs():
-    # vertex order is part of the output contract, for every q, not only q = 7,
-    # and on both sides of the size at which the search switches from lists
-    # to array columns
-    assert 256 * 256 < _ARRAY_MIN_TABLE <= 364 * 364
-    for q in [*range(2, 31), 64, 211, 256, 364]:
+    # vertex order is part of the output contract, for every q, not only q = 7
+    for q in [*range(2, 31), 64, 211, 256]:
         g = build_mod_q(q)
         points, succ_u, succ_v = mod_q_letterwise(q)
         assert list(g.points) == points, q
         assert list(g.edges["U"]) == succ_u, q
         assert list(g.edges["V"]) == succ_v, q
-    check_edge_consistency(g)  # q = 364, built with array columns
+    check_edge_consistency(g)  # q = 256
 
 
 def test_vertex_id_misses_every_point_off_the_orbit():
@@ -650,10 +646,9 @@ def test_graph_rejects_unfolded():
 
 @pytest.mark.parametrize(
     "build, arg, budget",
-    # q = 364 is the first multiple of 4 past the switch to array columns,
-    # where the search keeps no int object per vertex: about 43 bytes per
-    # vertex there, where lists took 103
-    [(build_ball, 9, 300), (build_mod_q, 211, 240), (build_mod_q, 364, 64)],
+    # the mod-q search keeps array columns, no int object per vertex: about
+    # 44 bytes per vertex at q = 256, where lists took 103
+    [(build_ball, 9, 300), (build_mod_q, 211, 240), (build_mod_q, 256, 64)],
 )
 def test_build_peak_bytes_per_vertex(build, arg, budget):
     tracemalloc.start()
