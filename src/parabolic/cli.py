@@ -21,7 +21,7 @@ from .ranks import (
 )
 from .schreier import _json_list, build_ball, build_mod_q, certified_core, core_exact, export
 from .verify import run_verification
-from .words import Word, parse
+from .words import parse
 
 OUTPUT_DIR_ENV = "PARABOLIC_OUT_DIR"
 # the most letters of a word the CLI prints or walks letter by letter
@@ -36,10 +36,6 @@ def _check_letters(length: int) -> None:
     # checked on the length, which the syllables give without building the text
     if length > _MAX_LETTERS:
         raise ValueError(f"word of {length} letters exceeds the budget of {_MAX_LETTERS}")
-
-
-def _format_word(w: Word) -> str:
-    return w.text if w.text else "<identity>"
 
 
 def _cmd_verify(args) -> int:
@@ -75,7 +71,7 @@ def _cmd_orbit(args) -> int:
         )
     else:
         print(f"n = {sched.n}")
-        print(f"word = {_format_word(sched.word)}")
+        print(f"word = {sched.word.text}")
         print(f"length = {len(sched.word)}")
         print(f"endpoint = {endpoint}")
     return 0
@@ -136,7 +132,7 @@ def _cmd_core(args) -> int:
     else:
         print(f"kind = {rep.kind}")
         if rep.witness is not None:
-            print(f"witness = {_format_word(rep.witness)}")
+            print(f"witness = {rep.witness.text}")
         print(f"count = {len(ids)}")
         shown = ", ".join(f"({x}, {y})" for x, y in map(g.points.__getitem__, ids[:12]))
         more = "" if len(ids) <= 12 else f" ... and {len(ids) - 12} more"

@@ -62,9 +62,6 @@ class Mat2:
             and (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
-
     def __repr__(self) -> str:
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
 
@@ -101,9 +98,6 @@ class AffineElement:
             and self.translation == other.translation
             and self.linear == other.linear
         )
-
-    def __hash__(self) -> int:
-        return hash((self.translation, self.linear))
 
     def __repr__(self) -> str:
         return f"AffineElement({self.translation!r}, {self.linear!r})"

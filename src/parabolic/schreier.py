@@ -92,39 +92,38 @@ def _columns(points, modulus: int | None) -> tuple[array, array]:
     return xs, ys
 
 
-def _with_inverse(succ, n: int, gen: str, has_lower: bytearray) -> tuple[array, array, int]:
-    """succ as an edge column, its inverse column and the count of missing
-    edges, in one pass that refuses a target out of range and a second edge
-    into one vertex.  It also sets has_lower[v] for the larger end v of
-    every edge that is not a self-loop."""
-    fwd = array("i", [NO_EDGE]) * n
+def _inverse(col: array, gen: str, has_lower: bytearray) -> array:
+    """The inverse of the edge column col, in one pass that refuses a target
+    other than NO_EDGE outside [0, len(col)) and a second edge into one
+    vertex.  It also sets has_lower[v] for the larger end v of every edge
+    that is not a self-loop."""
+    n = len(col)
     back = array("i", [NO_EDGE]) * n
-    missing = 0
-    for src, tgt in enumerate(succ):
-        if tgt is None:
-            missing += 1
-            continue
+    for src, tgt in enumerate(col):
         if not 0 <= tgt < n:
+            if tgt == NO_EDGE:
+                continue
             raise ValueError(f"edge target {tgt} out of range")
         if back[tgt] >= 0:
             raise ValueError(f"two {gen}-edges enter vertex {tgt}; graph is not folded")
         back[tgt] = src
-        fwd[src] = tgt
         if src < tgt:
             has_lower[tgt] = 1
         elif tgt < src:
             has_lower[src] = 1
-    return fwd, back, missing
+    return back
 
 
 class OrbitalGraph:
     """Immutable labeled graph: edges[c][v] is where letter c leads from v,
-    or NO_EDGE.  Only the U and V successors are passed in, as sequences with
-    None for a missing edge, and u and v are filled as their inverses; per
-    generator each vertex has at most one outgoing and one incoming edge, as
-    in a folded Stallings graph.  points are (x, y) pairs in and out.
-    build_ball alone passes a dict as points, its own point -> id index in
-    discovery order, which the graph keeps instead of building another.
+    or NO_EDGE.  Only the U and V successors are passed in, as int sequences
+    with NO_EDGE for a missing edge, the form edges["U"] and edges["V"]
+    store; each is copied into an array('i'), and u and v are filled as
+    their inverses.  Per generator each vertex has at most one outgoing and
+    one incoming edge, as in a folded Stallings graph.  points are (x, y)
+    pairs in and out.  build_ball alone passes a dict as points, its own
+    point -> id index in discovery order, which the graph keeps instead of
+    building another.
 
     Vertex 0 is the base, and vertices are numbered in search order: every
     vertex but 0 must have a neighbour with a smaller id, which makes the
@@ -146,15 +145,18 @@ class OrbitalGraph:
             raise ValueError(f"modulus {modulus} exceeds the guard {_MAX_GRAPH_MODULUS}")
         xs, ys = _columns(points, modulus)
         has_lower = bytearray(n)
-        fwd_u, back_u, missing_u = _with_inverse(succ_u, n, "U", has_lower)
-        fwd_v, back_v, missing_v = _with_inverse(succ_v, n, "V", has_lower)
+        fwd_u = array("i", succ_u)
+        back_u = _inverse(fwd_u, "U", has_lower)
+        fwd_v = array("i", succ_v)
+        back_v = _inverse(fwd_v, "V", has_lower)
         self.complete = bytearray(map(bool, complete))
         # read by every loop query, so computed once here, not per call
         self.fully_complete = 0 not in self.complete
-        if self.fully_complete and (missing_u or missing_v):
-            gen, succ = ("U", succ_u) if missing_u else ("V", succ_v)
-            vid = list(succ).index(None)
-            raise ValueError(f"vertex {vid} has no {gen}-edge in a fully complete graph")
+        if self.fully_complete:
+            for gen, col in (("U", fwd_u), ("V", fwd_v)):
+                if NO_EDGE in col:
+                    vid = col.index(NO_EDGE)
+                    raise ValueError(f"vertex {vid} has no {gen}-edge in a fully complete graph")
         # a vertex with a smaller neighbour reaches 0 by induction
         vid = has_lower.find(0, 1)
         if vid >= 0:
@@ -309,8 +311,8 @@ def build_ball(depth: int) -> OrbitalGraph:
         raise ValueError(f"depth {depth} exceeds the guard {_MAX_BALL_DEPTH}")
     index = {(0, 0): 0}
     add = index.setdefault
-    succ_u: list[int | None] = []
-    succ_v: list[int | None] = []
+    succ_u: list[int] = []
+    succ_v: list[int] = []
     # points are read in discovery order, one distance layer at a time from
     # its first id; each layer before the last adds all four neighbours
     # (letter order U, V, U^-1, V^-1), so its vertices are complete and by
@@ -334,11 +336,12 @@ def build_ball(depth: int) -> OrbitalGraph:
     # inner t that is the edge already stored.  met counts the edges of
     # layer depth - 1 meeting each vertex.  The writes go to the layers on
     # either side, so the layer's own successors are read in place, and
-    # its ids come off the index, so the edges share its int objects.
+    # its ids come off the index, so the edges share its int objects; the
+    # constructor copies each list into an array('i') in one call.
     last = len(succ_u)
     n = len(index)
-    succ_u.extend(repeat(None, n - last))
-    succ_v.extend(repeat(None, n - last))
+    succ_u.extend(repeat(NO_EDGE, n - last))
+    succ_v.extend(repeat(NO_EDGE, n - last))
     met = bytearray(n)
     layer = islice(index.values(), first, last)
     for s, a, b, c, d in zip(

@@ -356,8 +356,10 @@ def run_verification(
         raise ValueError(f"n_max must be in [1, {_MAX_N_MAX}], got {n_max}")
     if not 2 <= q_max <= _MAX_COUNT_MODULUS:
         raise ValueError(f"q_max must be in [2, {_MAX_COUNT_MODULUS}], got {q_max}")
-    if not 4 <= depth <= _MAX_BALL_DEPTH:
-        raise ValueError(f"depth must be in [4, {_MAX_BALL_DEPTH}], got {depth}")
+    # below depth 5, core-line-points has no depth to check and core-growth
+    # one count to call non-decreasing
+    if not 5 <= depth <= _MAX_BALL_DEPTH:
+        raise ValueError(f"depth must be in [5, {_MAX_BALL_DEPTH}], got {depth}")
     if not 1 <= sweep_len <= _MAX_SWEEP_LEN:
         raise ValueError(f"sweep_len must be in [1, {_MAX_SWEEP_LEN}], got {sweep_len}")
 

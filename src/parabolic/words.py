@@ -71,11 +71,6 @@ def _runs(text: str) -> Iterator[tuple[str, int]]:
     return map(_RUN_POWER.__getitem__, _RUN.findall(text))
 
 
-def _syllables_of(text: str) -> tuple[tuple[str, int], ...]:
-    # in a reduced text the maximal runs of one letter are the syllables
-    return tuple(_runs(text))
-
-
 class Word:
     """An immutable freely reduced word.
 
@@ -93,7 +88,8 @@ class Word:
             raise ValueError(f"word {text!r} is not freely reduced at position {pair + 1}")
         if end < len(text):
             raise ValueError(f"bad letter {text[end]!r} at position {end}")
-        self.syllables = _syllables_of(text)
+        # in a reduced text the maximal runs of one letter are the syllables
+        self.syllables = tuple(_runs(text))
         self._len = len(text)
         self._text = text
 
@@ -149,7 +145,7 @@ def parse(text: str) -> Word:
     """
     if _PLAIN.fullmatch(text):
         if _first_cancelling(text, len(text)) < 0:
-            w = Word._from_syllables(_syllables_of(text), len(text))
+            w = Word._from_syllables(tuple(_runs(text)), len(text))
             w._text = text
             return w
         return _reduce(_runs(text))

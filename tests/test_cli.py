@@ -24,7 +24,7 @@ from parabolic.words import Word
 
 _GOLDEN_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "golden")
 
-_FAST = ["--n-max", "5", "--q-max", "5", "--depth", "4", "--sweep-len", "3"]
+_FAST = ["--n-max", "5", "--q-max", "5", "--depth", "5", "--sweep-len", "3"]
 _TINY = dict(n_max=20, q_max=12, depth=5, sweep_len=5)
 
 _CHECK_IDS = [
@@ -45,15 +45,15 @@ _CHECK_IDS = [
 
 
 def test_run_verification_all_pass():
-    report = run_verification(5, 5, 4, 3)
+    report = run_verification(5, 5, 5, 3)
     assert report.all_passed
     assert [c.id for c in report.checks] == _CHECK_IDS
     assert report.summary() == {"total": 10, "passed": 10, "failed": 0}
 
 
 def test_run_verification_is_deterministic():
-    a = run_verification(5, 5, 4, 3).to_json()
-    b = run_verification(5, 5, 4, 3).to_json()
+    a = run_verification(5, 5, 5, 3).to_json()
+    b = run_verification(5, 5, 5, 3).to_json()
     assert a == b
 
 
@@ -63,13 +63,13 @@ def test_run_verification_parameter_guards():
         dict(n_max=10_001),
         dict(q_max=1),
         dict(q_max=4097),
-        dict(depth=3),
+        dict(depth=4),
         dict(depth=17),
         dict(sweep_len=0),
         dict(sweep_len=15),
     ):
         with pytest.raises(ValueError):
-            run_verification(**{**dict(n_max=2, q_max=2, depth=4, sweep_len=1), **bad})
+            run_verification(**{**dict(n_max=2, q_max=2, depth=5, sweep_len=1), **bad})
 
 
 def test_tiny_report_matches_golden_file():
@@ -142,7 +142,7 @@ def test_failing_shared_evidence_fails_its_readers(monkeypatch, producer, reader
         raise RuntimeError("synthetic")
 
     monkeypatch.setattr(verify, producer, broken)
-    report = run_verification(5, 5, 4, 3)
+    report = run_verification(5, 5, 5, 3)
     assert [c.id for c in report.checks] == _CHECK_IDS
     failed = {c.id for c in report.checks if c.status == "fail"}
     assert failed == readers
@@ -184,7 +184,7 @@ def test_schreier_generators_fail_on_a_generator_off_the_stabilizer(monkeypatch)
         return gens
 
     monkeypatch.setattr(verify, "spanning_tree_generators", tampered)
-    report = run_verification(2, 12, 4, 2)
+    report = run_verification(2, 12, 5, 2)
     failed = {c.id: c.details for c in report.checks if c.status == "fail"}
     assert set(failed) == {"schreier-generators"}
     assert failed["schreier-generators"].startswith("AssertionError: generator ")
@@ -214,10 +214,10 @@ def test_line_loops_fail_when_one_path_is_tampered(monkeypatch, path, tampered_w
 
 
 def test_report_json_shape():
-    report = run_verification(2, 3, 4, 2)
+    report = run_verification(2, 3, 5, 2)
     obj = json.loads(report.to_json())
     assert obj["schema_version"] == 1
-    assert obj["parameters"] == {"n_max": 2, "q_max": 3, "depth": 4, "sweep_len": 2}
+    assert obj["parameters"] == {"n_max": 2, "q_max": 3, "depth": 5, "sweep_len": 2}
     assert len(obj["checks"]) == 10
     for rec in obj["checks"]:
         assert set(rec) == {"id", "claim", "anchor", "status", "details"}
@@ -698,7 +698,7 @@ def _matrix_text():
 _VERIFY_FLAGS = {
     "--n-max": ((1, 20), -2, 20, (10_001, 10**9)),
     "--q-max": ((2, 12), -2, 12, (4097, 10**9)),
-    "--depth": ((4, 6), -2, 6, (14, 10**6)),
+    "--depth": ((5, 6), -2, 6, (14, 10**6)),
     "--sweep-len": ((1, 14), -2, 20, (15, 10**6)),
 }
 # values past the guards of the graph command, which it must refuse with exit 2

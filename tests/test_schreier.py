@@ -144,8 +144,8 @@ def test_vertex_id_takes_a_vec2_as_its_pair():
 def test_ball_depth_zero():
     b = build_ball(0)
     assert len(b) == 1
-    assert {c: _none_for_no_edge(m) for c, m in b.edges.items()} == {
-        "U": [None], "V": [None], "u": [None], "v": [None]
+    assert {c: list(m) for c, m in b.edges.items()} == {
+        "U": [NO_EDGE], "V": [NO_EDGE], "u": [NO_EDGE], "v": [NO_EDGE]
     }
     assert list(map(bool, b.complete)) == [False]
     assert not b.fully_complete
@@ -156,8 +156,8 @@ def test_ball_depth_one():
     assert list(b.points) == [(0, 0), (0, 1), (1, 0), (2, -1), (-1, 2)]
     assert list(map(bool, b.complete)) == [True, False, False, False, False]
     assert _positive_edge_list(b) == [(0, "U", 1), (0, "V", 2), (3, "U", 0), (4, "V", 0)]
-    assert _none_for_no_edge(b.edges["u"]) == [3, 0, None, None, None]
-    assert _none_for_no_edge(b.edges["v"]) == [4, None, 0, None, None]
+    assert list(b.edges["u"]) == [3, 0, NO_EDGE, NO_EDGE, NO_EDGE]
+    assert list(b.edges["v"]) == [4, NO_EDGE, 0, NO_EDGE, NO_EDGE]
     assert b.degree(0) == 4
 
 
@@ -251,7 +251,7 @@ def test_trace_follows_action():
 def _partial_path():
     # 2 -U-> 0 -U-> 1: vertex 1 has no U-edge, and read as index -1 a missing
     # edge would be the last vertex, 2; no vertex is complete
-    return OrbitalGraph([(0, 0), (1, 0), (2, 0)], [1, None, 0], [None] * 3, [False] * 3)
+    return OrbitalGraph([(0, 0), (1, 0), (2, 0)], [1, NO_EDGE, 0], [NO_EDGE] * 3, [False] * 3)
 
 
 def test_readers_skip_missing_edges():
@@ -260,31 +260,34 @@ def test_readers_skip_missing_edges():
     assert trace(g, Word("UU"), 2) == 1
     assert [g.degree(v) for v in range(3)] == [2, 1, 1]
     assert _positive_edge_list(g) == [(0, "U", 1), (2, "U", 0)]
-    assert _none_for_no_edge(g.edges["u"]) == [2, 0, None]
+    assert list(g.edges["u"]) == [2, 0, NO_EDGE]
 
 
 def test_connectivity_check_skips_missing_edges():
     # vertex 2 has no edge at all, so it is cut off from the base; a missing
     # edge makes no vertex a neighbour
     with pytest.raises(ValueError, match="vertex 2 has no neighbour with a smaller id"):
-        OrbitalGraph([(0, 0), (1, 0), (2, 0)], [1, None, None], [None] * 3, [False] * 3)
+        OrbitalGraph([(0, 0), (1, 0), (2, 0)], [1, NO_EDGE, NO_EDGE], [NO_EDGE] * 3, [False] * 3)
 
 
 def test_connected_graph_numbered_out_of_search_order():
     # 0 -U-> 2 -U-> 1 is connected, but vertex 1's only neighbour is 2
     pts = [(0, 0), (1, 0), (2, 0)]
     with pytest.raises(ValueError, match="vertex 1 has no neighbour with a smaller id"):
-        OrbitalGraph(pts, [2, None, 1], [None] * 3, [False] * 3)
+        OrbitalGraph(pts, [2, NO_EDGE, 1], [NO_EDGE] * 3, [False] * 3)
     # the base is vertex 0; there is no option to move it
     with pytest.raises(TypeError):
-        OrbitalGraph(pts, [2, None, 1], [None] * 3, [True] * 3, base=1)
+        OrbitalGraph(pts, [2, NO_EDGE, 1], [NO_EDGE] * 3, [True] * 3, base=1)
     # connected as 0 - 3 - 1 - 2, but both neighbours of vertex 1 are larger
     with pytest.raises(ValueError, match="vertex 1 has no neighbour"):
         OrbitalGraph(
-            [(i, 0) for i in range(4)], [None, 2, None, 0], [None, 3, None, None], [False] * 4
+            [(i, 0) for i in range(4)],
+            [NO_EDGE, 2, NO_EDGE, 0],
+            [NO_EDGE, 3, NO_EDGE, NO_EDGE],
+            [False] * 4,
         )
     # the same path numbered in search order is accepted
-    g = OrbitalGraph([(0, 0), (2, 0), (1, 0)], [1, 2, None], [None] * 3, [False] * 3)
+    g = OrbitalGraph([(0, 0), (2, 0), (1, 0)], [1, 2, NO_EDGE], [NO_EDGE] * 3, [False] * 3)
     assert trace(g, Word("UU"), 0) == 2 and g.base == 0
 
 
@@ -330,7 +333,7 @@ def test_loops_agree_with_translation_divisibility():
 def test_complete_graph_refuses_pendant_vertex():
     # a U-triangle with vertex 3 hanging off vertex 2 by a V-edge
     pts = [(i, 0) for i in range(4)]
-    succ_u, succ_v = [1, 2, 0, None], [None, None, 3, None]
+    succ_u, succ_v = [1, 2, 0, NO_EDGE], [NO_EDGE, NO_EDGE, 3, NO_EDGE]
     with pytest.raises(ValueError, match="vertex 3 has no U-edge in a fully complete graph"):
         OrbitalGraph(pts, succ_u, succ_v, [True] * 4)
     # flagged incomplete, the pendant is a partial graph, which core_exact refuses
@@ -343,14 +346,14 @@ def test_core_exact_self_loop_survives():
     g = OrbitalGraph([(0, 0)], [0], [0], [True])
     assert frozenset(core_exact(g).core_vertices) == frozenset({0})
     with pytest.raises(ValueError, match="vertex 0 has no V-edge"):
-        OrbitalGraph([(0, 0)], [0], [None], [True])
+        OrbitalGraph([(0, 0)], [0], [NO_EDGE], [True])
 
 
 def test_complete_graph_refuses_isolated_vertex():
     with pytest.raises(ValueError, match="vertex 0 has no U-edge"):
-        OrbitalGraph([(0, 0)], [None], [None], [True])
+        OrbitalGraph([(0, 0)], [NO_EDGE], [NO_EDGE], [True])
     with pytest.raises(ValueError, match="vertex 1 has no U-edge"):
-        OrbitalGraph([(0, 0), (1, 0)], [0, None], [0, None], [True, True])
+        OrbitalGraph([(0, 0), (1, 0)], [0, NO_EDGE], [0, NO_EDGE], [True, True])
 
 
 def _random_complete_graph(rng, n):
@@ -403,7 +406,7 @@ def test_core_exact_requires_complete_graph():
 
 def test_fully_complete_flag_matches_vertex_flags():
     # only the last vertex is incomplete, so a flag read off one vertex fails
-    partial = OrbitalGraph([(0, 0), (1, 0)], [1, 0], [None, None], [True, False])
+    partial = OrbitalGraph([(0, 0), (1, 0)], [1, 0], [NO_EDGE, NO_EDGE], [True, False])
     for g in (build_ball(4), build_mod_q(6), build_mod_q(8), partial):
         assert g.fully_complete == all(g.complete)
     assert build_mod_q(6).fully_complete and not partial.fully_complete
@@ -511,8 +514,8 @@ def test_certified_core_depths_refuses_other_graphs():
     # a graph as large as ball(6) whose vertex 1 is incomplete
     tampered = OrbitalGraph(
         list(ball.points),
-        _none_for_no_edge(ball.edges["U"]),
-        _none_for_no_edge(ball.edges["V"]),
+        ball.edges["U"],
+        ball.edges["V"],
         [v != 1 and c for v, c in enumerate(ball.complete)],
     )
     with pytest.raises(ValueError, match="is not the ball of depth 6"):
@@ -572,15 +575,40 @@ def test_spanning_tree_requires_complete_graph():
 def test_graph_rejects_bad_shapes():
     v = [(0, 0), (1, 1)]
     with pytest.raises(ValueError):
-        OrbitalGraph(v, [None], [None], [True, True])
+        OrbitalGraph(v, [NO_EDGE], [NO_EDGE], [True, True])
     with pytest.raises(ValueError):
-        OrbitalGraph(v, [1, 0], [None], [True, True])
+        OrbitalGraph(v, [1, 0], [NO_EDGE], [True, True])
     with pytest.raises(ValueError, match="target 5 out of range"):
-        OrbitalGraph(v, [5, 0], [None, None], [True, True])
-    with pytest.raises(ValueError, match="target -1 out of range"):
-        OrbitalGraph(v, [1, 0], [None, -1], [True, True])
+        OrbitalGraph(v, [5, 0], [NO_EDGE, NO_EDGE], [True, True])
+    with pytest.raises(ValueError, match="target -2 out of range"):
+        OrbitalGraph(v, [1, 0], [NO_EDGE, -2], [True, True])
+    with pytest.raises(ValueError, match="target 2 out of range"):
+        OrbitalGraph(v, [1, 0], [NO_EDGE, len(v)], [True, True])
     with pytest.raises(ValueError, match="duplicate vertex points"):
-        OrbitalGraph([(0, 0), (0, 0)], [1, 0], [None, None], [False, False])
+        OrbitalGraph([(0, 0), (0, 0)], [1, 0], [NO_EDGE, NO_EDGE], [False, False])
+
+
+def test_graph_takes_no_edge_for_a_missing_edge():
+    # the columns are int sequences, NO_EDGE where an edge is missing; None
+    # is refused, and other targets out of range in test_graph_rejects_bad_shapes
+    g = _partial_path()
+    assert list(g.edges["U"]) == [1, NO_EDGE, 0] and list(g.edges["V"]) == [NO_EDGE] * 3
+    pts = [(0, 0), (1, 0)]
+    with pytest.raises(TypeError):
+        OrbitalGraph(pts, [1, None], [NO_EDGE] * 2, [False] * 2)
+    with pytest.raises(TypeError):
+        OrbitalGraph(pts, [1, NO_EDGE], [None] * 2, [False] * 2)
+
+
+def test_graph_rebuilds_from_its_own_columns():
+    # edges["U"] and edges["V"] are in the form the constructor takes; the
+    # rebuilt graph keeps copies, not the columns it was given
+    for g in (build_ball(6), build_mod_q(12)):
+        h = OrbitalGraph(g.points, g.edges["U"], g.edges["V"], g.complete, modulus=g.modulus)
+        assert list(h.points) == list(g.points)
+        assert h.edges == g.edges and h.edges["U"] is not g.edges["U"]
+        assert h.complete == g.complete and h.fully_complete == g.fully_complete
+        assert h.modulus == g.modulus
 
 
 def test_ball_hands_its_index_to_the_graph():
@@ -588,7 +616,7 @@ def test_ball_hands_its_index_to_the_graph():
     assert type(ball._index) is dict
     assert list(ball._index.values()) == list(range(len(ball)))
     assert all(ball.vertex_id(p) == i for i, p in enumerate(ball.points))
-    path = ([1, None], [None, None], [False, False])
+    path = ([1, NO_EDGE], [NO_EDGE, NO_EDGE], [False, False])
     assert OrbitalGraph({(0, 0): 0, (0, 1): 1}, *path).vertex_id((0, 1)) == 1
     for bad in ({(0, 0): 0, (0, 1): 2}, {(0, 1): 1, (0, 0): 0}, {(0, 0): 1, (0, 1): 0}):
         with pytest.raises(ValueError, match="must number its points 0..n-1 in order"):
@@ -606,18 +634,18 @@ def test_graph_refuses_empty_graph():
 
 def test_graph_rejects_wrong_vertex_modulus():
     with pytest.raises(ValueError, match="not reduced mod 3"):
-        OrbitalGraph([(0, 0), (3, 1)], [1, 0], [None, None], [True, True], modulus=3)
+        OrbitalGraph([(0, 0), (3, 1)], [1, 0], [NO_EDGE, NO_EDGE], [True, True], modulus=3)
     with pytest.raises(ValueError, match="not reduced mod 3"):
-        OrbitalGraph([(0, 0), (1, -1)], [1, 0], [None, None], [True, True], modulus=3)
+        OrbitalGraph([(0, 0), (1, -1)], [1, 0], [NO_EDGE, NO_EDGE], [True, True], modulus=3)
 
 
 def test_graph_refuses_points_other_than_pairs():
     for bad, modulus in (([0, 0], None), ([0, 0], 3), ((0, 0, 0), None)):
         with pytest.raises(ValueError, match="not an"):
-            OrbitalGraph([bad], [None], [None], [True], modulus=modulus)
+            OrbitalGraph([bad], [NO_EDGE], [NO_EDGE], [True], modulus=modulus)
     # a Vec2 is a pair: a graph of Vec2 points is the graph of their tuples
     for modulus in (None, 3):
-        g = OrbitalGraph([Vec2(0, 0), (1, 2)], [1, 0], [None] * 2, [False] * 2, modulus=modulus)
+        g = OrbitalGraph([Vec2(0, 0), (1, 2)], [1, 0], [NO_EDGE] * 2, [False] * 2, modulus=modulus)
         assert list(g.points) == [(0, 0), (1, 2)]
         assert g.vertex_id((0, 0)) == 0 and g.vertex_id(Vec2(1, 2)) == 1
 
@@ -625,20 +653,20 @@ def test_graph_refuses_points_other_than_pairs():
 def test_graph_refuses_modulus_past_the_guard():
     # the q^2 id table is never allocated for such a modulus
     with pytest.raises(ValueError, match="exceeds the guard 2048"):
-        OrbitalGraph([(0, 0)], [None], [None], [True], modulus=10**9)
+        OrbitalGraph([(0, 0)], [NO_EDGE], [NO_EDGE], [True], modulus=10**9)
 
 
 def test_graph_rejects_disconnected():
     with pytest.raises(ValueError, match="vertex 1 has no neighbour"):
-        OrbitalGraph([(0, 0), (1, 1)], [None, None], [None, None], [False, False])
+        OrbitalGraph([(0, 0), (1, 1)], [NO_EDGE] * 2, [NO_EDGE] * 2, [False, False])
 
 
 def test_graph_rejects_unfolded():
     pts = [(0, 0), (1, 1), (2, 2)]
     with pytest.raises(ValueError, match="two U-edges enter vertex 2"):
-        OrbitalGraph(pts, [2, 2, None], [None, None, None], [True] * 3)
+        OrbitalGraph(pts, [2, 2, NO_EDGE], [NO_EDGE] * 3, [True] * 3)
     with pytest.raises(ValueError, match="two V-edges enter vertex 2"):
-        OrbitalGraph(pts, [None, None, None], [2, 2, None], [True] * 3)
+        OrbitalGraph(pts, [NO_EDGE] * 3, [2, 2, NO_EDGE], [True] * 3)
 
 
 # ---------------------------------------------------------------- memory
