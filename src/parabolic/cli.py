@@ -38,12 +38,20 @@ def _check_letters(length: int) -> None:
         raise ValueError(f"word of {length} letters exceeds the budget of {_MAX_LETTERS}")
 
 
+def _check_writable(path: str) -> None:
+    # refused before any work; the write itself still reports what it meets
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if not os.access(target, os.W_OK):
+        raise ValueError(f"cannot write {path}: {target} is missing or not writable")
+
+
 def _cmd_verify(args) -> int:
-    report = run_verification(args.n_max, args.q_max, args.depth, args.sweep_len)
     out_path = args.out
     if out_path is None:
         out_dir = os.environ.get(OUTPUT_DIR_ENV, ".")
         out_path = os.path.join(out_dir, "verification.json")
+    _check_writable(out_path)
+    report = run_verification(args.n_max, args.q_max, args.depth, args.sweep_len)
     encoded = report.to_json()
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(encoded)
@@ -86,6 +94,8 @@ def _build_graph_from_args(args) -> object:
 
 
 def _cmd_graph(args) -> int:
+    if args.out:
+        _check_writable(args.out)
     g = _build_graph_from_args(args)
     payload = export(g, args.format)
     if args.out:

@@ -6,21 +6,21 @@ connected.  A graph is stored in flat int columns, as with the per-letter
 arrays of Kapovich-Myasnikov, J. Algebra 248 (2002): edges["U"][v] and
 edges["V"][v] are where the generators lead from v, and edges["u"] and
 edges["v"] are their inverse maps, so an inverse letter walks an edge
-backwards.  Each is an array('i') with NO_EDGE (-1) for
-a missing edge, so every reader tests `< 0` before it indexes.  The points
-are two array('i') columns, xs and ys, and `complete` is a bytearray.  A
-mod-q graph finds a point through a dense table of q^2 ids keyed by
-x * q + y (-1 off the orbit); a ball keeps a dict keyed by (x, y) tuples.
-Points are (x, y) pairs in and out, tuples or Vec2 alike: the constructor
-and `vertex_id` take either, and `points` is a read-only view making one
-Vec2 per indexed read, residues on a mod-q graph, and yielding plain tuples
-when iterated; `vertices` is another name for it.  Exports list the
-positive (U, V) edges only.  Two builders are provided: the full orbit of
-(0, 0) modulo q, and the exact ball of given radius around (0, 0) in the
-infinite orbit.  A vertex of a partial graph is flagged complete when all
-four of its neighbours lie in the explored region, which is what core
-certification relies on; a graph whose vertices are all flagged complete
-has every edge.
+backwards.  Each is an array('i') with NO_EDGE (-1) for a missing edge, so
+every reader tests `< 0` before it indexes, and `complete` is a bytearray.
+The points are a point store, _PointView, which the builder hands over and
+the graph keeps as `points`: two array('i') columns, xs and ys, and the
+point -> id index the builder's search filled, a dense table of q^2 ids
+keyed by x * q + y (-1 off the orbit) for a mod-q graph and a dict keyed by
+(x, y) tuples for a ball.  An indexed read of `points` makes one Vec2,
+residues on a mod-q graph, and iteration yields plain tuples; `vertex_id`
+takes any (x, y) pair, and `vertices` is another name for `points`.
+Exports list the positive (U, V) edges only.  Two builders are provided:
+the full orbit of (0, 0) modulo q, and the exact ball of given radius
+around (0, 0) in the infinite orbit.  A vertex of a partial graph is
+flagged complete when all four of its neighbours lie in the explored
+region, which is what core certification relies on; a graph whose vertices
+are all flagged complete has every edge.
 """
 
 from __future__ import annotations
@@ -48,14 +48,16 @@ _MET_FOUR_TIMES = bytes(i == 4 for i in range(256))
 
 
 class _PointView:
-    """Read-only view of a graph's points: len, an indexed read makes one
-    Vec2 and keeps none, and iteration yields plain (x, y) tuples."""
+    """A builder's point store: xs and ys columns and the point -> id index
+    its search filled, build_ball's dict or _orbit_mod_q's q^2 table.  An
+    indexed read makes one Vec2 and keeps none; iteration yields tuples."""
 
-    __slots__ = ("_xs", "_ys")
+    __slots__ = ("_xs", "_ys", "_index")
 
-    def __init__(self, xs: array, ys: array):
+    def __init__(self, xs: array, ys: array, index: dict | array):
         self._xs = xs
         self._ys = ys
+        self._index = index
 
     def __len__(self) -> int:
         return len(self._xs)
@@ -68,28 +70,25 @@ class _PointView:
         return zip(self._xs, self._ys)
 
 
-def _columns(points, modulus: int | None) -> tuple[array, array]:
-    """The points as xs and ys columns.  Each must be an (x, y) pair, a tuple
-    or a Vec2, and a point of a mod-q graph must lie in [0, q)^2.  A
-    _PointView hands over its columns as they are."""
-    if type(points) is _PointView:
-        xs, ys = points._xs, points._ys
+def _check_index(points: _PointView, modulus: int | None) -> None:
+    """Refuses a store whose index does not number its points 0..n-1, by
+    C-level passes: a dict's keys must be the points in order and its values
+    range(n); a table must have q^2 slots, n of them filled, each point, in
+    [0, q)^2, holding its id at x * q + y.  So the points are distinct."""
+    xs, ys, index = points._xs, points._ys, points._index
+    n = len(xs)
+    if modulus is None:
+        ok = len(index) == n and all(map(operator.eq, index, zip(xs, ys)))
+        ok = ok and all(map(operator.eq, index.values(), range(n)))
     else:
-        if not ({*map(type, points)} <= {tuple, Vec2} and {*map(len, points)} <= {2}):
-            bad = next(p for p in points if type(p) not in (tuple, Vec2) or len(p) != 2)
-            raise ValueError(f"point {bad!r} is not an (x, y) pair")
-        # a letter takes m = max(|x|, |y|) to at most 3m + 2, so m + 1 at
-        # most triples and a ball point has |x|, |y| <= 3^depth - 1; at
-        # depth 13 that is 1,594,322, far below 2^31.  Past 32 bits array
-        # raises OverflowError rather than wrapping.
-        xs = array("i", map(operator.itemgetter(0), points))
-        ys = array("i", map(operator.itemgetter(1), points))
-    if modulus is not None and not (
-        0 <= min(xs) and max(xs) < modulus and 0 <= min(ys) and max(ys) < modulus
-    ):
-        x, y = next(p for p in zip(xs, ys) if not (0 <= p[0] < modulus and 0 <= p[1] < modulus))
-        raise ValueError(f"point ({x}, {y}) is not reduced mod {modulus}")
-    return xs, ys
+        if not (0 <= min(xs) and max(xs) < modulus and 0 <= min(ys) and max(ys) < modulus):
+            x, y = next(p for p in points if not (0 <= p[0] < modulus and 0 <= p[1] < modulus))
+            raise ValueError(f"point ({x}, {y}) is not reduced mod {modulus}")
+        codes = map(operator.add, map(operator.mul, xs, repeat(modulus)), ys)
+        ok = len(index) == modulus * modulus == n + index.count(-1)
+        ok = ok and all(map(operator.eq, map(index.__getitem__, codes), range(n)))
+    if not ok:
+        raise ValueError("a point index must number its points 0..n-1 in order")
 
 
 def _inverse(col: array, gen: str, has_lower: bytearray) -> array:
@@ -120,10 +119,10 @@ class OrbitalGraph:
     with NO_EDGE for a missing edge, the form edges["U"] and edges["V"]
     store; each is copied into an array('i'), and u and v are filled as
     their inverses.  Per generator each vertex has at most one outgoing and
-    one incoming edge, as in a folded Stallings graph.  points are (x, y)
-    pairs in and out.  build_ball alone passes a dict as points, its own
-    point -> id index in discovery order, which the graph keeps instead of
-    building another.
+    one incoming edge, as in a folded Stallings graph.  points is the
+    builder's point store, a _PointView, kept as it is: the graph builds no
+    index of its own and reads the store's in vertex_id, once it has checked
+    that the index numbers the points 0..n-1.
 
     Vertex 0 is the base, and vertices are numbered in search order: every
     vertex but 0 must have a neighbour with a smaller id, which makes the
@@ -136,14 +135,16 @@ class OrbitalGraph:
     base = 0
 
     def __init__(self, points, succ_u, succ_v, complete, modulus: int | None = None):
+        if type(points) is not _PointView:
+            raise TypeError(f"points must be a builder's point store, not {type(points).__name__}")
         n = len(points)
-        if not (len(succ_u) == len(succ_v) == len(complete) == n):
+        if not (len(points._ys) == len(succ_u) == len(succ_v) == len(complete) == n):
             raise ValueError("points, succ_u, succ_v and complete must have equal length")
         if n == 0:
             raise ValueError("a graph needs its base vertex 0")
         if modulus is not None and modulus > _MAX_GRAPH_MODULUS:
             raise ValueError(f"modulus {modulus} exceeds the guard {_MAX_GRAPH_MODULUS}")
-        xs, ys = _columns(points, modulus)
+        _check_index(points, modulus)
         has_lower = bytearray(n)
         fwd_u = array("i", succ_u)
         back_u = _inverse(fwd_u, "U", has_lower)
@@ -164,29 +165,10 @@ class OrbitalGraph:
                 f"vertex {vid} has no neighbour with a smaller id; vertices must be"
                 " numbered in search order from 0"
             )
-        self.points = _PointView(xs, ys)
+        self.points = points
+        self._index = points._index
         self.edges = {"U": fwd_u, "V": fwd_v, "u": back_u, "v": back_v}
         self.modulus = modulus
-        if type(points) is dict:
-            # build_ball's own index: its keys are the points, so they are
-            # distinct, and it is kept once its ids are checked to number
-            # them 0..n-1 in insertion order
-            if modulus is not None or not all(map(operator.eq, points.values(), range(n))):
-                raise ValueError("a point index must number its points 0..n-1 in order")
-            self._index = points
-        elif modulus is None:
-            # keyed by the caller's own pairs, one kept per point
-            self._index = dict(zip(points, range(n)))
-            if len(self._index) != n:
-                raise ValueError("duplicate vertex points")
-        else:
-            # id of the point x * q + y, or -1 off the orbit
-            self._index = index = array("i", [-1]) * (modulus * modulus)
-            for vid, x, y in zip(range(n), xs, ys):
-                code = x * modulus + y
-                if index[code] >= 0:
-                    raise ValueError("duplicate vertex points")
-                index[code] = vid
 
     @property
     def vertices(self) -> _PointView:
@@ -213,8 +195,9 @@ class OrbitalGraph:
 def _orbit_mod_q(q: int) -> tuple[_PointView, array, array]:
     """Breadth-first closure of the orbit of (0, 0) mod q.
 
-    Returns (points in discovery order, U-successor ids, V-successor ids);
-    the points are a view over int columns, so no tuple is made per vertex.
+    Returns (the point store, U-successor ids, V-successor ids): points in
+    discovery order as int columns, so no tuple is made per vertex, indexed
+    by the search's own id table, which the graph keeps.
     Neighbours are visited in letter order U, V, U^-1, V^-1, and that
     discovery order fixes the vertex ids of build_mod_q.  Orbit sizes alone
     come from ranks.stabilizer_index.  Raises ValueError for
@@ -276,12 +259,9 @@ def _orbit_mod_q(q: int) -> tuple[_PointView, array, array]:
         if ids[d] < 0:
             ids[d] = len(order)
             order.append(d)
-    # the constructor builds its own id table, so this one goes first, to
-    # lower the peak
-    del ids
     xs = array("i", map(operator.floordiv, order, repeat(q)))
     ys = array("i", map(operator.mod, order, repeat(q)))
-    return _PointView(xs, ys), succ_u, succ_v
+    return _PointView(xs, ys, ids), succ_u, succ_v
 
 
 def build_mod_q(q: int) -> OrbitalGraph:
@@ -303,7 +283,9 @@ def build_ball(depth: int) -> OrbitalGraph:
     layer keeps the ids of all four neighbours of each point, and the last
     layer's edges and complete flags are read off them, with no lookup of
     their own; a last-layer vertex is complete iff four such edges meet it.
-    The last layer is about two thirds of the ball.
+    The last layer is about two thirds of the ball.  The search's dict of
+    point tuples to ids indexes the point store the graph keeps, whose
+    columns are read off its keys.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -354,11 +336,13 @@ def build_ball(depth: int) -> OrbitalGraph:
         met[c] += 1
         met[d] += 1
     complete = bytearray(b"\x01") * last + met[last:].translate(_MET_FOUR_TIMES)
-    # the graph keeps this index, keyed by the point tuples in discovery
-    # order, as its own instead of building a second dict over them; the
-    # search's own columns go first, to lower the peak
+    # the search's own columns go first, to lower the peak.  m + 1, for
+    # m = max(|x|, |y|), at most triples per letter, so at depth 13 |x|, |y|
+    # <= 3^13 - 1, far below 2^31; past it array raises, not wraps
     del back_u, back_v, met
-    return OrbitalGraph(index, succ_u, succ_v, complete)
+    xs = array("i", map(operator.itemgetter(0), index))
+    ys = array("i", map(operator.itemgetter(1), index))
+    return OrbitalGraph(_PointView(xs, ys, index), succ_u, succ_v, complete)
 
 
 def trace(g: OrbitalGraph, w: Word, start: int) -> int | None:

@@ -282,6 +282,34 @@ def test_verify_command_refuses_over_budget_before_running(tmp_path, capsys, fla
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--q-max", "4096", "--n-max", "10000", "--out"],
+        ["verify"],
+        ["graph", "--q", "2048", "--format", "json", "--out"],
+        ["graph", "--depth", "3", "--out"],
+    ],
+    ids=["verify-out", "verify-out-dir", "graph-q", "graph-depth"],
+)
+def test_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    # the run and the builds raise if called, so the refusal comes first
+    def never(*args):
+        raise AssertionError("work started before the destination was checked")
+
+    for name in ("run_verification", "build_mod_q", "build_ball"):
+        monkeypatch.setattr(cli, name, never)
+    missing = tmp_path / "missing"
+    # bare verify writes to verification.json in the output directory
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(missing))
+    start = time.monotonic()
+    assert main(argv + [str(missing / "out.json")] if argv[-1] == "--out" else argv) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {missing}") and err.count("\n") == 1
+    assert not missing.exists()
+
+
 # ---------------------------------------------------------------- one-shot commands
 
 

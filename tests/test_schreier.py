@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from oracles import (
@@ -12,11 +13,13 @@ from oracles import (
     step_point,
 )
 
+from parabolic import schreier
 from parabolic.action import DEFAULT_WITNESS, ORIGIN, act, act_ints, marked_point, witness_length
 from parabolic.linear import Vec2
 from parabolic.schreier import (
     NO_EDGE,
     OrbitalGraph,
+    _PointView,
     build_ball,
     build_mod_q,
     certified_core,
@@ -31,6 +34,18 @@ from parabolic.schreier import (
     trace,
 )
 from parabolic.words import Word, enumerate_reduced
+
+
+def _store(pairs, modulus=None):
+    """The store a builder would hand over for these pairs: a dict index, or
+    mod q a q^2 table, codes wrapped so unreduced points reach the checks."""
+    xs, ys = array("i", [x for x, _ in pairs]), array("i", [y for _, y in pairs])
+    if modulus is None:
+        return _PointView(xs, ys, dict(zip(zip(xs, ys), range(len(xs)))))
+    index = array("i", [-1]) * (modulus * modulus)
+    for vid, code in enumerate(x * modulus + y for x, y in pairs):
+        index[code % len(index)] = vid
+    return _PointView(xs, ys, index)
 
 
 def _random_word(rng, length):
@@ -251,7 +266,8 @@ def test_trace_follows_action():
 def _partial_path():
     # 2 -U-> 0 -U-> 1: vertex 1 has no U-edge, and read as index -1 a missing
     # edge would be the last vertex, 2; no vertex is complete
-    return OrbitalGraph([(0, 0), (1, 0), (2, 0)], [1, NO_EDGE, 0], [NO_EDGE] * 3, [False] * 3)
+    pts = _store([(0, 0), (1, 0), (2, 0)])
+    return OrbitalGraph(pts, [1, NO_EDGE, 0], [NO_EDGE] * 3, [False] * 3)
 
 
 def test_readers_skip_missing_edges():
@@ -266,28 +282,29 @@ def test_readers_skip_missing_edges():
 def test_connectivity_check_skips_missing_edges():
     # vertex 2 has no edge at all, so it is cut off from the base; a missing
     # edge makes no vertex a neighbour
+    pts = _store([(0, 0), (1, 0), (2, 0)])
     with pytest.raises(ValueError, match="vertex 2 has no neighbour with a smaller id"):
-        OrbitalGraph([(0, 0), (1, 0), (2, 0)], [1, NO_EDGE, NO_EDGE], [NO_EDGE] * 3, [False] * 3)
+        OrbitalGraph(pts, [1, NO_EDGE, NO_EDGE], [NO_EDGE] * 3, [False] * 3)
 
 
 def test_connected_graph_numbered_out_of_search_order():
     # 0 -U-> 2 -U-> 1 is connected, but vertex 1's only neighbour is 2
     pts = [(0, 0), (1, 0), (2, 0)]
     with pytest.raises(ValueError, match="vertex 1 has no neighbour with a smaller id"):
-        OrbitalGraph(pts, [2, NO_EDGE, 1], [NO_EDGE] * 3, [False] * 3)
+        OrbitalGraph(_store(pts), [2, NO_EDGE, 1], [NO_EDGE] * 3, [False] * 3)
     # the base is vertex 0; there is no option to move it
     with pytest.raises(TypeError):
-        OrbitalGraph(pts, [2, NO_EDGE, 1], [NO_EDGE] * 3, [True] * 3, base=1)
+        OrbitalGraph(_store(pts), [2, NO_EDGE, 1], [NO_EDGE] * 3, [True] * 3, base=1)
     # connected as 0 - 3 - 1 - 2, but both neighbours of vertex 1 are larger
     with pytest.raises(ValueError, match="vertex 1 has no neighbour"):
         OrbitalGraph(
-            [(i, 0) for i in range(4)],
+            _store([(i, 0) for i in range(4)]),
             [NO_EDGE, 2, NO_EDGE, 0],
             [NO_EDGE, 3, NO_EDGE, NO_EDGE],
             [False] * 4,
         )
     # the same path numbered in search order is accepted
-    g = OrbitalGraph([(0, 0), (2, 0), (1, 0)], [1, 2, NO_EDGE], [NO_EDGE] * 3, [False] * 3)
+    g = OrbitalGraph(_store([(0, 0), (2, 0), (1, 0)]), [1, 2, NO_EDGE], [NO_EDGE] * 3, [False] * 3)
     assert trace(g, Word("UU"), 0) == 2 and g.base == 0
 
 
@@ -335,25 +352,25 @@ def test_complete_graph_refuses_pendant_vertex():
     pts = [(i, 0) for i in range(4)]
     succ_u, succ_v = [1, 2, 0, NO_EDGE], [NO_EDGE, NO_EDGE, 3, NO_EDGE]
     with pytest.raises(ValueError, match="vertex 3 has no U-edge in a fully complete graph"):
-        OrbitalGraph(pts, succ_u, succ_v, [True] * 4)
+        OrbitalGraph(_store(pts), succ_u, succ_v, [True] * 4)
     # flagged incomplete, the pendant is a partial graph, which core_exact refuses
-    g = OrbitalGraph(pts, succ_u, succ_v, [True, True, True, False])
+    g = OrbitalGraph(_store(pts), succ_u, succ_v, [True, True, True, False])
     with pytest.raises(ValueError, match="needs a fully complete graph"):
         core_exact(g)
 
 
 def test_core_exact_self_loop_survives():
-    g = OrbitalGraph([(0, 0)], [0], [0], [True])
+    g = OrbitalGraph(_store([(0, 0)]), [0], [0], [True])
     assert frozenset(core_exact(g).core_vertices) == frozenset({0})
     with pytest.raises(ValueError, match="vertex 0 has no V-edge"):
-        OrbitalGraph([(0, 0)], [0], [NO_EDGE], [True])
+        OrbitalGraph(_store([(0, 0)]), [0], [NO_EDGE], [True])
 
 
 def test_complete_graph_refuses_isolated_vertex():
     with pytest.raises(ValueError, match="vertex 0 has no U-edge"):
-        OrbitalGraph([(0, 0)], [NO_EDGE], [NO_EDGE], [True])
+        OrbitalGraph(_store([(0, 0)]), [NO_EDGE], [NO_EDGE], [True])
     with pytest.raises(ValueError, match="vertex 1 has no U-edge"):
-        OrbitalGraph([(0, 0), (1, 0)], [0, NO_EDGE], [0, NO_EDGE], [True, True])
+        OrbitalGraph(_store([(0, 0), (1, 0)]), [0, NO_EDGE], [0, NO_EDGE], [True, True])
 
 
 def _random_complete_graph(rng, n):
@@ -383,7 +400,7 @@ def test_core_exact_matches_stripping_oracle_on_random_graphs():
     sizes = set()
     for _ in range(300):
         n, succ_u, succ_v = _random_complete_graph(rng, rng.randint(1, 40))
-        g = OrbitalGraph([(i, 0) for i in range(n)], succ_u, succ_v, [True] * n)
+        g = OrbitalGraph(_store([(i, 0) for i in range(n)]), succ_u, succ_v, [True] * n)
         exact = frozenset(core_exact(g).core_vertices)
         assert exact == core_by_stripping(n, _undirected_edge_list(g))
         sizes.add(n)
@@ -406,7 +423,7 @@ def test_core_exact_requires_complete_graph():
 
 def test_fully_complete_flag_matches_vertex_flags():
     # only the last vertex is incomplete, so a flag read off one vertex fails
-    partial = OrbitalGraph([(0, 0), (1, 0)], [1, 0], [NO_EDGE, NO_EDGE], [True, False])
+    partial = OrbitalGraph(_store([(0, 0), (1, 0)]), [1, 0], [NO_EDGE, NO_EDGE], [True, False])
     for g in (build_ball(4), build_mod_q(6), build_mod_q(8), partial):
         assert g.fully_complete == all(g.complete)
     assert build_mod_q(6).fully_complete and not partial.fully_complete
@@ -513,7 +530,7 @@ def test_certified_core_depths_refuses_other_graphs():
             certified_core_depths(ball, depth, DEFAULT_WITNESS)
     # a graph as large as ball(6) whose vertex 1 is incomplete
     tampered = OrbitalGraph(
-        list(ball.points),
+        ball.points,
         ball.edges["U"],
         ball.edges["V"],
         [v != 1 and c for v, c in enumerate(ball.complete)],
@@ -560,7 +577,7 @@ def test_spanning_tree_generators_match_letterwise_assembly():
 
 
 def test_spanning_tree_generators_bouquet():
-    g = OrbitalGraph([(0, 0)], [0], [0], [True])
+    g = OrbitalGraph(_store([(0, 0)]), [0], [0], [True])
     assert [w.text for w in spanning_tree_generators(g)] == ["U", "V"]
 
 
@@ -575,17 +592,17 @@ def test_spanning_tree_requires_complete_graph():
 def test_graph_rejects_bad_shapes():
     v = [(0, 0), (1, 1)]
     with pytest.raises(ValueError):
-        OrbitalGraph(v, [NO_EDGE], [NO_EDGE], [True, True])
+        OrbitalGraph(_store(v), [NO_EDGE], [NO_EDGE], [True, True])
     with pytest.raises(ValueError):
-        OrbitalGraph(v, [1, 0], [NO_EDGE], [True, True])
+        OrbitalGraph(_store(v), [1, 0], [NO_EDGE], [True, True])
     with pytest.raises(ValueError, match="target 5 out of range"):
-        OrbitalGraph(v, [5, 0], [NO_EDGE, NO_EDGE], [True, True])
+        OrbitalGraph(_store(v), [5, 0], [NO_EDGE, NO_EDGE], [True, True])
     with pytest.raises(ValueError, match="target -2 out of range"):
-        OrbitalGraph(v, [1, 0], [NO_EDGE, -2], [True, True])
+        OrbitalGraph(_store(v), [1, 0], [NO_EDGE, -2], [True, True])
     with pytest.raises(ValueError, match="target 2 out of range"):
-        OrbitalGraph(v, [1, 0], [NO_EDGE, len(v)], [True, True])
-    with pytest.raises(ValueError, match="duplicate vertex points"):
-        OrbitalGraph([(0, 0), (0, 0)], [1, 0], [NO_EDGE, NO_EDGE], [False, False])
+        OrbitalGraph(_store(v), [1, 0], [NO_EDGE, len(v)], [True, True])
+    with pytest.raises(ValueError, match="must number its points 0..n-1"):
+        OrbitalGraph(_store([(0, 0), (0, 0)]), [1, 0], [NO_EDGE, NO_EDGE], [False, False])
 
 
 def test_graph_takes_no_edge_for_a_missing_edge():
@@ -595,9 +612,9 @@ def test_graph_takes_no_edge_for_a_missing_edge():
     assert list(g.edges["U"]) == [1, NO_EDGE, 0] and list(g.edges["V"]) == [NO_EDGE] * 3
     pts = [(0, 0), (1, 0)]
     with pytest.raises(TypeError):
-        OrbitalGraph(pts, [1, None], [NO_EDGE] * 2, [False] * 2)
+        OrbitalGraph(_store(pts), [1, None], [NO_EDGE] * 2, [False] * 2)
     with pytest.raises(TypeError):
-        OrbitalGraph(pts, [1, NO_EDGE], [None] * 2, [False] * 2)
+        OrbitalGraph(_store(pts), [1, NO_EDGE], [None] * 2, [False] * 2)
 
 
 def test_graph_rebuilds_from_its_own_columns():
@@ -612,61 +629,104 @@ def test_graph_rebuilds_from_its_own_columns():
 
 
 def test_ball_hands_its_index_to_the_graph():
+    # the graph keeps the store build_ball made around its search's dict
     ball = build_ball(5)
-    assert type(ball._index) is dict
+    assert type(ball._index) is dict and ball._index is ball.points._index
+    assert list(ball._index) == list(ball.points)
     assert list(ball._index.values()) == list(range(len(ball)))
     assert all(ball.vertex_id(p) == i for i, p in enumerate(ball.points))
     path = ([1, NO_EDGE], [NO_EDGE, NO_EDGE], [False, False])
-    assert OrbitalGraph({(0, 0): 0, (0, 1): 1}, *path).vertex_id((0, 1)) == 1
+    xs, ys = array("i", [0, 0]), array("i", [0, 1])
+    good = _PointView(xs, ys, {(0, 0): 0, (0, 1): 1})
+    assert OrbitalGraph(good, *path).vertex_id(Vec2(0, 1)) == 1
     for bad in ({(0, 0): 0, (0, 1): 2}, {(0, 1): 1, (0, 0): 0}, {(0, 0): 1, (0, 1): 0}):
         with pytest.raises(ValueError, match="must number its points 0..n-1 in order"):
-            OrbitalGraph(bad, *path)
+            OrbitalGraph(_PointView(xs, ys, bad), *path)
+    # a dict index is a ball's; a mod-q graph needs a table
     with pytest.raises(ValueError, match="must number its points 0..n-1 in order"):
-        OrbitalGraph({(0, 0): 0, (0, 1): 1}, *path, modulus=3)
+        OrbitalGraph(good, *path, modulus=3)
+
+
+def test_mod_q_graph_keeps_the_search_table(monkeypatch):
+    # build_mod_q's graph indexes its points by the very table the search
+    # filled, so no second q^2 table is built
+    found = []
+    search = schreier._orbit_mod_q
+    monkeypatch.setattr(schreier, "_orbit_mod_q", lambda q: found.append(search(q)) or found[-1])
+    g = build_mod_q(12)
+    store = found[0][0]
+    assert g.points is store and g._index is store._index
+    assert type(g._index) is array and len(g._index) == 144
+    assert all(g.vertex_id(p) == i for i, p in enumerate(g.points))
+    assert g.vertex_id(Vec2(12, 24)) == 0
+
+
+def test_graph_refuses_a_store_whose_index_disagrees():
+    path = ([1, NO_EDGE], [NO_EDGE, NO_EDGE], [False, False])
+    xs, ys = array("i", [0, 0]), array("i", [0, 1])
+    # dict: a wrong id, ids out of order, a key that is not the point, a
+    # missing key, and a table where the graph has no modulus
+    for index in (
+        {(0, 0): 0, (0, 1): 5},
+        {(0, 1): 0, (0, 0): 1},
+        {(0, 0): 0, (1, 1): 1},
+        {(0, 0): 0},
+        _store([(0, 0), (0, 1)], 3)._index,
+    ):
+        with pytest.raises(ValueError, match="must number its points 0..n-1"):
+            OrbitalGraph(_PointView(xs, ys, index), *path)
+    # table mod 3: a duplicate code, an extra filled slot, a slot holding
+    # another id, a table of the wrong size, and a dict
+    dup = _PointView(xs, array("i", [0, 0]), _store([(0, 0), (0, 1)], 3)._index)
+    extra = _store([(0, 0), (0, 1)], 3)
+    extra._index[8] = 5
+    swapped = _store([(0, 0), (0, 1)], 3)
+    swapped._index[0], swapped._index[1] = 1, 0
+    small = _PointView(xs, ys, _store([(0, 0), (0, 1)], 2)._index)
+    for store in (dup, extra, swapped, small, _store([(0, 0), (0, 1)])):
+        with pytest.raises(ValueError, match="must number its points 0..n-1"):
+            OrbitalGraph(store, *path, modulus=3)
+    # points outside [0, q)^2 in test_graph_rejects_wrong_vertex_modulus;
+    # the pairs and Vec2 lists the builders never hand over are refused
+    for points in ([(0, 0), (0, 1)], [Vec2(0, 0), Vec2(0, 1)], {(0, 0): 0, (0, 1): 1}):
+        with pytest.raises(TypeError, match="must be a builder's point store"):
+            OrbitalGraph(points, *path)
+    # as are a store with ys and xs of different lengths
+    with pytest.raises(ValueError, match="must have equal length"):
+        OrbitalGraph(_PointView(xs, array("i", [0]), {(0, 0): 0, (0, 1): 1}), *path)
 
 
 def test_graph_refuses_empty_graph():
     with pytest.raises(ValueError, match="needs its base vertex 0"):
-        OrbitalGraph([], [], [], [])
+        OrbitalGraph(_store([]), [], [], [])
     with pytest.raises(ValueError, match="needs its base vertex 0"):
-        OrbitalGraph([], [], [], [], modulus=3)
+        OrbitalGraph(_store([], 3), [], [], [], modulus=3)
 
 
 def test_graph_rejects_wrong_vertex_modulus():
-    with pytest.raises(ValueError, match="not reduced mod 3"):
-        OrbitalGraph([(0, 0), (3, 1)], [1, 0], [NO_EDGE, NO_EDGE], [True, True], modulus=3)
-    with pytest.raises(ValueError, match="not reduced mod 3"):
-        OrbitalGraph([(0, 0), (1, -1)], [1, 0], [NO_EDGE, NO_EDGE], [True, True], modulus=3)
-
-
-def test_graph_refuses_points_other_than_pairs():
-    for bad, modulus in (([0, 0], None), ([0, 0], 3), ((0, 0, 0), None)):
-        with pytest.raises(ValueError, match="not an"):
-            OrbitalGraph([bad], [NO_EDGE], [NO_EDGE], [True], modulus=modulus)
-    # a Vec2 is a pair: a graph of Vec2 points is the graph of their tuples
-    for modulus in (None, 3):
-        g = OrbitalGraph([Vec2(0, 0), (1, 2)], [1, 0], [NO_EDGE] * 2, [False] * 2, modulus=modulus)
-        assert list(g.points) == [(0, 0), (1, 2)]
-        assert g.vertex_id((0, 0)) == 0 and g.vertex_id(Vec2(1, 2)) == 1
+    # refused before a point's code is read from the table
+    for pairs in ([(0, 0), (3, 1)], [(0, 0), (1, -1)], [(0, 0), (0, 3)]):
+        with pytest.raises(ValueError, match=r"point \(.*\) is not reduced mod 3"):
+            OrbitalGraph(_store(pairs, 3), [1, 0], [NO_EDGE] * 2, [True] * 2, modulus=3)
 
 
 def test_graph_refuses_modulus_past_the_guard():
-    # the q^2 id table is never allocated for such a modulus
+    # the guard answers before the store is read
     with pytest.raises(ValueError, match="exceeds the guard 2048"):
-        OrbitalGraph([(0, 0)], [NO_EDGE], [NO_EDGE], [True], modulus=10**9)
+        OrbitalGraph(_store([(0, 0)]), [NO_EDGE], [NO_EDGE], [True], modulus=10**9)
 
 
 def test_graph_rejects_disconnected():
     with pytest.raises(ValueError, match="vertex 1 has no neighbour"):
-        OrbitalGraph([(0, 0), (1, 1)], [NO_EDGE] * 2, [NO_EDGE] * 2, [False, False])
+        OrbitalGraph(_store([(0, 0), (1, 1)]), [NO_EDGE] * 2, [NO_EDGE] * 2, [False, False])
 
 
 def test_graph_rejects_unfolded():
     pts = [(0, 0), (1, 1), (2, 2)]
     with pytest.raises(ValueError, match="two U-edges enter vertex 2"):
-        OrbitalGraph(pts, [2, 2, NO_EDGE], [NO_EDGE] * 3, [True] * 3)
+        OrbitalGraph(_store(pts), [2, 2, NO_EDGE], [NO_EDGE] * 3, [True] * 3)
     with pytest.raises(ValueError, match="two V-edges enter vertex 2"):
-        OrbitalGraph(pts, [NO_EDGE] * 3, [2, 2, NO_EDGE], [True] * 3)
+        OrbitalGraph(_store(pts), [NO_EDGE] * 3, [2, 2, NO_EDGE], [True] * 3)
 
 
 # ---------------------------------------------------------------- memory
