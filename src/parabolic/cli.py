@@ -39,10 +39,16 @@ def _check_letters(length: int) -> None:
 
 
 def _check_writable(path: str) -> None:
-    # refused before any work; the write itself still reports what it meets
-    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    # refused before any work, by kind before os.access, which passes almost
+    # every path for root; the write itself still reports what it meets
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"cannot write {path}: {parent} is missing or not a directory")
+    target = path if os.path.exists(path) else parent
     if not os.access(target, os.W_OK):
-        raise ValueError(f"cannot write {path}: {target} is missing or not writable")
+        raise ValueError(f"cannot write {path}: {target} is not writable")
 
 
 def _cmd_verify(args) -> int:
@@ -108,12 +114,11 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_core(args) -> int:
-    # a bad witness is refused before the ball is built; mod q it is unused
-    witness = parse(args.witness) if args.q is None else None
-    if witness is not None:
-        if witness.is_identity():
-            raise ValueError("certified_core needs a nonempty witness word")
-        _check_letters(len(witness))
+    # a bad witness is refused before any graph is built, in both modes
+    witness = parse(args.witness)
+    if witness.is_identity():
+        raise ValueError("certified_core needs a nonempty witness word")
+    _check_letters(len(witness))
     g = _build_graph_from_args(args)
     # only the points printed are read.  An exact core is range(n), every
     # vertex in id order, so its ids need no sort and its points are read in

@@ -8,11 +8,11 @@ edges["V"][v] are where the generators lead from v, and edges["u"] and
 edges["v"] are their inverse maps, so an inverse letter walks an edge
 backwards.  Each is an array('i') with NO_EDGE (-1) for a missing edge, so
 every reader tests `< 0` before it indexes, and `complete` is a bytearray.
-The points are a point store, _PointView, which the builder hands over and
-the graph keeps as `points`: two array('i') columns, xs and ys, and the
-point -> id index the builder's search filled, a dense table of q^2 ids
-keyed by x * q + y (-1 off the orbit) for a mod-q graph and a dict keyed by
-(x, y) tuples for a ball.  An indexed read of `points` makes one Vec2,
+The points are a point store, _PointView, which the graph keeps as
+`points`: the point -> id index the builder's search filled, a dense table
+of q^2 ids keyed by x * q + y (-1 off the orbit) for a mod-q graph and a
+dict keyed by (x, y) tuples for a ball, and two array('i') columns, xs and
+ys, and the modulus read off it.  An indexed read of `points` makes one Vec2,
 residues on a mod-q graph, and iteration yields plain tuples; `vertex_id`
 takes any (x, y) pair, and `vertices` is another name for `points`.
 Exports list the positive (U, V) edges only.  Two builders are provided:
@@ -30,6 +30,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
+from math import isqrt
 
 from .action import step
 from .linear import Vec2
@@ -48,16 +49,37 @@ _MET_FOUR_TIMES = bytes(i == 4 for i in range(256))
 
 
 class _PointView:
-    """A builder's point store: xs and ys columns and the point -> id index
-    its search filled, build_ball's dict or _orbit_mod_q's q^2 table.  An
-    indexed read makes one Vec2 and keeps none; iteration yields tuples."""
+    """A builder's point store, made from the point -> id index its search
+    filled: build_ball's dict of (x, y) tuples, whose keys give the xs and
+    ys columns, or _orbit_mod_q's table of q^2 ids with order, the codes
+    x * q + y in id order, decoded as code // q and code % q and not kept;
+    the modulus is isqrt(len(table)).  The index must number its points
+    0..n-1, with every code in [0, q^2).  An indexed read makes one Vec2 and
+    keeps none; iteration yields tuples."""
 
-    __slots__ = ("_xs", "_ys", "_index")
+    __slots__ = ("_xs", "_ys", "_index", "modulus")
 
-    def __init__(self, xs: array, ys: array, index: dict | array):
-        self._xs = xs
-        self._ys = ys
+    def __init__(self, index: dict | array, order: array | None = None):
+        if order is None:
+            ok = all(map(operator.eq, index.values(), count()))
+            xs = map(operator.itemgetter(0), index)
+            ys = map(operator.itemgetter(1), index)
+            q = None
+        else:
+            q = isqrt(len(index))
+            if q > _MAX_GRAPH_MODULUS:
+                raise ValueError(f"modulus {q} exceeds the guard {_MAX_GRAPH_MODULUS}")
+            ok = q * q == len(index) == len(order) + index.count(-1)
+            ok = ok and 0 <= min(order, default=0) and max(order, default=0) < len(index)
+            ok = ok and all(map(operator.eq, map(index.__getitem__, order), count()))
+            xs = map(operator.floordiv, order, repeat(q))
+            ys = map(operator.mod, order, repeat(q))
+        if not ok:
+            raise ValueError("a point index must number its points 0..n-1 in order")
+        self._xs = array("i", xs)
+        self._ys = array("i", ys)
         self._index = index
+        self.modulus = q
 
     def __len__(self) -> int:
         return len(self._xs)
@@ -68,27 +90,6 @@ class _PointView:
 
     def __iter__(self):
         return zip(self._xs, self._ys)
-
-
-def _check_index(points: _PointView, modulus: int | None) -> None:
-    """Refuses a store whose index does not number its points 0..n-1, by
-    C-level passes: a dict's keys must be the points in order and its values
-    range(n); a table must have q^2 slots, n of them filled, each point, in
-    [0, q)^2, holding its id at x * q + y.  So the points are distinct."""
-    xs, ys, index = points._xs, points._ys, points._index
-    n = len(xs)
-    if modulus is None:
-        ok = len(index) == n and all(map(operator.eq, index, zip(xs, ys)))
-        ok = ok and all(map(operator.eq, index.values(), range(n)))
-    else:
-        if not (0 <= min(xs) and max(xs) < modulus and 0 <= min(ys) and max(ys) < modulus):
-            x, y = next(p for p in points if not (0 <= p[0] < modulus and 0 <= p[1] < modulus))
-            raise ValueError(f"point ({x}, {y}) is not reduced mod {modulus}")
-        codes = map(operator.add, map(operator.mul, xs, repeat(modulus)), ys)
-        ok = len(index) == modulus * modulus == n + index.count(-1)
-        ok = ok and all(map(operator.eq, map(index.__getitem__, codes), range(n)))
-    if not ok:
-        raise ValueError("a point index must number its points 0..n-1 in order")
 
 
 def _inverse(col: array, gen: str, has_lower: bytearray) -> array:
@@ -121,8 +122,7 @@ class OrbitalGraph:
     their inverses.  Per generator each vertex has at most one outgoing and
     one incoming edge, as in a folded Stallings graph.  points is the
     builder's point store, a _PointView, kept as it is: the graph builds no
-    index of its own and reads the store's in vertex_id, once it has checked
-    that the index numbers the points 0..n-1.
+    index of its own, and reads the store's index and modulus.
 
     Vertex 0 is the base, and vertices are numbered in search order: every
     vertex but 0 must have a neighbour with a smaller id, which makes the
@@ -134,17 +134,14 @@ class OrbitalGraph:
 
     base = 0
 
-    def __init__(self, points, succ_u, succ_v, complete, modulus: int | None = None):
+    def __init__(self, points, succ_u, succ_v, complete):
         if type(points) is not _PointView:
             raise TypeError(f"points must be a builder's point store, not {type(points).__name__}")
         n = len(points)
-        if not (len(points._ys) == len(succ_u) == len(succ_v) == len(complete) == n):
+        if not (len(succ_u) == len(succ_v) == len(complete) == n):
             raise ValueError("points, succ_u, succ_v and complete must have equal length")
         if n == 0:
             raise ValueError("a graph needs its base vertex 0")
-        if modulus is not None and modulus > _MAX_GRAPH_MODULUS:
-            raise ValueError(f"modulus {modulus} exceeds the guard {_MAX_GRAPH_MODULUS}")
-        _check_index(points, modulus)
         has_lower = bytearray(n)
         fwd_u = array("i", succ_u)
         back_u = _inverse(fwd_u, "U", has_lower)
@@ -168,7 +165,7 @@ class OrbitalGraph:
         self.points = points
         self._index = points._index
         self.edges = {"U": fwd_u, "V": fwd_v, "u": back_u, "v": back_v}
-        self.modulus = modulus
+        self.modulus = points.modulus
 
     @property
     def vertices(self) -> _PointView:
@@ -195,9 +192,9 @@ class OrbitalGraph:
 def _orbit_mod_q(q: int) -> tuple[_PointView, array, array]:
     """Breadth-first closure of the orbit of (0, 0) mod q.
 
-    Returns (the point store, U-successor ids, V-successor ids): points in
-    discovery order as int columns, so no tuple is made per vertex, indexed
-    by the search's own id table, which the graph keeps.
+    Returns (the point store, U-successor ids, V-successor ids): the store
+    is made from the search's own id table, which the graph keeps, and the
+    codes in discovery order, so no tuple is made per vertex.
     Neighbours are visited in letter order U, V, U^-1, V^-1, and that
     discovery order fixes the vertex ids of build_mod_q.  Orbit sizes alone
     come from ranks.stabilizer_index.  Raises ValueError for
@@ -205,8 +202,8 @@ def _orbit_mod_q(q: int) -> tuple[_PointView, array, array]:
     guard the table has 2^22 slots.
 
     The search keeps each point only as its code x * q + y, in discovery
-    order, and the xs and ys columns are decoded from those codes once,
-    after it, as code // q and code % q.  Each letter moves one coordinate
+    order, and the store decodes xs and ys from those codes once, after
+    it, as code // q and code % q.  Each letter moves one coordinate
     by +-1 and the other by an amount that depends on the first alone, so
     its code comes from two tables indexed by that coordinate: for U, adding
     u_shift[y] = 2y * q and reducing mod q^2 moves x to x + 2y mod q, and
@@ -259,15 +256,13 @@ def _orbit_mod_q(q: int) -> tuple[_PointView, array, array]:
         if ids[d] < 0:
             ids[d] = len(order)
             order.append(d)
-    xs = array("i", map(operator.floordiv, order, repeat(q)))
-    ys = array("i", map(operator.mod, order, repeat(q)))
-    return _PointView(xs, ys, ids), succ_u, succ_v
+    return _PointView(ids, order), succ_u, succ_v
 
 
 def build_mod_q(q: int) -> OrbitalGraph:
     """Orbital graph of the action on (Z/qZ)^2, complete by construction."""
     points, succ_u, succ_v = _orbit_mod_q(q)
-    return OrbitalGraph(points, succ_u, succ_v, b"\x01" * len(points), modulus=q)
+    return OrbitalGraph(points, succ_u, succ_v, b"\x01" * len(points))
 
 
 def build_ball(depth: int) -> OrbitalGraph:
@@ -283,9 +278,9 @@ def build_ball(depth: int) -> OrbitalGraph:
     layer keeps the ids of all four neighbours of each point, and the last
     layer's edges and complete flags are read off them, with no lookup of
     their own; a last-layer vertex is complete iff four such edges meet it.
-    The last layer is about two thirds of the ball.  The search's dict of
-    point tuples to ids indexes the point store the graph keeps, whose
-    columns are read off its keys.
+    The last layer is about two thirds of the ball.  The point store the
+    graph keeps is made from the search's dict of point tuples to ids, and
+    reads its columns off the keys.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -340,9 +335,7 @@ def build_ball(depth: int) -> OrbitalGraph:
     # m = max(|x|, |y|), at most triples per letter, so at depth 13 |x|, |y|
     # <= 3^13 - 1, far below 2^31; past it array raises, not wraps
     del back_u, back_v, met
-    xs = array("i", map(operator.itemgetter(0), index))
-    ys = array("i", map(operator.itemgetter(1), index))
-    return OrbitalGraph(_PointView(xs, ys, index), succ_u, succ_v, complete)
+    return OrbitalGraph(_PointView(index), succ_u, succ_v, complete)
 
 
 def trace(g: OrbitalGraph, w: Word, start: int) -> int | None:

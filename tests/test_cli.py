@@ -283,31 +283,47 @@ def test_verify_command_refuses_over_budget_before_running(tmp_path, capsys, fla
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, out",
     [
-        ["verify", "--q-max", "4096", "--n-max", "10000", "--out"],
-        ["verify"],
-        ["graph", "--q", "2048", "--format", "json", "--out"],
-        ["graph", "--depth", "3", "--out"],
+        (["verify", "--q-max", "4096", "--n-max", "10000", "--out"], "missing/out.json"),
+        # bare verify writes to verification.json in the output directory
+        (["verify"], "missing/verification.json"),
+        (["graph", "--q", "2048", "--format", "json", "--out"], "missing/out.json"),
+        (["graph", "--depth", "3", "--out"], "missing/out.json"),
+        (["graph", "--q", "512", "--format", "json", "--out"], "dir"),
+        (["verify", "--out"], "dir"),
+        (["graph", "--q", "512", "--format", "json", "--out"], "file/g.json"),
     ],
-    ids=["verify-out", "verify-out-dir", "graph-q", "graph-depth"],
+    ids=[
+        "verify-out",
+        "verify-out-dir",
+        "graph-q",
+        "graph-depth",
+        "graph-out-is-a-directory",
+        "verify-out-is-a-directory",
+        "graph-out-under-a-file",
+    ],
 )
-def test_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv):
+def test_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, out):
     # the run and the builds raise if called, so the refusal comes first
     def never(*args):
         raise AssertionError("work started before the destination was checked")
 
     for name in ("run_verification", "build_mod_q", "build_ball"):
         monkeypatch.setattr(cli, name, never)
-    missing = tmp_path / "missing"
-    # bare verify writes to verification.json in the output directory
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(missing))
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    made = sorted(tmp_path.rglob("*"))
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "missing"))
+    # os.access passes almost every path for root, so none of these may rest on it
+    monkeypatch.setattr(os, "access", lambda path, mode: True)
+    dest = tmp_path / out
     start = time.monotonic()
-    assert main(argv + [str(missing / "out.json")] if argv[-1] == "--out" else argv) == 2
+    assert main(argv + [str(dest)] if argv[-1] == "--out" else argv) == 2
     assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {missing}") and err.count("\n") == 1
-    assert not missing.exists()
+    assert err.startswith(f"error: cannot write {dest}") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == made
 
 
 # ---------------------------------------------------------------- one-shot commands
@@ -458,6 +474,19 @@ def test_core_command_refuses_an_identity_witness_before_building(monkeypatch, c
     for witness in ("Uu", "", "U^0"):
         assert main(["core", "--depth", "13", "--witness", witness]) == 2
         assert capsys.readouterr().err == "error: certified_core needs a nonempty witness word\n"
+
+
+@pytest.mark.parametrize("witness", ["zz", "", "U^99999999999"])
+def test_core_mod_q_refuses_a_bad_witness_before_building(monkeypatch, capsys, witness):
+    # the exact core does not read the witness, but a bad one is refused all
+    # the same, as with --depth: malformed, the identity, over the letter budget
+    def no_graph(q):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(cli, "build_mod_q", no_graph)
+    assert main(["core", "--q", "5", "--witness", witness]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_member_command_refuses_word_too_long_to_print(capsys):

@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 from array import array
+from itertools import count
 
 import pytest
 from oracles import (
@@ -36,16 +37,22 @@ from parabolic.schreier import (
 from parabolic.words import Word, enumerate_reduced
 
 
+def _table(codes, size):
+    """An id table of `size` slots and the codes in id order, the form
+    _orbit_mod_q hands over; a code wraps into the table, so one outside
+    it reaches the store's range check."""
+    index = array("i", [-1]) * size
+    for vid, code in enumerate(codes):
+        index[code % size] = vid
+    return index, array("i", codes)
+
+
 def _store(pairs, modulus=None):
-    """The store a builder would hand over for these pairs: a dict index, or
-    mod q a q^2 table, codes wrapped so unreduced points reach the checks."""
-    xs, ys = array("i", [x for x, _ in pairs]), array("i", [y for _, y in pairs])
+    """The store a builder would hand over for these pairs: from a dict
+    index, or mod q from a q^2 table and the codes x * q + y."""
     if modulus is None:
-        return _PointView(xs, ys, dict(zip(zip(xs, ys), range(len(xs)))))
-    index = array("i", [-1]) * (modulus * modulus)
-    for vid, code in enumerate(x * modulus + y for x, y in pairs):
-        index[code % len(index)] = vid
-    return _PointView(xs, ys, index)
+        return _PointView(dict(zip(pairs, count())))
+    return _PointView(*_table([x * modulus + y for x, y in pairs], modulus * modulus))
 
 
 def _random_word(rng, length):
@@ -621,7 +628,7 @@ def test_graph_rebuilds_from_its_own_columns():
     # edges["U"] and edges["V"] are in the form the constructor takes; the
     # rebuilt graph keeps copies, not the columns it was given
     for g in (build_ball(6), build_mod_q(12)):
-        h = OrbitalGraph(g.points, g.edges["U"], g.edges["V"], g.complete, modulus=g.modulus)
+        h = OrbitalGraph(g.points, g.edges["U"], g.edges["V"], g.complete)
         assert list(h.points) == list(g.points)
         assert h.edges == g.edges and h.edges["U"] is not g.edges["U"]
         assert h.complete == g.complete and h.fully_complete == g.fully_complete
@@ -629,22 +636,31 @@ def test_graph_rebuilds_from_its_own_columns():
 
 
 def test_ball_hands_its_index_to_the_graph():
-    # the graph keeps the store build_ball made around its search's dict
+    # the graph keeps the store build_ball made from its search's dict
     ball = build_ball(5)
     assert type(ball._index) is dict and ball._index is ball.points._index
     assert list(ball._index) == list(ball.points)
     assert list(ball._index.values()) == list(range(len(ball)))
     assert all(ball.vertex_id(p) == i for i, p in enumerate(ball.points))
     path = ([1, NO_EDGE], [NO_EDGE, NO_EDGE], [False, False])
-    xs, ys = array("i", [0, 0]), array("i", [0, 1])
-    good = _PointView(xs, ys, {(0, 0): 0, (0, 1): 1})
+    good = _PointView({(0, 0): 0, (0, 1): 1})
     assert OrbitalGraph(good, *path).vertex_id(Vec2(0, 1)) == 1
     for bad in ({(0, 0): 0, (0, 1): 2}, {(0, 1): 1, (0, 0): 0}, {(0, 0): 1, (0, 1): 0}):
         with pytest.raises(ValueError, match="must number its points 0..n-1 in order"):
-            OrbitalGraph(_PointView(xs, ys, bad), *path)
-    # a dict index is a ball's; a mod-q graph needs a table
-    with pytest.raises(ValueError, match="must number its points 0..n-1 in order"):
-        OrbitalGraph(good, *path, modulus=3)
+            OrbitalGraph(_PointView(bad), *path)
+
+
+def test_store_reads_its_columns_and_modulus_off_its_index():
+    ball = build_ball(5).points
+    assert list(ball) == list(ball._index) and ball.modulus is None
+    mod = build_mod_q(12).points
+    # the codes in id order, read back off the table
+    codes = [code for _, code in sorted((vid, c) for c, vid in enumerate(mod._index) if vid >= 0)]
+    assert list(mod) == [divmod(code, 12) for code in codes] and mod.modulus == 12
+    assert build_mod_q(12).modulus == 12 and build_ball(5).modulus is None
+    # a store keeps its columns, its index and its modulus, and no code column
+    assert _PointView.__slots__ == ("_xs", "_ys", "_index", "modulus")
+    assert not hasattr(mod, "__dict__")
 
 
 def test_mod_q_graph_keeps_the_search_table(monkeypatch):
@@ -662,58 +678,53 @@ def test_mod_q_graph_keeps_the_search_table(monkeypatch):
 
 
 def test_graph_refuses_a_store_whose_index_disagrees():
-    path = ([1, NO_EDGE], [NO_EDGE, NO_EDGE], [False, False])
-    xs, ys = array("i", [0, 0]), array("i", [0, 1])
-    # dict: a wrong id, ids out of order, a key that is not the point, a
-    # missing key, and a table where the graph has no modulus
-    for index in (
-        {(0, 0): 0, (0, 1): 5},
-        {(0, 1): 0, (0, 0): 1},
-        {(0, 0): 0, (1, 1): 1},
-        {(0, 0): 0},
-        _store([(0, 0), (0, 1)], 3)._index,
-    ):
+    # the store checks its index when it is made, before any graph holds it.
+    # dict: a wrong id and swapped ids
+    for index in ({(0, 0): 0, (0, 1): 5}, {(0, 0): 1, (0, 1): 0}):
         with pytest.raises(ValueError, match="must number its points 0..n-1"):
-            OrbitalGraph(_PointView(xs, ys, index), *path)
-    # table mod 3: a duplicate code, an extra filled slot, a slot holding
-    # another id, a table of the wrong size, and a dict
-    dup = _PointView(xs, array("i", [0, 0]), _store([(0, 0), (0, 1)], 3)._index)
-    extra = _store([(0, 0), (0, 1)], 3)
-    extra._index[8] = 5
-    swapped = _store([(0, 0), (0, 1)], 3)
-    swapped._index[0], swapped._index[1] = 1, 0
-    small = _PointView(xs, ys, _store([(0, 0), (0, 1)], 2)._index)
-    for store in (dup, extra, swapped, small, _store([(0, 0), (0, 1)])):
+            _PointView(index)
+    # table mod 3 of (0, 0) and (0, 1): a duplicate code, an extra filled
+    # slot, a slot holding another id, and a size that is not a square
+    extra = _table([0, 1], 9)
+    extra[0][8] = 5
+    swapped = _table([0, 1], 9)
+    swapped[0][0], swapped[0][1] = 1, 0
+    for index, order in (_table([1, 1], 9), extra, swapped, _table([0, 1], 8)):
         with pytest.raises(ValueError, match="must number its points 0..n-1"):
-            OrbitalGraph(store, *path, modulus=3)
-    # points outside [0, q)^2 in test_graph_rejects_wrong_vertex_modulus;
+            _PointView(index, order)
+    # codes outside [0, q^2) in test_graph_rejects_wrong_vertex_modulus;
     # the pairs and Vec2 lists the builders never hand over are refused
+    path = ([1, NO_EDGE], [NO_EDGE, NO_EDGE], [False, False])
     for points in ([(0, 0), (0, 1)], [Vec2(0, 0), Vec2(0, 1)], {(0, 0): 0, (0, 1): 1}):
         with pytest.raises(TypeError, match="must be a builder's point store"):
             OrbitalGraph(points, *path)
-    # as are a store with ys and xs of different lengths
-    with pytest.raises(ValueError, match="must have equal length"):
-        OrbitalGraph(_PointView(xs, array("i", [0]), {(0, 0): 0, (0, 1): 1}), *path)
 
 
 def test_graph_refuses_empty_graph():
     with pytest.raises(ValueError, match="needs its base vertex 0"):
         OrbitalGraph(_store([]), [], [], [])
     with pytest.raises(ValueError, match="needs its base vertex 0"):
-        OrbitalGraph(_store([], 3), [], [], [], modulus=3)
+        OrbitalGraph(_store([], 3), [], [], [])
 
 
 def test_graph_rejects_wrong_vertex_modulus():
-    # refused before a point's code is read from the table
-    for pairs in ([(0, 0), (3, 1)], [(0, 0), (1, -1)], [(0, 0), (0, 3)]):
-        with pytest.raises(ValueError, match=r"point \(.*\) is not reduced mod 3"):
-            OrbitalGraph(_store(pairs, 3), [1, 0], [NO_EDGE] * 2, [True] * 2, modulus=3)
+    # a point is decoded from its code, so a code outside [0, q^2) is the
+    # one way to name a point outside [0, q)^2.  It is refused with
+    # ValueError before it is read: -8 would read the slot of its residue 1,
+    # which holds the right id, and 9 and 100 would read past the table
+    for codes in ([0, -8], [0, -1], [0, 9], [0, 100]):
+        with pytest.raises(ValueError, match="must number its points 0..n-1"):
+            _PointView(*_table(codes, 9))
+    assert list(_store([(0, 0), (2, 1)], 3)) == [(0, 0), (2, 1)]
 
 
 def test_graph_refuses_modulus_past_the_guard():
-    # the guard answers before the store is read
+    # the modulus is read off the table's size; a table of one point mod
+    # 2049 passes every other check
+    table = array("i", [-1]) * (2049 * 2049)
+    table[0] = 0
     with pytest.raises(ValueError, match="exceeds the guard 2048"):
-        OrbitalGraph(_store([(0, 0)]), [NO_EDGE], [NO_EDGE], [True], modulus=10**9)
+        OrbitalGraph(_PointView(table, array("i", [0])), [NO_EDGE], [NO_EDGE], [True])
 
 
 def test_graph_rejects_disconnected():
@@ -895,7 +906,7 @@ def test_edge_consistency_catches_tampering():
     # still has a V-edge to a smaller vertex, so the graph stays in search
     # order and fully complete, and only the audit sees the wrong edges
     bad[2], bad[3] = bad[3], bad[2]
-    h = OrbitalGraph(g.points, bad, g.edges["V"], g.complete, modulus=2)
+    h = OrbitalGraph(g.points, bad, g.edges["V"], g.complete)
     assert h.fully_complete
     with pytest.raises(AssertionError, match="edge 2 -U-> 2 disagrees"):
         check_edge_consistency(h)
