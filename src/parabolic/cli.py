@@ -43,6 +43,8 @@ def _check_writable(path: str) -> None:
     # every path for root; the write itself still reports what it meets
     if os.path.isdir(path):
         raise ValueError(f"cannot write {path}: it is a directory")
+    if not os.path.basename(path):
+        raise ValueError(f"cannot write {path!r}: it names no file")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise ValueError(f"cannot write {path}: {parent} is missing or not a directory")

@@ -7,14 +7,15 @@ arrays of Kapovich-Myasnikov, J. Algebra 248 (2002): edges["U"][v] and
 edges["V"][v] are where the generators lead from v, and edges["u"] and
 edges["v"] are their inverse maps, so an inverse letter walks an edge
 backwards.  Each is an array('i') with NO_EDGE (-1) for a missing edge, so
-every reader tests `< 0` before it indexes, and `complete` is a bytearray.
-The points are a point store, _PointView, which the graph keeps as
-`points`: the point -> id index the builder's search filled, a dense table
-of q^2 ids keyed by x * q + y (-1 off the orbit) for a mod-q graph and a
-dict keyed by (x, y) tuples for a ball, and two array('i') columns, xs and
-ys, and the modulus read off it.  An indexed read of `points` makes one Vec2,
-residues on a mod-q graph, and iteration yields plain tuples; `vertex_id`
-takes any (x, y) pair, and `vertices` is another name for `points`.
+every reader tests `< 0` before it indexes.  The graph keeps what its
+builder filled: the U and V columns, the bytearray `complete`, and as
+`points` the point store, _PointView: the point -> id index of the search,
+a dense table of q^2 ids keyed by x * q + y (-1 off the orbit) for a mod-q
+graph and a dict keyed by (x, y) tuples for a ball, and the xs and ys
+array('i') columns and the modulus read off it.  An indexed read of
+`points` makes one Vec2, residues on a mod-q graph, and iteration yields
+plain tuples; `vertex_id` takes any (x, y) pair, and `vertices` is another
+name for `points`.
 Exports list the positive (U, V) edges only.  Two builders are provided:
 the full orbit of (0, 0) modulo q, and the exact ball of given radius
 around (0, 0) in the infinite orbit.  A vertex of a partial graph is
@@ -116,13 +117,12 @@ def _inverse(col: array, gen: str, has_lower: bytearray) -> array:
 
 class OrbitalGraph:
     """Immutable labeled graph: edges[c][v] is where letter c leads from v,
-    or NO_EDGE.  Only the U and V successors are passed in, as int sequences
-    with NO_EDGE for a missing edge, the form edges["U"] and edges["V"]
-    store; each is copied into an array('i'), and u and v are filled as
-    their inverses.  Per generator each vertex has at most one outgoing and
-    one incoming edge, as in a folded Stallings graph.  points is the
-    builder's point store, a _PointView, kept as it is: the graph builds no
-    index of its own, and reads the store's index and modulus.
+    or NO_EDGE.  It keeps what its builder filled, with no copy: the point
+    store, a _PointView, whose index and modulus it reads; the array('i')
+    columns succ_u and succ_v, NO_EDGE for a missing edge, as edges["U"] and
+    edges["V"]; and the bytearray of 0/1 complete flags.  It builds only u
+    and v, their inverses.  Per generator each vertex has at most one
+    outgoing and one incoming edge, as in a folded Stallings graph.
 
     Vertex 0 is the base, and vertices are numbered in search order: every
     vertex but 0 must have a neighbour with a smaller id, which makes the
@@ -137,21 +137,25 @@ class OrbitalGraph:
     def __init__(self, points, succ_u, succ_v, complete):
         if type(points) is not _PointView:
             raise TypeError(f"points must be a builder's point store, not {type(points).__name__}")
+        if not all(type(col) is array and col.typecode == "i" for col in (succ_u, succ_v)):
+            raise TypeError("succ_u and succ_v must be array('i') columns")
+        if type(complete) is not bytearray:
+            raise TypeError(f"complete must be a bytearray, not {type(complete).__name__}")
         n = len(points)
         if not (len(succ_u) == len(succ_v) == len(complete) == n):
             raise ValueError("points, succ_u, succ_v and complete must have equal length")
         if n == 0:
             raise ValueError("a graph needs its base vertex 0")
+        if complete.translate(None, b"\x00\x01"):
+            raise ValueError("complete flags must be 0 or 1")
         has_lower = bytearray(n)
-        fwd_u = array("i", succ_u)
-        back_u = _inverse(fwd_u, "U", has_lower)
-        fwd_v = array("i", succ_v)
-        back_v = _inverse(fwd_v, "V", has_lower)
-        self.complete = bytearray(map(bool, complete))
+        back_u = _inverse(succ_u, "U", has_lower)
+        back_v = _inverse(succ_v, "V", has_lower)
+        self.complete = complete
         # read by every loop query, so computed once here, not per call
-        self.fully_complete = 0 not in self.complete
+        self.fully_complete = 0 not in complete
         if self.fully_complete:
-            for gen, col in (("U", fwd_u), ("V", fwd_v)):
+            for gen, col in (("U", succ_u), ("V", succ_v)):
                 if NO_EDGE in col:
                     vid = col.index(NO_EDGE)
                     raise ValueError(f"vertex {vid} has no {gen}-edge in a fully complete graph")
@@ -164,7 +168,7 @@ class OrbitalGraph:
             )
         self.points = points
         self._index = points._index
-        self.edges = {"U": fwd_u, "V": fwd_v, "u": back_u, "v": back_v}
+        self.edges = {"U": succ_u, "V": succ_v, "u": back_u, "v": back_v}
         self.modulus = points.modulus
 
     @property
@@ -192,24 +196,21 @@ class OrbitalGraph:
 def _orbit_mod_q(q: int) -> tuple[_PointView, array, array]:
     """Breadth-first closure of the orbit of (0, 0) mod q.
 
-    Returns (the point store, U-successor ids, V-successor ids): the store
-    is made from the search's own id table, which the graph keeps, and the
-    codes in discovery order, so no tuple is made per vertex.
-    Neighbours are visited in letter order U, V, U^-1, V^-1, and that
-    discovery order fixes the vertex ids of build_mod_q.  Orbit sizes alone
-    come from ranks.stabilizer_index.  Raises ValueError for
-    q > _MAX_GRAPH_MODULUS before the q*q id table is allocated; at the
-    guard the table has 2^22 slots.
+    Returns (the point store, U-successor ids, V-successor ids), which the
+    graph keeps as they are.  The search keeps each point only as its code
+    x * q + y, and the store is made from its id table and the codes in
+    discovery order, so no tuple is made per vertex.  Neighbours are
+    visited in letter order U, V, U^-1, V^-1, and that discovery order
+    fixes the vertex ids of build_mod_q.  Orbit sizes alone come from
+    ranks.stabilizer_index.  Raises ValueError for q > _MAX_GRAPH_MODULUS
+    before the q*q id table is allocated; at the guard it has 2^22 slots.
 
-    The search keeps each point only as its code x * q + y, in discovery
-    order, and the store decodes xs and ys from those codes once, after
-    it, as code // q and code % q.  Each letter moves one coordinate
-    by +-1 and the other by an amount that depends on the first alone, so
-    its code comes from two tables indexed by that coordinate: for U, adding
-    u_shift[y] = 2y * q and reducing mod q^2 moves x to x + 2y mod q, and
-    adding u_step[y] = (y + 1) mod q - y then moves y to y + 1 mod q; for V,
-    v_row[x] = (x + 1 mod q) * q is the new row and y + v_shift[x] = y + 2x,
-    reduced mod q, the new column.
+    Each letter moves one coordinate by +-1 and the other by an amount that
+    depends on the first alone, so its code comes from two tables indexed by
+    that coordinate: for U, adding u_shift[y] = 2y * q and reducing mod q^2
+    moves x to x + 2y mod q, and adding u_step[y] = (y + 1) mod q - y then
+    moves y to y + 1 mod q; for V, v_row[x] = (x + 1 mod q) * q is the new
+    row and y + v_shift[x] = y + 2x, reduced mod q, the new column.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
@@ -224,10 +225,9 @@ def _orbit_mod_q(q: int) -> tuple[_PointView, array, array]:
     v_shift = [2 * x % q for x in range(q)]
     back_v_row = [(x - 1) % q * q for x in range(q)]
     back_v_shift = [(2 - 2 * x) % q for x in range(q)]
-    # the id table, order and successors are array('i') columns, one C int
-    # per entry, where a list would keep an int object per vertex for its id
-    # and one for its code.  order grows while it is read, and the read
-    # reaches every point appended
+    # ids, order and the successors are array('i'), one C int per entry, where
+    # a list would keep an int object per vertex for its id and its code.
+    # order grows while it is read, and the read reaches every point appended
     ids = array("i", [-1]) * qq
     order = array("i", [0])
     succ_u = array("i")
@@ -262,7 +262,7 @@ def _orbit_mod_q(q: int) -> tuple[_PointView, array, array]:
 def build_mod_q(q: int) -> OrbitalGraph:
     """Orbital graph of the action on (Z/qZ)^2, complete by construction."""
     points, succ_u, succ_v = _orbit_mod_q(q)
-    return OrbitalGraph(points, succ_u, succ_v, b"\x01" * len(points))
+    return OrbitalGraph(points, succ_u, succ_v, bytearray(b"\x01") * len(points))
 
 
 def build_ball(depth: int) -> OrbitalGraph:
@@ -278,9 +278,8 @@ def build_ball(depth: int) -> OrbitalGraph:
     layer keeps the ids of all four neighbours of each point, and the last
     layer's edges and complete flags are read off them, with no lookup of
     their own; a last-layer vertex is complete iff four such edges meet it.
-    The last layer is about two thirds of the ball.  The point store the
-    graph keeps is made from the search's dict of point tuples to ids, and
-    reads its columns off the keys.
+    The last layer is about two thirds of the ball.  The graph keeps the
+    columns filled here, and a point store made from the search's dict.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -288,8 +287,8 @@ def build_ball(depth: int) -> OrbitalGraph:
         raise ValueError(f"depth {depth} exceeds the guard {_MAX_BALL_DEPTH}")
     index = {(0, 0): 0}
     add = index.setdefault
-    succ_u: list[int] = []
-    succ_v: list[int] = []
+    succ_u = array("i")
+    succ_v = array("i")
     # points are read in discovery order, one distance layer at a time from
     # its first id; each layer before the last adds all four neighbours
     # (letter order U, V, U^-1, V^-1), so its vertices are complete and by
@@ -312,13 +311,11 @@ def build_ball(depth: int) -> OrbitalGraph:
     # t -U-> s is found there as U^-1(s) = t, and likewise for V; for an
     # inner t that is the edge already stored.  met counts the edges of
     # layer depth - 1 meeting each vertex.  The writes go to the layers on
-    # either side, so the layer's own successors are read in place, and
-    # its ids come off the index, so the edges share its int objects; the
-    # constructor copies each list into an array('i') in one call.
+    # either side, so the layer's own successors are read in place.
     last = len(succ_u)
     n = len(index)
-    succ_u.extend(repeat(NO_EDGE, n - last))
-    succ_v.extend(repeat(NO_EDGE, n - last))
+    succ_u += array("i", [NO_EDGE]) * (n - last)
+    succ_v += array("i", [NO_EDGE]) * (n - last)
     met = bytearray(n)
     layer = islice(index.values(), first, last)
     for s, a, b, c, d in zip(

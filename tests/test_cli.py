@@ -326,6 +326,23 @@ def test_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys
     assert sorted(tmp_path.rglob("*")) == made
 
 
+def test_verify_out_naming_no_file_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    # a path with no file name is refused before any check; graph --out ""
+    # means stdout
+    def never(*args):
+        raise AssertionError("work started before the destination was checked")
+
+    monkeypatch.setattr(cli, "run_verification", never)
+    monkeypatch.chdir(tmp_path)
+    for out in ("", "missing/"):
+        assert main(["verify", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out!r}: it names no file\n"
+    assert main(["graph", "--q", "2", "--out", ""]) == 0
+    assert capsys.readouterr().out.startswith("digraph orbital {")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- one-shot commands
 
 

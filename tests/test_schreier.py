@@ -55,6 +55,13 @@ def _store(pairs, modulus=None):
     return _PointView(*_table([x * modulus + y for x, y in pairs], modulus * modulus))
 
 
+def _graph(points, succ_u, succ_v, complete, **kwargs):
+    """The graph of int lists and truthy flags, handed over as a builder
+    hands them: array('i') columns and a bytearray of 0/1 flags."""
+    columns = array("i", succ_u), array("i", succ_v)
+    return OrbitalGraph(points, *columns, bytearray(map(bool, complete)), **kwargs)
+
+
 def _random_word(rng, length):
     inverse = {"U": "u", "u": "U", "V": "v", "v": "V"}
     out = []
@@ -274,7 +281,7 @@ def _partial_path():
     # 2 -U-> 0 -U-> 1: vertex 1 has no U-edge, and read as index -1 a missing
     # edge would be the last vertex, 2; no vertex is complete
     pts = _store([(0, 0), (1, 0), (2, 0)])
-    return OrbitalGraph(pts, [1, NO_EDGE, 0], [NO_EDGE] * 3, [False] * 3)
+    return _graph(pts, [1, NO_EDGE, 0], [NO_EDGE] * 3, [False] * 3)
 
 
 def test_readers_skip_missing_edges():
@@ -291,27 +298,27 @@ def test_connectivity_check_skips_missing_edges():
     # edge makes no vertex a neighbour
     pts = _store([(0, 0), (1, 0), (2, 0)])
     with pytest.raises(ValueError, match="vertex 2 has no neighbour with a smaller id"):
-        OrbitalGraph(pts, [1, NO_EDGE, NO_EDGE], [NO_EDGE] * 3, [False] * 3)
+        _graph(pts, [1, NO_EDGE, NO_EDGE], [NO_EDGE] * 3, [False] * 3)
 
 
 def test_connected_graph_numbered_out_of_search_order():
     # 0 -U-> 2 -U-> 1 is connected, but vertex 1's only neighbour is 2
     pts = [(0, 0), (1, 0), (2, 0)]
     with pytest.raises(ValueError, match="vertex 1 has no neighbour with a smaller id"):
-        OrbitalGraph(_store(pts), [2, NO_EDGE, 1], [NO_EDGE] * 3, [False] * 3)
+        _graph(_store(pts), [2, NO_EDGE, 1], [NO_EDGE] * 3, [False] * 3)
     # the base is vertex 0; there is no option to move it
     with pytest.raises(TypeError):
-        OrbitalGraph(_store(pts), [2, NO_EDGE, 1], [NO_EDGE] * 3, [True] * 3, base=1)
+        _graph(_store(pts), [2, NO_EDGE, 1], [NO_EDGE] * 3, [True] * 3, base=1)
     # connected as 0 - 3 - 1 - 2, but both neighbours of vertex 1 are larger
     with pytest.raises(ValueError, match="vertex 1 has no neighbour"):
-        OrbitalGraph(
+        _graph(
             _store([(i, 0) for i in range(4)]),
             [NO_EDGE, 2, NO_EDGE, 0],
             [NO_EDGE, 3, NO_EDGE, NO_EDGE],
             [False] * 4,
         )
     # the same path numbered in search order is accepted
-    g = OrbitalGraph(_store([(0, 0), (2, 0), (1, 0)]), [1, 2, NO_EDGE], [NO_EDGE] * 3, [False] * 3)
+    g = _graph(_store([(0, 0), (2, 0), (1, 0)]), [1, 2, NO_EDGE], [NO_EDGE] * 3, [False] * 3)
     assert trace(g, Word("UU"), 0) == 2 and g.base == 0
 
 
@@ -359,25 +366,25 @@ def test_complete_graph_refuses_pendant_vertex():
     pts = [(i, 0) for i in range(4)]
     succ_u, succ_v = [1, 2, 0, NO_EDGE], [NO_EDGE, NO_EDGE, 3, NO_EDGE]
     with pytest.raises(ValueError, match="vertex 3 has no U-edge in a fully complete graph"):
-        OrbitalGraph(_store(pts), succ_u, succ_v, [True] * 4)
+        _graph(_store(pts), succ_u, succ_v, [True] * 4)
     # flagged incomplete, the pendant is a partial graph, which core_exact refuses
-    g = OrbitalGraph(_store(pts), succ_u, succ_v, [True, True, True, False])
+    g = _graph(_store(pts), succ_u, succ_v, [True, True, True, False])
     with pytest.raises(ValueError, match="needs a fully complete graph"):
         core_exact(g)
 
 
 def test_core_exact_self_loop_survives():
-    g = OrbitalGraph(_store([(0, 0)]), [0], [0], [True])
+    g = _graph(_store([(0, 0)]), [0], [0], [True])
     assert frozenset(core_exact(g).core_vertices) == frozenset({0})
     with pytest.raises(ValueError, match="vertex 0 has no V-edge"):
-        OrbitalGraph(_store([(0, 0)]), [0], [NO_EDGE], [True])
+        _graph(_store([(0, 0)]), [0], [NO_EDGE], [True])
 
 
 def test_complete_graph_refuses_isolated_vertex():
     with pytest.raises(ValueError, match="vertex 0 has no U-edge"):
-        OrbitalGraph(_store([(0, 0)]), [NO_EDGE], [NO_EDGE], [True])
+        _graph(_store([(0, 0)]), [NO_EDGE], [NO_EDGE], [True])
     with pytest.raises(ValueError, match="vertex 1 has no U-edge"):
-        OrbitalGraph(_store([(0, 0), (1, 0)]), [0, NO_EDGE], [0, NO_EDGE], [True, True])
+        _graph(_store([(0, 0), (1, 0)]), [0, NO_EDGE], [0, NO_EDGE], [True, True])
 
 
 def _random_complete_graph(rng, n):
@@ -407,7 +414,7 @@ def test_core_exact_matches_stripping_oracle_on_random_graphs():
     sizes = set()
     for _ in range(300):
         n, succ_u, succ_v = _random_complete_graph(rng, rng.randint(1, 40))
-        g = OrbitalGraph(_store([(i, 0) for i in range(n)]), succ_u, succ_v, [True] * n)
+        g = _graph(_store([(i, 0) for i in range(n)]), succ_u, succ_v, [True] * n)
         exact = frozenset(core_exact(g).core_vertices)
         assert exact == core_by_stripping(n, _undirected_edge_list(g))
         sizes.add(n)
@@ -430,7 +437,7 @@ def test_core_exact_requires_complete_graph():
 
 def test_fully_complete_flag_matches_vertex_flags():
     # only the last vertex is incomplete, so a flag read off one vertex fails
-    partial = OrbitalGraph(_store([(0, 0), (1, 0)]), [1, 0], [NO_EDGE, NO_EDGE], [True, False])
+    partial = _graph(_store([(0, 0), (1, 0)]), [1, 0], [NO_EDGE, NO_EDGE], [True, False])
     for g in (build_ball(4), build_mod_q(6), build_mod_q(8), partial):
         assert g.fully_complete == all(g.complete)
     assert build_mod_q(6).fully_complete and not partial.fully_complete
@@ -536,7 +543,7 @@ def test_certified_core_depths_refuses_other_graphs():
         with pytest.raises(ValueError, match="is not the ball of depth"):
             certified_core_depths(ball, depth, DEFAULT_WITNESS)
     # a graph as large as ball(6) whose vertex 1 is incomplete
-    tampered = OrbitalGraph(
+    tampered = _graph(
         ball.points,
         ball.edges["U"],
         ball.edges["V"],
@@ -584,7 +591,7 @@ def test_spanning_tree_generators_match_letterwise_assembly():
 
 
 def test_spanning_tree_generators_bouquet():
-    g = OrbitalGraph(_store([(0, 0)]), [0], [0], [True])
+    g = _graph(_store([(0, 0)]), [0], [0], [True])
     assert [w.text for w in spanning_tree_generators(g)] == ["U", "V"]
 
 
@@ -599,22 +606,23 @@ def test_spanning_tree_requires_complete_graph():
 def test_graph_rejects_bad_shapes():
     v = [(0, 0), (1, 1)]
     with pytest.raises(ValueError):
-        OrbitalGraph(_store(v), [NO_EDGE], [NO_EDGE], [True, True])
+        _graph(_store(v), [NO_EDGE], [NO_EDGE], [True, True])
     with pytest.raises(ValueError):
-        OrbitalGraph(_store(v), [1, 0], [NO_EDGE], [True, True])
+        _graph(_store(v), [1, 0], [NO_EDGE], [True, True])
     with pytest.raises(ValueError, match="target 5 out of range"):
-        OrbitalGraph(_store(v), [5, 0], [NO_EDGE, NO_EDGE], [True, True])
+        _graph(_store(v), [5, 0], [NO_EDGE, NO_EDGE], [True, True])
     with pytest.raises(ValueError, match="target -2 out of range"):
-        OrbitalGraph(_store(v), [1, 0], [NO_EDGE, -2], [True, True])
+        _graph(_store(v), [1, 0], [NO_EDGE, -2], [True, True])
     with pytest.raises(ValueError, match="target 2 out of range"):
-        OrbitalGraph(_store(v), [1, 0], [NO_EDGE, len(v)], [True, True])
+        _graph(_store(v), [1, 0], [NO_EDGE, len(v)], [True, True])
     with pytest.raises(ValueError, match="must number its points 0..n-1"):
-        OrbitalGraph(_store([(0, 0), (0, 0)]), [1, 0], [NO_EDGE, NO_EDGE], [False, False])
+        _graph(_store([(0, 0), (0, 0)]), [1, 0], [NO_EDGE, NO_EDGE], [False, False])
 
 
 def test_graph_takes_no_edge_for_a_missing_edge():
-    # the columns are int sequences, NO_EDGE where an edge is missing; None
-    # is refused, and other targets out of range in test_graph_rejects_bad_shapes
+    # the columns are array('i'), NO_EDGE where an edge is missing; a list
+    # with None is refused, and other targets out of range in
+    # test_graph_rejects_bad_shapes
     g = _partial_path()
     assert list(g.edges["U"]) == [1, NO_EDGE, 0] and list(g.edges["V"]) == [NO_EDGE] * 3
     pts = [(0, 0), (1, 0)]
@@ -625,14 +633,47 @@ def test_graph_takes_no_edge_for_a_missing_edge():
 
 
 def test_graph_rebuilds_from_its_own_columns():
-    # edges["U"] and edges["V"] are in the form the constructor takes; the
-    # rebuilt graph keeps copies, not the columns it was given
+    # edges["U"], edges["V"] and complete are in the form the constructor
+    # takes, and the rebuilt graph keeps the very objects it was given
     for g in (build_ball(6), build_mod_q(12)):
         h = OrbitalGraph(g.points, g.edges["U"], g.edges["V"], g.complete)
-        assert list(h.points) == list(g.points)
-        assert h.edges == g.edges and h.edges["U"] is not g.edges["U"]
-        assert h.complete == g.complete and h.fully_complete == g.fully_complete
-        assert h.modulus == g.modulus
+        assert h.points is g.points
+        assert h.edges["U"] is g.edges["U"] and h.edges["V"] is g.edges["V"]
+        assert h.complete is g.complete and h.fully_complete == g.fully_complete
+        assert h.edges == g.edges and h.modulus == g.modulus
+
+
+def test_graph_refuses_columns_and_flags_of_another_type():
+    # only the array('i') columns and the bytearray the builders fill are
+    # taken; nothing is converted on the way in
+    pts = _store([(0, 0), (1, 0)])
+    u, v, flags = array("i", [1, 0]), array("i", [NO_EDGE] * 2), bytearray(2)
+    assert OrbitalGraph(pts, u, v, flags).edges["U"] is u
+    for col in ([1, 0], array("l", [1, 0]), array("h", [1, 0]), (1, 0)):
+        with pytest.raises(TypeError, match=r"must be array\('i'\) columns"):
+            OrbitalGraph(pts, col, v, flags)
+        with pytest.raises(TypeError, match=r"must be array\('i'\) columns"):
+            OrbitalGraph(pts, u, col, flags)
+    for bad in (bytes(2), [False, False], array("b", [0, 0]), memoryview(flags)):
+        with pytest.raises(TypeError, match="complete must be a bytearray"):
+            OrbitalGraph(pts, u, v, bad)
+    # a flag is 0 or 1, which the exports print as false and true
+    with pytest.raises(ValueError, match="complete flags must be 0 or 1"):
+        OrbitalGraph(pts, u, v, bytearray([1, 2]))
+
+
+@pytest.mark.parametrize("build, arg", [(build_ball, 9), (build_mod_q, 211)])
+def test_build_peaks_at_the_graph_it_returns(build, arg):
+    # the graph keeps the columns its builder filled, so no second copy of
+    # them is alive at the peak; what is left is about a byte per vertex,
+    # the constructor's has_lower flags.  Copied columns read 10-18 here
+    tracemalloc.start()
+    try:
+        g = build(arg)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - retained) / len(g) < 4
 
 
 def test_ball_hands_its_index_to_the_graph():
@@ -644,10 +685,10 @@ def test_ball_hands_its_index_to_the_graph():
     assert all(ball.vertex_id(p) == i for i, p in enumerate(ball.points))
     path = ([1, NO_EDGE], [NO_EDGE, NO_EDGE], [False, False])
     good = _PointView({(0, 0): 0, (0, 1): 1})
-    assert OrbitalGraph(good, *path).vertex_id(Vec2(0, 1)) == 1
+    assert _graph(good, *path).vertex_id(Vec2(0, 1)) == 1
     for bad in ({(0, 0): 0, (0, 1): 2}, {(0, 1): 1, (0, 0): 0}, {(0, 0): 1, (0, 1): 0}):
         with pytest.raises(ValueError, match="must number its points 0..n-1 in order"):
-            OrbitalGraph(_PointView(bad), *path)
+            _graph(_PointView(bad), *path)
 
 
 def test_store_reads_its_columns_and_modulus_off_its_index():
@@ -697,14 +738,14 @@ def test_graph_refuses_a_store_whose_index_disagrees():
     path = ([1, NO_EDGE], [NO_EDGE, NO_EDGE], [False, False])
     for points in ([(0, 0), (0, 1)], [Vec2(0, 0), Vec2(0, 1)], {(0, 0): 0, (0, 1): 1}):
         with pytest.raises(TypeError, match="must be a builder's point store"):
-            OrbitalGraph(points, *path)
+            _graph(points, *path)
 
 
 def test_graph_refuses_empty_graph():
     with pytest.raises(ValueError, match="needs its base vertex 0"):
-        OrbitalGraph(_store([]), [], [], [])
+        _graph(_store([]), [], [], [])
     with pytest.raises(ValueError, match="needs its base vertex 0"):
-        OrbitalGraph(_store([], 3), [], [], [])
+        _graph(_store([], 3), [], [], [])
 
 
 def test_graph_rejects_wrong_vertex_modulus():
@@ -724,20 +765,20 @@ def test_graph_refuses_modulus_past_the_guard():
     table = array("i", [-1]) * (2049 * 2049)
     table[0] = 0
     with pytest.raises(ValueError, match="exceeds the guard 2048"):
-        OrbitalGraph(_PointView(table, array("i", [0])), [NO_EDGE], [NO_EDGE], [True])
+        _graph(_PointView(table, array("i", [0])), [NO_EDGE], [NO_EDGE], [True])
 
 
 def test_graph_rejects_disconnected():
     with pytest.raises(ValueError, match="vertex 1 has no neighbour"):
-        OrbitalGraph(_store([(0, 0), (1, 1)]), [NO_EDGE] * 2, [NO_EDGE] * 2, [False, False])
+        _graph(_store([(0, 0), (1, 1)]), [NO_EDGE] * 2, [NO_EDGE] * 2, [False, False])
 
 
 def test_graph_rejects_unfolded():
     pts = [(0, 0), (1, 1), (2, 2)]
     with pytest.raises(ValueError, match="two U-edges enter vertex 2"):
-        OrbitalGraph(_store(pts), [2, 2, NO_EDGE], [NO_EDGE] * 3, [True] * 3)
+        _graph(_store(pts), [2, 2, NO_EDGE], [NO_EDGE] * 3, [True] * 3)
     with pytest.raises(ValueError, match="two V-edges enter vertex 2"):
-        OrbitalGraph(_store(pts), [NO_EDGE] * 3, [2, 2, NO_EDGE], [True] * 3)
+        _graph(_store(pts), [NO_EDGE] * 3, [2, 2, NO_EDGE], [True] * 3)
 
 
 # ---------------------------------------------------------------- memory
@@ -745,8 +786,9 @@ def test_graph_rejects_unfolded():
 
 @pytest.mark.parametrize(
     "build, arg, budget",
-    # the mod-q search keeps array columns, no int object per vertex: about
-    # 44 bytes per vertex at q = 256, where lists took 103
+    # the mod-q search keeps array columns, no int object per vertex, and
+    # the graph keeps them: about 35 bytes per vertex at q = 256, 44 when
+    # the columns were copied and 103 when the search kept lists
     [(build_ball, 9, 300), (build_mod_q, 211, 240), (build_mod_q, 256, 64)],
 )
 def test_build_peak_bytes_per_vertex(build, arg, budget):
@@ -901,7 +943,7 @@ def test_export_dispatch():
 
 def test_edge_consistency_catches_tampering():
     g = build_mod_q(2)
-    bad = list(g.edges["U"])
+    bad = array("i", g.edges["U"])
     # U-loops at vertices 2 and 3 instead of the U-edges between them; each
     # still has a V-edge to a smaller vertex, so the graph stays in search
     # order and fully complete, and only the audit sees the wrong edges
