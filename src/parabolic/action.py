@@ -3,17 +3,17 @@
 The generator U acts by alpha(x, y) = (x + 2y, y + 1) and V by
 beta(x, y) = (x + 1, 2x + y).  A word acts with its rightmost letter first,
 so act(w, p) equals eval_affine(w) applied to p.  The whole line x + y = 1
-is one orbit of the origin; marked_point(n) = (n, 1 - n) names its points and
-witness_word(n) constructs an explicit word reaching each of them.
+is one orbit of the origin; marked_point(n) = (n, 1 - n) names its points, and
+witness_word(n) and witness_sweep build an explicit word reaching each of them
+in syllable normal form and act it before returning it.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from typing import Iterator, NamedTuple
 
 from .linear import Vec2
-from .words import Word, concat
+from .words import Word
 
 ORIGIN = Vec2(0, 0)
 
@@ -91,41 +91,32 @@ def marked_point(n: int) -> MarkedPoint:
     return MarkedPoint(n)
 
 
-@dataclass(frozen=True)
-class WitnessSchedule:
-    """A word certified to send the origin to marked_point(n).
+class WitnessSchedule(NamedTuple):
+    """A word that sends the origin to marked_point(n).
 
-    The word is acted on the origin, unless `pred` is given: a certified
-    schedule whose word is this word without its first syllable.  act
-    composes syllables right to left, so the origin is then known to reach
-    marked_point(pred.n) before that syllable, and only the syllable is
-    acted, on that point.  Either way act(word, ORIGIN) equals
-    marked_point(n).point exactly.  `pred` is not stored.
+    witness_word and witness_sweep make every schedule, and each acts the
+    word, or the one syllable it prepends, before returning it, so
+    act(word, ORIGIN) equals marked_point(n).point exactly.
     """
 
     n: int
     word: Word
-    pred: InitVar[WitnessSchedule | None] = None
-
-    def __post_init__(self, pred):
-        syllables = self.word.syllables
-        if pred is not None and syllables[1:] == pred.word.syllables:
-            head = Word._from_syllables(syllables[:1], abs(syllables[0][1]))
-            reached = act(head, marked_point(pred.n).point)
-        else:
-            reached = act(self.word, ORIGIN)
-        if reached != marked_point(self.n).point:
-            # named by its length, as the text of a long witness runs to
-            # millions of letters
-            raise ValueError(
-                f"witness of {len(self.word)} letters for n = {self.n}"
-                f" does not reach marked point {self.n}"
-            )
 
 
-# the witnesses of the marked points 0 and 1, where every chain of
-# predecessors ends: U sends the origin to (0, 1) and V to (1, 0)
-_BASE_WITNESSES = {0: Word("U"), 1: Word("V")}
+def _certified(n: int, word: Word, reached: Vec2) -> WitnessSchedule:
+    if reached != marked_point(n).point:
+        # named by its length: a long witness runs to millions of letters
+        raise ValueError(
+            f"witness of {len(word)} letters for n = {n}"
+            f" does not reach marked point {n}"
+        )
+    return WitnessSchedule(n, word)
+
+
+# the witnesses where every chain of predecessors ends: U sends the origin
+# to (0, 1) and V to (1, 0); u and v are the recurrence powers of 2 and -1
+# merged into the witnesses of 0 and 1
+_BASE_WITNESSES = {0: Word("U"), 1: Word("V"), 2: Word("u"), -1: Word("v")}
 
 
 def _predecessor(n: int) -> int:
@@ -141,59 +132,58 @@ def _power(n: int) -> tuple[str, int]:
     return ("V", 2 * n) if n < 0 else ("U", 2 - 2 * n)
 
 
-def _extend_witness(n: int, pred_word: Word) -> Word:
-    gen, e = _power(n)
-    return concat(Word._from_syllables(((gen, e),), abs(e)), pred_word)
-
-
 def witness_word(n: int) -> WitnessSchedule:
     """Build and verify a word sending (0, 0) to (n, 1 - n).
 
     The word is the recurrence powers along the chain of predecessors from
-    n, one syllable each, followed by a base witness.  Successive powers
-    alternate between V (n < 0) and U (n > 1), so they are already reduced
-    and are joined to the base witness by one concat.  The word has O(n^2)
-    letters but only O(|n|) syllables, and it is re-evaluated syllable by
-    syllable before being returned.
+    n, one syllable each, followed by a base witness.  The powers are V for
+    n < -1 and U for n > 2, and the chain alternates sign, so no syllable
+    merges into the next.  The word has O(n^2) letters but only O(|n|)
+    syllables, and it is acted on the origin before being returned.
     """
     powers = []
     k = n
     while k not in _BASE_WITNESSES:
         powers.append(_power(k))
         k = _predecessor(k)
-    head = Word._from_syllables(tuple(powers), sum(abs(e) for _, e in powers))
-    return WitnessSchedule(n, concat(head, _BASE_WITNESSES[k]))
+    base = _BASE_WITNESSES[k]
+    length = sum(abs(e) for _, e in powers) + len(base)
+    word = Word._from_syllables(tuple(powers) + base.syllables, length)
+    return _certified(n, word, act(word, ORIGIN))
 
 
 def witness_length(n: int) -> int:
     """Letter count of witness_word(n) in closed form, without building it:
-    n^2 - n - 1, except for the base witnesses of 0 and 1."""
-    return 1 if n in _BASE_WITNESSES else n * n - n - 1
+    n^2 - n - 1, except for n = 0 and 1, whose witnesses are one letter."""
+    return 1 if n in (0, 1) else n * n - n - 1
 
 
 def witness_sweep(n_max: int) -> Iterator[WitnessSchedule]:
     """Yield verified witnesses for n = 0, 1, -1, 2, -2, ..., +-n_max.
 
-    Each word is its predecessor's with one syllable prepended, so it is
-    certified from the predecessor's certificate: one syllable acted on the
-    predecessor's endpoint, whatever the word's length (see WitnessSchedule).
-    Where the new power merges into a base witness (n = 2 and n = -1) the
-    whole word, one syllable long, is acted instead.  A schedule is dropped
-    as soon as nothing further depends on it, so memory stays bounded by a
-    few of the longest words instead of the whole sweep.
+    The base witnesses are acted on the origin.  Every other word is its
+    predecessor's with the recurrence power prepended, and act composes
+    syllables right to left, so only that one syllable is acted, on the
+    predecessor's verified endpoint, whatever the word's length.  A
+    predecessor is dropped as soon as its one successor is made, so memory
+    stays bounded by a few of the longest words instead of the whole sweep.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    built: dict[int, WitnessSchedule] = {}
+    live: dict[int, tuple[Word, Vec2]] = {}  # n -> (word, verified endpoint)
     for i in range(2 * n_max + 1):
         n = (i + 1) // 2 if i % 2 else -(i // 2)
         if n in _BASE_WITNESSES:
-            sched = WitnessSchedule(n, _BASE_WITNESSES[n])
+            sched = witness_word(n)
         else:
-            # the predecessor's only successor is n, so it is dropped here
-            pred = built.pop(_predecessor(n))
-            sched = WitnessSchedule(n, _extend_witness(n, pred.word), pred)
-        built[n] = sched
+            pred, start = live.pop(_predecessor(n))
+            gen, e = _power(n)
+            if gen == pred.syllables[0][0]:  # it would merge: no normal form
+                raise AssertionError(f"power of n = {n} merges into its predecessor")
+            syllable = ((gen, e),)
+            word = Word._from_syllables(syllable + pred.syllables, abs(e) + len(pred))
+            sched = _certified(n, word, act(Word._from_syllables(syllable, abs(e)), start))
+        live[n] = (sched.word, marked_point(n).point)
         yield sched
 
 

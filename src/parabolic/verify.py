@@ -66,8 +66,9 @@ _Q_SMALL = 50
 # the freeness sweep certifies 2 * (3^L - 1) words, about 9.6e6 at L = 14,
 # from 2 * 3^ceil(L/2) - 1 matrix products: 4,373 at L = 14
 _MAX_SWEEP_LEN = 14
-# the witness sweep acts one syllable per witness, but copies each word's
-# syllables, about n_max^2 pointers in all: 0.04 s at 1000, 1.9 s at 10,000
+# the witness sweep acts one syllable per witness and copies its
+# predecessor's syllables once, about n_max^2 pointers in all: 0.011 s at
+# 1000, 0.38 s at 10,000 (2-core Xeon VM, Python 3.11.7)
 _MAX_N_MAX = 10_000
 
 
@@ -170,7 +171,7 @@ def _freeness(p: dict, ev: dict) -> str:
 
 
 def _witnesses(p: dict, ev: dict) -> str:
-    # each WitnessSchedule is certified against marked_point(n) as it is made
+    # witness_sweep acts each word, or the syllable it prepends, before yielding it
     lengths = [len(sched.word) for sched in witness_sweep(p["n_max"])]
     return f"{len(lengths)} witness words verified, longest {max(lengths)} letters"
 

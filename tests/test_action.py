@@ -9,7 +9,6 @@ from parabolic.action import (
     DEFAULT_WITNESS,
     ORIGIN,
     MarkedPoint,
-    WitnessSchedule,
     act,
     act_ints,
     generator_power,
@@ -21,7 +20,7 @@ from parabolic.action import (
     witness_word,
 )
 from parabolic.linear import U_MAT, Vec2, eval_affine, eval_linear
-from parabolic.words import EMPTY, Word, enumerate_reduced, parse
+from parabolic.words import EMPTY, Word, concat, enumerate_reduced, parse
 
 from oracles import act_letterwise, step_point
 
@@ -188,15 +187,17 @@ def test_witness_words_reach_marked_points():
 
 
 def test_witness_word_matches_the_prepending_chain():
-    # the words the chain of one-syllable extensions builds, as witness_word
-    # built them before it joined its powers at once
+    # the chain of powers down to U or V, joined by concat one at a time, so
+    # the merges at n = 2 and n = -1 are made by free reduction and not read
+    # from the base witnesses
     for n in range(-300, 301):
         chain = [n]
         while chain[-1] not in (0, 1):
             chain.append(action._predecessor(chain[-1]))
         word = Word("UV"[chain.pop()])
         for k in reversed(chain):
-            word = action._extend_witness(k, word)
+            gen, e = action._power(k)
+            word = concat(Word(gen * e if e > 0 else gen.lower() * -e), word)
         single = witness_word(n).word
         assert single.syllables == word.syllables and len(single) == len(word), n
 
@@ -258,8 +259,8 @@ def test_witness_sweep_rejects_negative():
 
 
 def _record_act(monkeypatch):
-    # wraps action.act, which WitnessSchedule certifies with, to record the
-    # syllable count and the start point of every call
+    # wraps action.act, which witness_word and witness_sweep certify with, to
+    # record the syllable count and the start point of every call
     calls = []
     real = action.act
 
@@ -287,23 +288,24 @@ def test_witness_sweep_acts_one_syllable_per_witness(monkeypatch):
         assert p == marked_point(pred).point
 
 
-def _break_extension_at(monkeypatch, bad_n):
-    real = action._extend_witness
+def _break_power_at(monkeypatch, bad_n):
+    # the recurrence power of bad_n two larger, the others as they are
+    real = action._power
 
-    def extend(n, pred_word):
-        w = real(n, pred_word)
-        if n != bad_n:
-            return w
-        # the same word with its leading power two larger
-        (g, e), rest = w.syllables[0], w.syllables[1:]
-        return Word._from_syllables(((g, e + 2),) + rest, len(w) - abs(e) + abs(e + 2))
+    def power(n):
+        gen, e = real(n)
+        return (gen, e + 2) if n == bad_n else (gen, e)
 
-    monkeypatch.setattr(action, "_extend_witness", extend)
+    monkeypatch.setattr(action, "_power", power)
 
 
 @pytest.mark.parametrize("bad_n, whole_word", [(7, False), (-5, False), (2, True)])
 def test_witness_sweep_rejects_a_wrong_power(monkeypatch, bad_n, whole_word):
-    _break_extension_at(monkeypatch, bad_n)
+    if whole_word:
+        # 2 is a base witness, acted from the origin: break the word itself
+        monkeypatch.setitem(action._BASE_WITNESSES, bad_n, Word("uu"))
+    else:
+        _break_power_at(monkeypatch, bad_n)
     calls = _record_act(monkeypatch)
     made = []
     with pytest.raises(ValueError, match=f"does not reach marked point {bad_n}$"):
@@ -317,7 +319,7 @@ def test_witness_sweep_rejects_a_wrong_power(monkeypatch, bad_n, whole_word):
 def test_witness_failure_message_is_short(monkeypatch):
     # the broken witness of 3000 has about 9 million letters; the message
     # names its length, not its text, and so does the verify report
-    _break_extension_at(monkeypatch, 3000)
+    _break_power_at(monkeypatch, 3000)
     with pytest.raises(ValueError, match="does not reach marked point 3000$") as info:
         for _ in witness_sweep(3000):
             pass
@@ -327,17 +329,26 @@ def test_witness_failure_message_is_short(monkeypatch):
     assert message.startswith(f"witness of {witness_length(3000) - 2} letters")
 
 
-def test_witness_schedule_refuses_a_predecessor_it_does_not_extend():
-    # U^-8 V starts like the witness of 5, whose predecessor is -3, and U^-8
-    # sends marked point -3 to marked point 5; but the word does not go on
-    # like the witness of -3, so that certificate proves nothing about it
-    first = witness_word(5).word.syllables[0]
-    assert first == ("U", -8)
-    word = Word._from_syllables((first, ("V", 1)), 9)
-    assert act(Word._from_syllables((first,), 8), marked_point(-3).point) == marked_point(5).point
-    with pytest.raises(ValueError, match="marked point 5$"):
-        WitnessSchedule(5, word, witness_word(-3))
-    assert WitnessSchedule(5, witness_word(5).word, witness_word(-3)) == witness_word(5)
+def test_witness_sweep_prepends_one_power_to_its_predecessor():
+    words = {s.n: s.word for s in witness_sweep(300)}
+    for n, word in words.items():
+        if n in action._BASE_WITNESSES:
+            continue
+        pred = words[action._predecessor(n)]
+        assert word.syllables == (action._power(n),) + pred.syllables, n
+        assert len(word) == abs(action._power(n)[1]) + len(pred), n
+
+
+def test_witness_sweep_refuses_a_power_that_merges(monkeypatch):
+    # U^4 on the witness of 4, the predecessor of -4, which starts with U^-6
+    # would merge into it
+    real = action._power
+    monkeypatch.setattr(action, "_power", lambda n: ("U", 4) if n == -4 else real(n))
+    made = []
+    with pytest.raises(AssertionError, match="n = -4 merges"):
+        for sched in witness_sweep(10):
+            made.append(sched.n)
+    assert made == [0, 1, -1, 2, -2, 3, -3, 4]
 
 
 def test_default_witness_fixes_line_points():
