@@ -10,7 +10,6 @@ eval_linear and freeness_sweep read their linear parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .words import Word, _NEXT_LETTERS, concat, invert
@@ -137,9 +136,8 @@ def cocycle(w: Word) -> Vec2:
     return eval_affine(w).translation
 
 
-@dataclass(frozen=True)
-class FreenessSweepResult:
-    """The verdict of freeness_sweep(max_len).
+class FreenessSweepResult(NamedTuple):
+    """The verdict of freeness_sweep(max_len), a NamedTuple.
 
     words_checked counts the nonempty reduced words of length <= max_len
     certified not to be the identity: all 2 * (3^max_len - 1) of them on a

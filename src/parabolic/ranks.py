@@ -9,30 +9,21 @@ subgroups built from the scaled lattice qZ^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .action import act_ints
 from .linear import U_MAT, V_MAT
 from .words import Word
 
 
-@dataclass(frozen=True)
-class AbelianGroupDescriptor:
-    """Z^free_rank plus cyclic torsion factors in a divisibility chain."""
+class AbelianGroupDescriptor(NamedTuple):
+    """Z^free_rank plus cyclic torsion factors in a divisibility chain, a
+    NamedTuple.  Its one producer, abelianization, takes the chain from
+    smith_normal_form, which refuses a broken one."""
 
     free_rank: int
     torsion: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError(f"free_rank must be >= 0, got {self.free_rank}")
-        for i, t in enumerate(self.torsion):
-            if t < 2:
-                raise ValueError(f"torsion factor {t} must be >= 2")
-            if i and t % self.torsion[i - 1]:
-                raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
 
     @property
     def min_generators(self) -> int:

@@ -29,9 +29,9 @@ from __future__ import annotations
 import operator
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from math import isqrt
+from typing import NamedTuple
 
 from .action import step
 from .linear import Vec2
@@ -356,9 +356,8 @@ def is_loop_at_base(g: OrbitalGraph, w: Word) -> bool:
     return trace(g, w, 0) == 0
 
 
-@dataclass(frozen=True)
-class CoreReport:
-    """Result of a core computation.
+class CoreReport(NamedTuple):
+    """Result of a core computation, a NamedTuple.
 
     kind is "exact" when the whole graph was available, so the core is every
     vertex and core_vertices is range(n), which holds no int per vertex; or

@@ -30,13 +30,12 @@ the top depth (and core-line-points, which reads the same evidence).
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .action import DEFAULT_WITNESS, act, loop_check, marked_point, witness_sweep
 from .linear import cocycle, eval_affine, freeness_sweep
@@ -72,8 +71,7 @@ _MAX_SWEEP_LEN = 14
 _MAX_N_MAX = 10_000
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     claim: str
     anchor: str
@@ -81,10 +79,12 @@ class CheckResult:
     details: str
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
+    """The run's parameters and its CheckResults in report order, both
+    NamedTuples."""
+
     parameters: dict
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
 
     @property
     def all_passed(self) -> bool:
@@ -98,7 +98,7 @@ class VerificationReport:
         obj = {
             "schema_version": REPORT_SCHEMA_VERSION,
             "parameters": self.parameters,
-            "checks": [dataclasses.asdict(c) for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "summary": self.summary(),
         }
         return json.dumps(obj, indent=2) + "\n"
@@ -365,7 +365,7 @@ def run_verification(
         raise ValueError(f"sweep_len must be in [1, {_MAX_SWEEP_LEN}], got {sweep_len}")
 
     params = {"n_max": n_max, "q_max": q_max, "depth": depth, "sweep_len": sweep_len}
-    report = VerificationReport(parameters=params)
+    checks = []
     evidence: dict = {}
     was_enabled = gc.isenabled()
     gc.disable()
@@ -377,9 +377,8 @@ def run_verification(
             except Exception as exc:  # an honest failure beats an aborted run
                 details = f"{type(exc).__name__}: {exc}"
                 status = "fail"
-            result = CheckResult(check_id, claim.format(**params), anchor, status, details)
-            report.checks.append(result)
+            checks.append(CheckResult(check_id, claim.format(**params), anchor, status, details))
     finally:
         if was_enabled:
             gc.enable()
-    return report
+    return VerificationReport(params, checks)

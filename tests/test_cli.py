@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import gc
 import io
 import json
@@ -157,7 +156,7 @@ def test_core_growth_fails_when_certified_core_disagrees(monkeypatch):
 
     def short(g, w):
         rep = real(g, w)
-        return dataclasses.replace(rep, core_vertices=rep.core_vertices - {min(rep.core_vertices)})
+        return rep._replace(core_vertices=rep.core_vertices - {min(rep.core_vertices)})
 
     monkeypatch.setattr(verify, "certified_core", short)
     report = run_verification(5, 5, 6, 3)
@@ -732,6 +731,24 @@ def test_import_does_not_build_the_parser():
         timeout=60,
     )
     assert proc.returncode == 0 and proc.stdout == "True\n"
+
+
+def test_import_loads_no_dataclasses():
+    # the package's records are NamedTuples; -S keeps site hooks out of sys.modules
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(parabolic.__file__))}
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys, parabolic; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stdout + proc.stderr
 
 
 # ---------------------------------------------------------------- argv fuzz
