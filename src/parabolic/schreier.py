@@ -11,11 +11,12 @@ every reader tests `< 0` before it indexes.  The graph keeps what its
 builder filled: the U and V columns, the bytearray `complete`, and as
 `points` the point store, _PointView: the point -> id index of the search,
 a dense table of q^2 ids keyed by x * q + y (-1 off the orbit) for a mod-q
-graph and a dict keyed by (x, y) tuples for a ball, and the xs and ys
-array('i') columns and the modulus read off it.  An indexed read of
-`points` makes one Vec2, residues on a mod-q graph, and iteration yields
-plain tuples; `vertex_id` takes any (x, y) pair, and `vertices` is another
-name for `points`.
+graph and a dict keyed by the one-int code x * 2^22 + y for a ball, with
+the codes of the points in id order and the modulus read off it.  No point
+is kept decoded: an indexed read of `points` decodes one code into a Vec2,
+residues on a mod-q graph, and iteration yields plain tuples; `vertex_id`
+takes any (x, y) pair of ints, and `vertices` is another name for
+`points`.
 Exports list the positive (U, V) edges only.  Two builders are provided:
 the full orbit of (0, 0) modulo q, and the exact ball of given radius
 around (0, 0) in the infinite orbit.  A vertex of a partial graph is
@@ -42,6 +43,11 @@ NO_EDGE = -1
 _MAX_BALL_DEPTH = 13
 _MAX_GRAPH_MODULUS = 2048
 
+# build_ball keys a point by the code x * 2^22 + y, one int; |y| < 2^21 in
+# every ball up to the depth guard, so distinct points get distinct codes
+_BALL_SHIFT = 1 << 22
+_BALL_HALF = 1 << 21
+
 _DOT_COLORS = {"U": "#1f77b4", "V": "#d62728"}
 
 # bytes.translate table from a count of edges met to a complete flag:
@@ -50,21 +56,29 @@ _MET_FOUR_TIMES = bytes(i == 4 for i in range(256))
 
 
 class _PointView:
-    """A builder's point store, made from the point -> id index its search
-    filled: build_ball's dict of (x, y) tuples, whose keys give the xs and
-    ys columns, or _orbit_mod_q's table of q^2 ids with order, the codes
-    x * q + y in id order, decoded as code // q and code % q and not kept;
-    the modulus is isqrt(len(table)).  The index must number its points
-    0..n-1, with every code in [0, q^2).  An indexed read makes one Vec2 and
-    keeps none; iteration yields tuples."""
+    """A builder's point store: the point -> id index its search filled and
+    the codes of its points in id order, from which every point is decoded
+    on read.  For build_ball the index is a dict keyed by the codes
+    x * 2^22 + y, and the codes are read off its keys into an array('q');
+    for _orbit_mod_q it is a table of q^2 ids keyed by x * q + y, handed
+    over with the search's order array, its codes in id order, and the
+    modulus is isqrt(len(table)).  A ball's code is decoded by divmod of
+    code + 2^21 with 2^22, a mod-q code by divmod with q.  The index must
+    number its points 0..n-1: a dict by int64 keys, a table with every code
+    in [0, q^2).  An indexed read makes one Vec2 and keeps none; iteration
+    yields tuples."""
 
-    __slots__ = ("_xs", "_ys", "_index", "modulus")
+    __slots__ = ("_codes", "_index", "modulus")
 
     def __init__(self, index: dict | array, order: array | None = None):
         if order is None:
+            try:
+                codes = array("q", index)
+            except (TypeError, OverflowError):
+                raise ValueError(
+                    "a ball's point index must be keyed by int64 codes x * 2**22 + y"
+                ) from None
             ok = all(map(operator.eq, index.values(), count()))
-            xs = map(operator.itemgetter(0), index)
-            ys = map(operator.itemgetter(1), index)
             q = None
         else:
             q = isqrt(len(index))
@@ -73,24 +87,38 @@ class _PointView:
             ok = q * q == len(index) == len(order) + index.count(-1)
             ok = ok and 0 <= min(order, default=0) and max(order, default=0) < len(index)
             ok = ok and all(map(operator.eq, map(index.__getitem__, order), count()))
-            xs = map(operator.floordiv, order, repeat(q))
-            ys = map(operator.mod, order, repeat(q))
+            codes = order
         if not ok:
             raise ValueError("a point index must number its points 0..n-1 in order")
-        self._xs = array("i", xs)
-        self._ys = array("i", ys)
+        self._codes = codes
         self._index = index
         self.modulus = q
 
     def __len__(self) -> int:
-        return len(self._xs)
+        return len(self._codes)
 
     def __getitem__(self, vid: int) -> Vec2:
-        i = operator.index(vid)
-        return Vec2(self._xs[i], self._ys[i])
+        code = self._codes[operator.index(vid)]
+        q = self.modulus
+        if q is None:
+            x, y = divmod(code + _BALL_HALF, _BALL_SHIFT)
+            return Vec2(x, y - _BALL_HALF)
+        return Vec2(*divmod(code, q))
 
     def __iter__(self):
-        return zip(self._xs, self._ys)
+        q = self.modulus
+        if q is not None:
+            return map(divmod, self._codes, repeat(q))
+        return _ball_points(self._codes)
+
+
+def _ball_points(codes):
+    """The (x, y) tuples of the ball codes x * 2^22 + y, in order."""
+    half = _BALL_HALF
+    shift = _BALL_SHIFT
+    for code in codes:
+        x, y = divmod(code + half, shift)
+        yield x, y - half
 
 
 def _inverse(col: array, gen: str, has_lower: bytearray) -> array:
@@ -180,12 +208,18 @@ class OrbitalGraph:
         return len(self.points)
 
     def vertex_id(self, point: tuple[int, int]) -> int | None:
-        """Id of the point (x, y), a tuple or a Vec2, reduced mod q on a mod-q
-        graph; None if the point is not a vertex."""
+        """Id of the point (x, y), a tuple or a Vec2 of ints, reduced mod q on
+        a mod-q graph; None if the point is not a vertex.  On a ball the
+        point's code x * 2^22 + y is looked up; a y outside [-2^21, 2^21),
+        or a code that is no int, such as that of x = 2^-22, would alias
+        another point's code and is None."""
         x, y = point
         q = self.modulus
         if q is None:
-            return self._index.get((x, y))
+            code = x * _BALL_SHIFT + y
+            if type(code) is int and -_BALL_HALF <= y < _BALL_HALF:
+                return self._index.get(code)
+            return None
         vid = self._index[x % q * q + y % q]
         return None if vid < 0 else vid
 
@@ -198,9 +232,9 @@ def _orbit_mod_q(q: int) -> tuple[_PointView, array, array]:
 
     Returns (the point store, U-successor ids, V-successor ids), which the
     graph keeps as they are.  The search keeps each point only as its code
-    x * q + y, and the store is made from its id table and the codes in
-    discovery order, so no tuple is made per vertex.  Neighbours are
-    visited in letter order U, V, U^-1, V^-1, and that discovery order
+    x * q + y, and the store keeps its id table and its order array, the
+    codes in discovery order, so no tuple is made per vertex.  Neighbours
+    are visited in letter order U, V, U^-1, V^-1, and that discovery order
     fixes the vertex ids of build_mod_q.  Orbit sizes alone come from
     ranks.stabilizer_index.  Raises ValueError for q > _MAX_GRAPH_MODULUS
     before the q*q id table is allocated; at the guard it has 2^22 slots.
@@ -280,13 +314,27 @@ def build_ball(depth: int) -> OrbitalGraph:
     their own; a last-layer vertex is complete iff four such edges meet it.
     The last layer is about two thirds of the ball.  The graph keeps the
     columns filled here, and a point store made from the search's dict.
+
+    The dict keys each point by one int, its code x * 2^22 + y, so no tuple
+    is made per point.  Each letter at most triples m + 1, for
+    m = max(|x|, |y|), so up to the depth guard |x|, |y| <= 3^13 - 1 < 2^21:
+    y + 2^21 lies in [0, 2^22), and the code is injective and decodes by
+    divmod of code + 2^21 with 2^22.  A layer's points are decoded when it
+    is searched, and the last layer, which is never searched, is not.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if depth > _MAX_BALL_DEPTH:
         raise ValueError(f"depth {depth} exceeds the guard {_MAX_BALL_DEPTH}")
-    index = {(0, 0): 0}
+    index = {0: 0}
     add = index.setdefault
+    shift = _BALL_SHIFT
+    half = _BALL_HALF
+    # with t = 2y * 2^22, U adds t + 1 to a code, U^-1 adds 2 * 2^22 - 1 - t,
+    # V adds 2^22 + 2x and V^-1 adds 2 - 2^22 - 2x
+    shift2 = 2 * shift
+    back_u_add = 2 * shift - 1
+    back_v_add = 2 - shift
     succ_u = array("i")
     succ_v = array("i")
     # points are read in discovery order, one distance layer at a time from
@@ -302,11 +350,14 @@ def build_ball(depth: int) -> OrbitalGraph:
         first = len(succ_u)
         back_u = array("i")
         back_v = array("i")
-        for x, y in list(islice(index, first, None)):
-            succ_u.append(add((x + 2 * y, y + 1), len(index)))
-            succ_v.append(add((x + 1, 2 * x + y), len(index)))
-            back_u.append(add((x - 2 * y + 2, y - 1), len(index)))
-            back_v.append(add((x - 1, y - 2 * x + 2), len(index)))
+        for code in list(islice(index, first, None)):
+            x, y = divmod(code + half, shift)
+            t = (y - half) * shift2
+            x2 = x + x
+            succ_u.append(add(code + t + 1, len(index)))
+            succ_v.append(add(code + x2 + shift, len(index)))
+            back_u.append(add(code - t + back_u_add, len(index)))
+            back_v.append(add(code - x2 + back_v_add, len(index)))
     # layer depth - 1 has the ids first..last-1.  A last-layer edge
     # t -U-> s is found there as U^-1(s) = t, and likewise for V; for an
     # inner t that is the edge already stored.  met counts the edges of
@@ -328,9 +379,7 @@ def build_ball(depth: int) -> OrbitalGraph:
         met[c] += 1
         met[d] += 1
     complete = bytearray(b"\x01") * last + met[last:].translate(_MET_FOUR_TIMES)
-    # the search's own columns go first, to lower the peak.  m + 1, for
-    # m = max(|x|, |y|), at most triples per letter, so at depth 13 |x|, |y|
-    # <= 3^13 - 1, far below 2^31; past it array raises, not wraps
+    # the search's own columns go first, to lower the peak
     del back_u, back_v, met
     return OrbitalGraph(_PointView(index), succ_u, succ_v, complete)
 
@@ -338,7 +387,7 @@ def build_ball(depth: int) -> OrbitalGraph:
 def trace(g: OrbitalGraph, w: Word, start: int) -> int | None:
     """Endpoint of the path labeled w from start, rightmost letter first;
     None if the path leaves the explored region."""
-    if not 0 <= start < len(g.points):
+    if not 0 <= start < len(g.complete):
         raise ValueError(f"start {start} out of range")
     cur = start
     edges = g.edges

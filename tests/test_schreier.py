@@ -3,7 +3,7 @@ import json
 import random
 import tracemalloc
 from array import array
-from itertools import count
+from itertools import count, starmap
 
 import pytest
 from oracles import (
@@ -18,6 +18,7 @@ from parabolic import schreier
 from parabolic.action import DEFAULT_WITNESS, ORIGIN, act, act_ints, marked_point, witness_length
 from parabolic.linear import Vec2
 from parabolic.schreier import (
+    _MAX_BALL_DEPTH,
     NO_EDGE,
     OrbitalGraph,
     _PointView,
@@ -47,11 +48,17 @@ def _table(codes, size):
     return index, array("i", codes)
 
 
+def _code(x, y):
+    """The key build_ball's dict gives the point (x, y)."""
+    return x * 2**22 + y
+
+
 def _store(pairs, modulus=None):
     """The store a builder would hand over for these pairs: from a dict
-    index, or mod q from a q^2 table and the codes x * q + y."""
+    keyed by the ball codes x * 2^22 + y, or mod q from a q^2 table and the
+    codes x * q + y."""
     if modulus is None:
-        return _PointView(dict(zip(pairs, count())))
+        return _PointView(dict(zip(starmap(_code, pairs), count())))
     return _PointView(*_table([x * modulus + y for x, y in pairs], modulus * modulus))
 
 
@@ -226,9 +233,52 @@ def test_ball_matches_letterwise_bfs():
         b = build_ball(d)
         points, succ_u, succ_v, complete = ball_letterwise(d)
         assert list(b.points) == points
+        # |x|, |y| <= 3^d - 1, which keeps the ball codes injective; every
+        # point decoded from its code, read or looked up, gives its id
+        assert max(abs(c) for p in points for c in p) <= 3**d - 1
+        assert [b.points[vid] for vid in range(len(b))] == points
+        assert [b.vertex_id(p) for p in points] == list(range(len(b)))
         assert _none_for_no_edge(b.edges["U"]) == succ_u
         assert _none_for_no_edge(b.edges["V"]) == succ_v
         assert list(map(bool, b.complete)) == complete
+
+
+def test_ball_codes_cannot_alias_up_to_the_depth_guard():
+    # each letter at most triples max(|x|, |y|) + 1, so a ball up to the
+    # guard has |y| <= 3^13 - 1, and the code x * 2^22 + y of build_ball's
+    # dict is injective while |y| < 2^21.  Raising the guard to 14 fails here
+    # (test_ball_matches_letterwise_bfs checks that bound up to depth 9)
+    assert 3**_MAX_BALL_DEPTH - 1 < 2**21
+
+
+def test_ball_vertex_id_refuses_a_y_past_the_half_width():
+    # (x + 1, y - 2^22) has the code of (x, y); a y outside [-2^21, 2^21)
+    # is None, as is every point no ball reaches
+    b = build_ball(6)
+    for x, y in b.points:
+        assert _code(x + 1, y - 2**22) == _code(x, y) == _code(x - 1, y + 2**22)
+        assert b.vertex_id((x + 1, y - 2**22)) is None
+        assert b.vertex_id(Vec2(x - 1, y + 2**22)) is None
+    for y in (2**21, 2**21 + 1, -(2**21), -(2**21) - 1, 2**70, -(2**70)):
+        assert b.vertex_id((0, y)) is None and b.vertex_id((1, y)) is None
+    assert b.vertex_id((2**70, 0)) is None
+    # x = 2^-22 would make the code of (0, 1) from (x, 0)
+    assert b.vertex_id((0, 1)) == 1 and b.vertex_id((2**-22, 0)) is None
+
+
+def test_ball_store_refuses_keys_that_are_not_int64_codes():
+    # a tuple, a float or a str key, and an int outside the int64 range, are
+    # refused by the store, before any graph holds it
+    for index in (
+        {(0, 0): 0, (0, 1): 1},
+        {0: 0, 1.0: 1},
+        {0: 0, "1": 1},
+        {0: 0, 2**63: 1},
+        {0: 0, -(2**63) - 1: 1},
+    ):
+        with pytest.raises(ValueError, match=r"keyed by int64 codes x \* 2\*\*22 \+ y"):
+            _PointView(index)
+    assert list(_PointView({0: 0, 2**63 - 1: 1})._codes) == [0, 2**63 - 1]
 
 
 def test_every_letter_flips_the_parity_of_x_plus_y():
@@ -677,30 +727,35 @@ def test_build_peaks_at_the_graph_it_returns(build, arg):
 
 
 def test_ball_hands_its_index_to_the_graph():
-    # the graph keeps the store build_ball made from its search's dict
+    # the graph keeps the store build_ball made from its search's dict,
+    # keyed by the codes x * 2^22 + y, and the store's codes are its keys
     ball = build_ball(5)
     assert type(ball._index) is dict and ball._index is ball.points._index
-    assert list(ball._index) == list(ball.points)
+    assert list(ball._index) == list(ball.points._codes) == list(starmap(_code, ball.points))
+    assert ball.points._codes.typecode == "q"
     assert list(ball._index.values()) == list(range(len(ball)))
     assert all(ball.vertex_id(p) == i for i, p in enumerate(ball.points))
     path = ([1, NO_EDGE], [NO_EDGE, NO_EDGE], [False, False])
-    good = _PointView({(0, 0): 0, (0, 1): 1})
+    good = _PointView({_code(0, 0): 0, _code(0, 1): 1})
     assert _graph(good, *path).vertex_id(Vec2(0, 1)) == 1
-    for bad in ({(0, 0): 0, (0, 1): 2}, {(0, 1): 1, (0, 0): 0}, {(0, 0): 1, (0, 1): 0}):
+    c0, c1 = _code(0, 0), _code(0, 1)
+    for bad in ({c0: 0, c1: 2}, {c1: 1, c0: 0}, {c0: 1, c1: 0}):
         with pytest.raises(ValueError, match="must number its points 0..n-1 in order"):
             _graph(_PointView(bad), *path)
 
 
 def test_store_reads_its_columns_and_modulus_off_its_index():
     ball = build_ball(5).points
-    assert list(ball) == list(ball._index) and ball.modulus is None
+    assert list(ball._codes) == list(ball._index) and ball.modulus is None
     mod = build_mod_q(12).points
     # the codes in id order, read back off the table
     codes = [code for _, code in sorted((vid, c) for c, vid in enumerate(mod._index) if vid >= 0)]
+    assert list(mod._codes) == codes
     assert list(mod) == [divmod(code, 12) for code in codes] and mod.modulus == 12
     assert build_mod_q(12).modulus == 12 and build_ball(5).modulus is None
-    # a store keeps its columns, its index and its modulus, and no code column
-    assert _PointView.__slots__ == ("_xs", "_ys", "_index", "modulus")
+    # a store keeps its codes, its index and its modulus, and no decoded
+    # point column
+    assert _PointView.__slots__ == ("_codes", "_index", "modulus")
     assert not hasattr(mod, "__dict__")
 
 
@@ -721,7 +776,7 @@ def test_mod_q_graph_keeps_the_search_table(monkeypatch):
 def test_graph_refuses_a_store_whose_index_disagrees():
     # the store checks its index when it is made, before any graph holds it.
     # dict: a wrong id and swapped ids
-    for index in ({(0, 0): 0, (0, 1): 5}, {(0, 0): 1, (0, 1): 0}):
+    for index in ({_code(0, 0): 0, _code(0, 1): 5}, {_code(0, 0): 1, _code(0, 1): 0}):
         with pytest.raises(ValueError, match="must number its points 0..n-1"):
             _PointView(index)
     # table mod 3 of (0, 0) and (0, 1): a duplicate code, an extra filled
@@ -788,8 +843,10 @@ def test_graph_rejects_unfolded():
     "build, arg, budget",
     # the mod-q search keeps array columns, no int object per vertex, and
     # the graph keeps them: about 35 bytes per vertex at q = 256, 44 when
-    # the columns were copied and 103 when the search kept lists
-    [(build_ball, 9, 300), (build_mod_q, 211, 240), (build_mod_q, 256, 64)],
+    # the columns were copied and 103 when the search kept lists.  The ball
+    # keys its points by one int code: about 139 bytes per vertex, 204 with
+    # (x, y) tuple keys
+    [(build_ball, 9, 180), (build_mod_q, 211, 240), (build_mod_q, 256, 64)],
 )
 def test_build_peak_bytes_per_vertex(build, arg, budget):
     tracemalloc.start()
@@ -801,10 +858,11 @@ def test_build_peak_bytes_per_vertex(build, arg, budget):
     assert peak / len(g) < budget
 
 
-@pytest.mark.parametrize("build, arg, budget", [(build_ball, 9, 240), (build_mod_q, 211, 48)])
+@pytest.mark.parametrize("build, arg, budget", [(build_ball, 9, 160), (build_mod_q, 211, 48)])
 def test_retained_bytes_per_vertex(build, arg, budget):
     # a mod-q graph is int columns and its id table; a ball adds its dict of
-    # point tuples
+    # int codes and their array: about 138 bytes per vertex, 203 with
+    # (x, y) tuple keys
     tracemalloc.start()
     try:
         g = build(arg)
