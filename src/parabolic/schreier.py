@@ -7,16 +7,18 @@ arrays of Kapovich-Myasnikov, J. Algebra 248 (2002): edges["U"][v] and
 edges["V"][v] are where the generators lead from v, and edges["u"] and
 edges["v"] are their inverse maps, so an inverse letter walks an edge
 backwards.  Each is an array('i') with NO_EDGE (-1) for a missing edge, so
-every reader tests `< 0` before it indexes.  The graph keeps what its
-builder filled: the U and V columns, the bytearray `complete`, and as
-`points` the point store, _PointView: the point -> id index of the search,
-a dense table of q^2 ids keyed by x * q + y (-1 off the orbit) for a mod-q
-graph and a dict keyed by the one-int code x * 2^22 + y for a ball, with
-the codes of the points in id order and the modulus read off it.  No point
-is kept decoded: an indexed read of `points` decodes one code into a Vec2,
-residues on a mod-q graph, and iteration yields plain tuples; `vertex_id`
-takes any (x, y) pair of ints, and `vertices` is another name for
-`points`.
+a reader of a partial graph tests `< 0` before it indexes; the same four
+arrays sit in edges_by_byte at the codes of their letters, for the walk of
+`trace` on a fully complete graph, which has no missing edge to test for.
+The graph keeps what its builder filled: the U and V columns, the bytearray
+`complete`, and as `points` the point store, _PointView: the point -> id
+index of the search, a dense table of q^2 ids keyed by x * q + y (-1 off
+the orbit) for a mod-q graph and a dict keyed by the one-int code
+x * 2^22 + y for a ball, with the codes of the points in id order and the
+modulus read off it.  No point is kept decoded: an indexed read of `points`
+decodes one code into a Vec2, residues on a mod-q graph, and iteration
+yields plain tuples; `vertex_id` takes any (x, y) pair of ints, and
+`vertices` is another name for `points`.
 Exports list the positive (U, V) edges only.  Two builders are provided:
 the full orbit of (0, 0) modulo q, and the exact ball of given radius
 around (0, 0) in the infinite orbit.  A vertex of a partial graph is
@@ -151,14 +153,21 @@ class OrbitalGraph:
     edges["V"]; and the bytearray of 0/1 complete flags.  It builds only u
     and v, their inverses.  Per generator each vertex has at most one
     outgoing and one incoming edge, as in a folded Stallings graph.
+    edges_by_byte is a list of 128 slots holding the four columns of edges,
+    the same arrays, at ord("U"), ord("V"), ord("u") and ord("v"), and None
+    elsewhere, so a walk indexes it by the bytes of a word's text.
 
     Vertex 0 is the base, and vertices are numbered in search order: every
     vertex but 0 must have a neighbour with a smaller id, which makes the
     graph connected.  When every vertex is flagged complete, every vertex
-    must have a U-edge and a V-edge; folding then makes u and v total too.
+    must have a U-edge and a V-edge; folding then makes u and v total too:
+    an injective map of the n vertices into themselves is onto, so its
+    inverse column has no NO_EDGE either.
     """
 
-    __slots__ = ("points", "modulus", "complete", "fully_complete", "edges", "_index")
+    __slots__ = (
+        "points", "modulus", "complete", "fully_complete", "edges", "edges_by_byte", "_index"
+    )
 
     base = 0
 
@@ -197,6 +206,10 @@ class OrbitalGraph:
         self.points = points
         self._index = points._index
         self.edges = {"U": succ_u, "V": succ_v, "u": back_u, "v": back_v}
+        by_byte = [None] * 128
+        for c, col in self.edges.items():
+            by_byte[ord(c)] = col
+        self.edges_by_byte = by_byte
         self.modulus = points.modulus
 
     @property
@@ -386,10 +399,22 @@ def build_ball(depth: int) -> OrbitalGraph:
 
 def trace(g: OrbitalGraph, w: Word, start: int) -> int | None:
     """Endpoint of the path labeled w from start, rightmost letter first;
-    None if the path leaves the explored region."""
+    None if the path leaves the explored region.
+
+    On a fully complete graph every column is total (the constructor
+    refuses a missing U- or V-edge there, and u and v are the inverses of
+    total injective columns), so the walk reads the bytes of w.text through
+    g.edges_by_byte with no missing-edge test.  On a partial graph it reads
+    w.text letter by letter through g.edges and stops at the first
+    NO_EDGE."""
     if not 0 <= start < len(g.complete):
         raise ValueError(f"start {start} out of range")
     cur = start
+    if g.fully_complete:
+        cols = g.edges_by_byte
+        for c in reversed(w.text.encode()):
+            cur = cols[c][cur]
+        return cur
     edges = g.edges
     for c in reversed(w.text):
         cur = edges[c][cur]

@@ -261,7 +261,7 @@ def _membership_oracle(p: dict, ev: dict) -> str:
     for q, g in graphs.items():
         for _ in range(200):
             w = _random_reduced_word(rng, rng.randint(0, 20))
-            via_graph = w.is_identity() or is_loop_at_base(g, w)
+            via_graph = is_loop_at_base(g, w)
             c = cocycle(w)
             via_cocycle = c.x % q == 0 and c.y % q == 0
             if via_graph != via_cocycle:

@@ -7,6 +7,7 @@ from itertools import count, starmap
 
 import pytest
 from oracles import (
+    act_letterwise,
     ball_letterwise,
     core_by_stripping,
     mod_q_letterwise,
@@ -15,7 +16,15 @@ from oracles import (
 )
 
 from parabolic import schreier
-from parabolic.action import DEFAULT_WITNESS, ORIGIN, act, act_ints, marked_point, witness_length
+from parabolic.action import (
+    DEFAULT_WITNESS,
+    ORIGIN,
+    act,
+    act_ints,
+    marked_point,
+    witness_length,
+    witness_word,
+)
 from parabolic.linear import Vec2
 from parabolic.schreier import (
     _MAX_BALL_DEPTH,
@@ -35,7 +44,7 @@ from parabolic.schreier import (
     spanning_tree_generators,
     trace,
 )
-from parabolic.words import Word, enumerate_reduced
+from parabolic.words import EMPTY, Word, concat, enumerate_reduced, invert
 
 
 def _table(codes, size):
@@ -384,6 +393,53 @@ def test_trace_leaving_region_returns_none():
     assert trace(b, Word("UUU"), b.base) is None
     with pytest.raises(ValueError):
         trace(b, Word("U"), 99)
+
+
+def _origin_loop_product(rng, min_letters):
+    """A product of words w^-1 uVuV w, each fixing the origin, for witness
+    words w, built by concat, so its text is made on first read."""
+    out = EMPTY
+    while len(out) <= min_letters:
+        w = witness_word(rng.randint(-12, 12)).word
+        out = concat(out, concat(invert(w), concat(DEFAULT_WITNESS, w)))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 12, 211])
+def test_trace_on_complete_graph_matches_letterwise_walk(q):
+    # the walk over the byte-indexed columns against the letter-by-letter
+    # action of tests/oracles.py, from random start vertices
+    g = build_mod_q(q)
+    assert g.fully_complete
+    rng = random.Random(q)
+    words = [_random_word(rng, rng.randint(0, 48)) for _ in range(300)]
+    loops = [_origin_loop_product(rng, 100) for _ in range(20)]
+    assert min(map(len, loops)) > 100
+    tree = spanning_tree_generators(build_mod_q(min(q, 12)))[:100]
+    # words built from syllables have no text until trace reads it
+    assert all(w._text is None for w in loops + tree)
+    for w in words + loops + tree:
+        start = rng.randrange(len(g))
+        assert g.points[trace(g, w, start)] == act_letterwise(w.text, *g.points[start], q)
+    for w in loops:
+        assert trace(g, w, 0) == 0 and is_loop_at_base(g, w)
+
+
+def test_trace_of_the_empty_word_is_its_start():
+    for g in (build_mod_q(5), build_ball(3), _partial_path()):
+        for start in range(len(g)):
+            assert trace(g, EMPTY, start) == start
+
+
+def test_byte_table_holds_the_four_columns_themselves():
+    for g in (build_mod_q(7), build_ball(4), _partial_path()):
+        table = g.edges_by_byte
+        assert len(table) == 128
+        for i, col in enumerate(table):
+            if chr(i) in "UVuv":
+                assert col is g.edges[chr(i)]
+            else:
+                assert col is None
 
 
 def test_is_loop_at_base():
