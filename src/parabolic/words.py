@@ -66,6 +66,42 @@ class _RunPowers(dict):
 _RUN_POWER = _RunPowers({c * k: _run_power(c * k) for c in ALPHABET for k in range(1, 17)})
 
 
+# a letter -> its power; a caret token's exponent scales it
+_LETTER_POWER = {"U": ("U", 1), "V": ("V", 1), "u": ("U", -1), "v": ("V", -1)}
+
+
+def _token_power(token: str) -> tuple[str, int]:
+    """A chunk of text with no whitespace -> its signed generator power,
+    such as "u^-3" -> ("U", 3), when the chunk is exactly one token;
+    KeyError otherwise.  It reads letter, caret, optional minus and digits
+    with no regex; str.isdecimal() accepts exactly the digits of _TOKEN."""
+    c, caret, exponent = token.partition("^")
+    g, sign = _LETTER_POWER[c]  # KeyError unless c is one letter
+    if not caret:
+        return g, sign
+    if exponent.lstrip("-").isdecimal():
+        try:
+            return g, sign * int(exponent)
+        except ValueError:  # a second minus, or more digits than int() reads
+            pass
+    raise KeyError(token)
+
+
+class _TokenPowers(dict):
+    """A token -> its signed generator power, such as "u^-3" -> ("U", 3).
+    Holds the 800 tokens of a bare letter or an exponent in -99..99 written
+    without leading zeros, so most lookups build nothing; any other token,
+    such as U^00007, is computed on each lookup and not kept, so the table
+    never grows.  A chunk that is not exactly one token raises KeyError."""
+
+    __missing__ = staticmethod(_token_power)
+
+
+_TOKEN_POWER = _TokenPowers(
+    {t: _token_power(t) for c in ALPHABET for t in (c, *[f"{c}^{e}" for e in range(-99, 100)])}
+)
+
+
 def _runs(text: str) -> Iterator[tuple[str, int]]:
     # the maximal runs of one letter in a text over "UVuv", as signed powers
     return map(_RUN_POWER.__getitem__, _RUN.findall(text))
@@ -141,7 +177,11 @@ def parse(text: str) -> Word:
     ignored.  Each token is one syllable, so U^99999999 costs no more than
     U.  Raises WordSyntaxError with the offset of the first bad token.  Text
     of bare letters is read run by run, and when no letter meets its inverse
-    its runs are the syllables.
+    its runs are the syllables.  Other text is read one whitespace-separated
+    chunk at a time through _TOKEN_POWER, a table of short tokens that never
+    grows; if some chunk is not exactly one token (a bad character, a caret
+    beside a space or ending the text, two tokens with no space between),
+    the text is read again by _tokens, which alone places errors.
     """
     if _PLAIN.fullmatch(text):
         if _first_cancelling(text, len(text)) < 0:
@@ -149,7 +189,11 @@ def parse(text: str) -> Word:
             w._text = text
             return w
         return _reduce(_runs(text))
-    return _reduce(_tokens(text))
+    try:
+        # str.split splits at exactly the characters \s matches in _TOKEN
+        return _reduce(map(_TOKEN_POWER.__getitem__, text.split()))
+    except KeyError:
+        return _reduce(_tokens(text))
 
 
 def _tokens(text: str) -> Iterator[tuple[str, int]]:
@@ -171,7 +215,8 @@ def _reduce(tokens: Iterable[tuple[str, int]]) -> Word:
     """The reduced word of a product of generator powers."""
     out: list[tuple[str, int]] = []
     length = 0
-    for c, exponent in tokens:
+    for token in tokens:
+        c, exponent = token
         if not exponent:
             continue
         # the token meets only the last syllable; after a full cancellation
@@ -185,7 +230,7 @@ def _reduce(tokens: Iterable[tuple[str, int]]) -> Word:
             else:
                 out.pop()
         else:
-            out.append((c, exponent))
+            out.append(token)
             length += abs(exponent)
     return Word._from_syllables(tuple(out), length)
 

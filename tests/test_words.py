@@ -1,4 +1,5 @@
 import re
+import sys
 import time
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parabolic import words
 from parabolic.ranks import membership
 from parabolic.words import (
     ALPHABET,
@@ -17,6 +19,10 @@ from parabolic.words import (
     invert,
     parse,
     _first_cancelling,
+    _reduce,
+    _tokens,
+    _TOKEN,
+    _TOKEN_POWER,
 )
 
 from oracles import brute_reduce
@@ -62,6 +68,12 @@ def test_parse_error_offsets():
         ("U^\u00b2", "malformed exponent", 2),
         # more digits than int() converts
         ("V U^" + "1" * 5000, "malformed exponent", 4),
+        # int() reads these, but they are not caret exponents
+        ("U^+1", "malformed exponent", 2),
+        ("U^1_0", "unexpected character '_'", 3),
+        # the bad chunk follows good ones, which are read again for its offset
+        ("U^3 V^2 uu X", "unexpected character 'X'", 11),
+        ("U^3 V^2 V^ ^2", "malformed exponent", 11),
     ]:
         with pytest.raises(WordSyntaxError) as e:
             parse(text)
@@ -299,3 +311,101 @@ def test_first_cancelling_pair_matches_regex(text, cut, other):
         assert str(e.value) == f"bad letter {other!r} at position {end}"
     else:
         assert Word(text).text == text
+
+
+# ------------------------------------------------------------ caret layouts
+
+# ASCII, Arabic-Indic and Devanagari digits 0-9
+_DECIMAL_DIGITS = ["".join(map(chr, range(zero, zero + 10))) for zero in (0x30, 0x660, 0x966)]
+
+# exponent texts: small and large, with leading zeros, zero, 30 digits and
+# Unicode digits
+exponent_texts = st.one_of(
+    st.integers(-120, 120).map(str),
+    st.tuples(st.sampled_from(["", "-"]), st.integers(0, 4), st.integers(0, 10**6)).map(
+        lambda t: t[0] + "0" * t[1] + str(t[2])
+    ),
+    st.tuples(st.sampled_from(["", "-"]), st.integers(10**29, 10**30 - 1)).map(
+        lambda t: t[0] + str(t[1])
+    ),
+    st.tuples(
+        st.sampled_from(["", "-"]),
+        st.sampled_from(_DECIMAL_DIGITS),
+        st.lists(st.integers(0, 9), min_size=1, max_size=4),
+    ).map(lambda t: t[0] + "".join(t[1][d] for d in t[2])),
+)
+
+
+@st.composite
+def caret_layouts(draw):
+    """Caret text in one layout per text.  A tidy layout separates its
+    tokens by whitespace, with none around a caret, so the whitespace pass
+    reads it to the end unless a stray character stops it."""
+    if draw(st.booleans()):
+        gaps = draw(st.sampled_from([[" "], ["\t"], ["\n"], [" ", "\t", "\n", "  ", "\u00a0"]]))
+        around_caret = [""]
+    else:
+        gaps, around_caret = [" ", "", "\t"], ["", " ", "\t"]
+    malformed = st.sampled_from(["", "-", "--1", "+1", "1_0", "\u00b2"])
+    exponents = draw(st.sampled_from([exponent_texts, exponent_texts | malformed]))
+    tokens = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(ALPHABET),
+                st.none() | exponents,
+                st.sampled_from(around_caret),
+                st.sampled_from(around_caret),
+                st.sampled_from(gaps),
+            ),
+            max_size=12,
+        )
+    )
+    text = "".join(
+        c + ("" if e is None else f"{before}^{after}{e}") + gap
+        for c, e, before, after, gap in tokens
+    )
+    # a stray bad character or a bare caret, in half the texts
+    stray = draw(st.just("") | st.sampled_from(["x", "^", "*", "-", "\u00b2"]))
+    cut = draw(st.integers(0, len(text)))
+    return text[:cut] + stray + text[cut:]
+
+
+def _outcome(read, text):
+    try:
+        w = read(text)
+    except WordSyntaxError as e:
+        return str(e), e.offset
+    # _len, not len(): a 30-digit exponent is past len()'s index range
+    return w.syllables, w._len
+
+
+@settings(max_examples=600, deadline=None)
+@given(caret_layouts())
+def test_parse_equals_the_token_scan_in_every_layout(text):
+    assert _outcome(parse, text) == _outcome(lambda t: _reduce(_tokens(t)), text)
+
+
+def test_whitespace_and_digits_agree_with_the_token_regex():
+    # parse splits with str.split and reads digits with str.isdecimal where
+    # _TOKEN reads \s and \d; the two reads agree only if these classes do
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    split_at = {c for c in chars if not c.split()}
+    decimal = {c for c in chars if c.isdecimal()}
+    assert split_at == set(re.findall(r"\s", chars, _TOKEN.flags))
+    assert decimal == set(re.findall(r"\d", chars, _TOKEN.flags))
+
+
+def test_token_table_stays_bounded(monkeypatch):
+    # 10^4 distinct long tokens, with leading zeros and exponents past 10^5,
+    # are each one token: none reaches the token scan, and none is kept
+    def no_scan(text):
+        raise AssertionError("whitespace-separated tokens fell back to _tokens")
+
+    monkeypatch.setattr(words, "_tokens", no_scan)
+    assert len(_TOKEN_POWER) == 800
+    tokens = [f"{ALPHABET[k % 4]}^{'-' * (k % 3 == 0)}{'0' * (k % 5)}{100_000 + k}" for k in range(10**4)]
+    assert len(set(tokens)) == 10**4
+    text = " ".join(tokens)
+    assert parse(text) == _reduce(_tokens(text))
+    assert parse("U^3 v^-2 u^0 V^007").text == "UUU" + "V" * 9
+    assert len(_TOKEN_POWER) == 800
