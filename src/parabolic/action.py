@@ -103,8 +103,9 @@ class WitnessSchedule(NamedTuple):
     word: Word
 
 
-def _certified(n: int, word: Word, reached: Vec2) -> WitnessSchedule:
-    if reached != marked_point(n).point:
+def _certified(n: int, word: Word, reached: tuple[int, int]) -> WitnessSchedule:
+    # the marked point is compared as the plain pair (n, 1 - n)
+    if reached != (n, 1 - n):
         # named by its length: a long witness runs to millions of letters
         raise ValueError(
             f"witness of {len(word)} letters for n = {n}"
@@ -167,10 +168,11 @@ def witness_sweep(n_max: int) -> Iterator[WitnessSchedule]:
     predecessor's verified endpoint, whatever the word's length.  A
     predecessor is dropped as soon as its one successor is made, so memory
     stays bounded by a few of the longest words instead of the whole sweep.
+    Endpoints are kept as plain pairs (n, 1 - n), with no MarkedPoint.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    live: dict[int, tuple[Word, Vec2]] = {}  # n -> (word, verified endpoint)
+    live: dict[int, tuple[Word, tuple[int, int]]] = {}  # n -> (word, verified endpoint)
     for i in range(2 * n_max + 1):
         n = (i + 1) // 2 if i % 2 else -(i // 2)
         if n in _BASE_WITNESSES:
@@ -181,9 +183,9 @@ def witness_sweep(n_max: int) -> Iterator[WitnessSchedule]:
             if gen == pred.syllables[0][0]:  # it would merge: no normal form
                 raise AssertionError(f"power of n = {n} merges into its predecessor")
             syllable = ((gen, e),)
-            word = Word._from_syllables(syllable + pred.syllables, abs(e) + len(pred))
+            word = Word._from_syllables(syllable + pred.syllables, abs(e) + pred._len)
             sched = _certified(n, word, act(Word._from_syllables(syllable, abs(e)), start))
-        live[n] = (sched.word, marked_point(n).point)
+        live[n] = (sched.word, (n, 1 - n))
         yield sched
 
 

@@ -33,7 +33,8 @@ def _print_json(obj) -> None:
 
 
 def _check_letters(length: int) -> None:
-    # checked on the length, which the syllables give without building the text
+    # checked on the length, which the syllables give without building the
+    # text; callers pass Word._len, as len() cannot return more than 2^63 - 1
     if length > _MAX_LETTERS:
         raise ValueError(f"word of {length} letters exceeds the budget of {_MAX_LETTERS}")
 
@@ -120,7 +121,7 @@ def _cmd_core(args) -> int:
     witness = parse(args.witness)
     if witness.is_identity():
         raise ValueError("certified_core needs a nonempty witness word")
-    _check_letters(len(witness))
+    _check_letters(witness._len)
     g = _build_graph_from_args(args)
     # only the points printed are read.  An exact core is range(n), every
     # vertex in id order, so its ids need no sort and its points are read in
@@ -195,7 +196,7 @@ def _cmd_member(args) -> int:
     w = parse(args.word)
     result = membership(w, args.q)
     if args.format == "json":
-        _check_letters(len(w))
+        _check_letters(w._len)
         _print_json({"word": w.text, "modulus": args.q, "member": result})
     else:
         print("true" if result else "false")

@@ -4,8 +4,9 @@ Everything is plain Python int arithmetic, so entries may grow without
 overflow.  A word evaluates with its leftmost letter as the leftmost factor;
 the corresponding action on points therefore applies the rightmost letter
 first (see the action module).  _CHAR_AFF is the one table of the four
-letters: eval_affine multiplies its entries letter by letter, and
-eval_linear and freeness_sweep read their linear parts.
+letters, each affine map as six plain ints: eval_affine multiplies its
+entries letter by letter, and eval_linear and freeness_sweep read their
+linear parts.
 """
 
 from __future__ import annotations
@@ -107,18 +108,30 @@ V_MAT = Mat2(1, 0, 2, 1)
 U_AFF = AffineElement(Vec2(0, 1), U_MAT)
 V_AFF = AffineElement(Vec2(1, 0), V_MAT)
 
-_CHAR_AFF = {"U": U_AFF, "V": V_AFF, "u": U_AFF.inverse(), "v": V_AFF.inverse()}
+
+def _six_ints(el: AffineElement) -> tuple[int, int, int, int, int, int]:
+    """The map el as (a, b, c, d, x, y): its linear part row-major, then its
+    translation."""
+    m, t = el.linear, el.translation
+    return m.a, m.b, m.c, m.d, t.x, t.y
+
+
+# each letter's affine map as its six ints, read once from U_AFF and V_AFF
+_CHAR_AFF = {
+    ch: _six_ints(el)
+    for ch, el in (("U", U_AFF), ("V", V_AFF), ("u", U_AFF.inverse()), ("v", V_AFF.inverse()))
+}
 
 
 def eval_affine(w: Word) -> AffineElement:
     """Product of the letter affine elements, leftmost letter leftmost.  The
     product is kept as six plain ints, the linear part and the translation
-    (x, y), and one AffineElement is built at the end."""
+    (x, y), each letter's six are read from _CHAR_AFF at call time, and one
+    AffineElement is built at the end."""
+    letters = _CHAR_AFF
     a, b, c, d, x, y = 1, 0, 0, 1, 0, 0
     for ch in w.text:
-        el = _CHAR_AFF[ch]
-        m, t = el.linear, el.translation
-        e, f, g, h, tx, ty = m.a, m.b, m.c, m.d, t.x, t.y
+        e, f, g, h, tx, ty = letters[ch]
         # (v, A)(v', A') = (v + A v', A A')
         x, y = x + a * tx + b * ty, y + c * tx + d * ty
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
@@ -168,15 +181,12 @@ def freeness_sweep(max_len: int) -> FreenessSweepResult:
     missed.  That is 2 * 3^ceil(max_len/2) - 1 products, against one per
     word certified.
 
-    The four letter matrices are the linear parts of the _CHAR_AFF entries,
-    read at call time.
+    The four letter matrices are the first four ints of the _CHAR_AFF
+    entries, read at call time.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    letters = {}
-    for ch, el in _CHAR_AFF.items():
-        m = el.linear
-        letters[ch] = (m.a, m.b, m.c, m.d)
+    letters = {ch: six[:4] for ch, six in _CHAR_AFF.items()}
     keep, reach = max_len // 2, (max_len + 1) // 2
     # the kept products, each with the text of the first word that gave it
     seen = {(1, 0, 0, 1): ""}

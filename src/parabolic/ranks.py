@@ -46,8 +46,8 @@ def stabilizer_index(q: int) -> int:
     S is the closure of {0} under U read on labels.  With a_x = x(x - 1)
     mod q, U sends the point (x, c + a_x) of cycle c to x' = x + 2c + 2a_x,
     which lies on cycle c + 1 + a_x - a_x'.  One comprehension over x gives
-    every cycle that U reaches from cycle c, from two rotated tables and no
-    reduction mod q per point.
+    every cycle that U reaches from cycle c, by indexing two doubled tables
+    and with no reduction mod q per point.
 
     Following the forward maps U and V alone is enough.  Both are affine
     maps whose linear part has determinant 1, so each is a bijection of the
@@ -78,6 +78,10 @@ def stabilizer_index(q: int) -> int:
         raise ValueError(f"q {q} exceeds the guard {_MAX_COUNT_MODULUS}")
     a = [x * (x - 1) % q for x in range(q)]
     b = [(x + 2 * ax) % q for x, ax in enumerate(a)]  # x' = b_x + 2c mod q
+    ab = list(zip(a, b))
+    # a2[t + b_x] = a_x' for t = 2c mod q, and residues[k] = k mod q for
+    # -2q <= k < 2q, negative k from the end, which holds every
+    # c + 1 + a_x - a_x' since all three lie in [0, q)
     a2 = a + a
     residues = list(range(q)) * 2
     most = q // 2 if q % 4 == 0 else q
@@ -86,10 +90,8 @@ def stabilizer_index(q: int) -> int:
     while stack:
         c = stack.pop()
         t = 2 * c % q
-        a_image = a2[t : t + q]  # a_image[b_x] = a_x'
-        # shift[j] = (c + 1 + j) mod q for -q < j < q, negative j from the end
-        shift = residues[c + 1 : c + 1 + q]
-        fresh = {shift[ax - a_image[bx]] for ax, bx in zip(a, b)} - labels
+        c1 = c + 1
+        fresh = {residues[c1 + ax - a2[t + bx]] for ax, bx in ab} - labels
         if fresh:
             labels |= fresh
             if len(labels) == most:

@@ -8,7 +8,8 @@ The paths each check's values are computed on, independently of each other:
     -------------------  ---------------------------------------------------
     freeness-sweep       the meet-in-the-middle sweep of matrix products
     orbit-witnesses      act, one syllable on each predecessor's endpoint
-    line-loops           act; the affine maps eval_affine multiplies out
+    line-loops           act; the six ints of the affine maps eval_affine
+                         multiplies out, applied to each marked point
     core-growth,         certified_core_depths; at the top depth also
     core-line-points     certified_core, on the same ball
     abelianization       the Smith normal form of the relation matrix,
@@ -20,8 +21,9 @@ The paths each check's values are computed on, independently of each other:
                          schreier-generators counts
     schreier-generators  the spanning-tree count against the label count;
                          each generator walked mod q by membership
-    membership-oracle    a loop at the base of the mod-q graph; the
-                         vanishing of the translation cocycle
+    membership-oracle    a loop at the base of the mod-q graph, whose
+                         stored edges are first audited against action.step;
+                         the vanishing of the translation cocycle
 
 Some checks still rest on one path: stabilizer-index and rank-bound for
 50 < q <= q_max, orbit-witnesses, freeness-sweep, and core-growth below
@@ -37,8 +39,8 @@ from collections import Counter
 from itertools import accumulate
 from typing import NamedTuple
 
-from .action import DEFAULT_WITNESS, act, loop_check, marked_point, witness_sweep
-from .linear import cocycle, eval_affine, freeness_sweep
+from .action import DEFAULT_WITNESS, act, loop_check, witness_sweep
+from .linear import _six_ints, cocycle, eval_affine, freeness_sweep
 from .ranks import (
     _MAX_COUNT_MODULUS,
     abelianization,
@@ -52,6 +54,7 @@ from .schreier import (
     build_mod_q,
     certified_core,
     certified_core_depths,
+    check_edge_consistency,
     is_loop_at_base,
     spanning_tree_generators,
 )
@@ -66,8 +69,9 @@ _Q_SMALL = 50
 # from 2 * 3^ceil(L/2) - 1 matrix products: 4,373 at L = 14
 _MAX_SWEEP_LEN = 14
 # the witness sweep acts one syllable per witness and copies its
-# predecessor's syllables once, about n_max^2 pointers in all: 0.011 s at
-# 1000, 0.38 s at 10,000 (2-core Xeon VM, Python 3.11.7)
+# predecessor's syllables once, about n_max^2 pointers in all: 0.012 s at
+# 1000, 0.81 s at 10,000 (best of 15 and of 5 on a shared 2-core Xeon VM,
+# Python 3.11.7)
 _MAX_N_MAX = 10_000
 
 
@@ -178,21 +182,24 @@ def _witnesses(p: dict, ev: dict) -> str:
 
 def _line_loops(p: dict, ev: dict) -> str:
     # two paths: act walks each word's syllables on the point, and the
-    # affine map eval_affine multiplies out of the letters is applied to it
+    # affine map eval_affine multiplies out of the letters is applied to it,
+    # read once into its six ints.  The marked point n is the plain pair
+    # (n, 1 - n), and its image under U^-1 V is (1 - n, n)
     n_max = p["n_max"]
     swap = Word("uV")
-    swap_map = eval_affine(swap)
-    loop_map = eval_affine(DEFAULT_WITNESS)
+    sa, sb, sc, sd, sx, sy = _six_ints(eval_affine(swap))
+    la, lb, lc, ld, lx, ly = _six_ints(eval_affine(DEFAULT_WITNESS))
     for n in range(-n_max, n_max + 1):
-        pt = marked_point(n).point
-        image = marked_point(1 - n).point
+        m = 1 - n
+        pt = (n, m)
+        image = (m, n)
         if act(swap, pt) != image:
             raise AssertionError(f"U^-1 V at marked point {n}")
-        if swap_map.apply(pt) != image:
+        if (sa * n + sb * m + sx, sc * n + sd * m + sy) != image:
             raise AssertionError(f"affine map of U^-1 V at marked point {n}")
         if not loop_check(DEFAULT_WITNESS, pt):
             raise AssertionError(f"witness loop open at marked point {n}")
-        if loop_map.apply(pt) != pt:
+        if (la * n + lb * m + lx, lc * n + ld * m + ly) != pt:
             raise AssertionError(f"affine map of the witness loop moves marked point {n}")
     return f"checked marked points |n| <= {n_max}"
 
@@ -257,6 +264,9 @@ def _schreier_generators(p: dict, ev: dict) -> str:
 def _membership_oracle(p: dict, ev: dict) -> str:
     rng = random.Random(_RNG_SEED)
     graphs = {q: build_mod_q(q) for q in _ORACLE_MODULI}
+    # every stored edge must match the action before a loop is read off it
+    for g in graphs.values():
+        check_edge_consistency(g)
     trials = 0
     for q, g in graphs.items():
         for _ in range(200):

@@ -212,6 +212,24 @@ def test_line_loops_fail_when_one_path_is_tampered(monkeypatch, path, tampered_w
     assert failed == {"line-loops": f"AssertionError: {details}"}
 
 
+def test_membership_oracle_audits_the_edges_of_its_graphs(monkeypatch):
+    real = verify.build_mod_q
+
+    def tampered(q):
+        g = real(q)
+        if q == 5:
+            g.edges["U"][0] = 0  # U sends the origin to (0, 1), not to itself
+        return g
+
+    monkeypatch.setattr(verify, "build_mod_q", tampered)
+    # at q_max = 4 schreier-generators builds no graph mod 5
+    report = run_verification(2, 4, 5, 2)
+    failed = {c.id: c.details for c in report.checks if c.status == "fail"}
+    assert failed == {
+        "membership-oracle": "AssertionError: edge 0 -U-> 0 disagrees with the action at (0, 0)"
+    }
+
+
 def test_report_json_shape():
     report = run_verification(2, 3, 5, 2)
     obj = json.loads(report.to_json())
@@ -532,6 +550,21 @@ def test_commands_refuse_words_over_the_letter_budget(capsys, argv):
     assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member", "--word", "U^1000000000000000000000", "--format", "json"],
+        ["core", "--q", "3", "--witness", "U^1000000000000000000000"],
+    ],
+)
+def test_letter_budget_counts_past_the_largest_index(capsys, argv):
+    # len() cannot return more than 2^63 - 1 letters; the budget still names the count
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: word of 1000000000000000000000 letters exceeds the budget of 10000000\n"
+    )
 
 
 def test_rank_command_rejects_bad_q(capsys):

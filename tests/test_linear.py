@@ -19,6 +19,7 @@ from parabolic.linear import (
 from parabolic.words import EMPTY, Word, concat, enumerate_reduced, invert
 
 from oracles import (
+    M3_BY_CHAR,
     M3_IDENTITY,
     act_letterwise,
     eval_word_m3,
@@ -136,12 +137,26 @@ def test_eval_matches_3x3_oracle():
         assert ((lin.a, lin.b), (lin.c, lin.d)) == (m3[0][:2], m3[1][:2])
 
 
+def _m3(six):
+    """The 3x3 block matrix of a letter's six ints (a, b, c, d, x, y)."""
+    a, b, c, d, x, y = six
+    return ((a, b, x), (c, d, y), (0, 0, 1))
+
+
+def test_letter_table_matches_the_3x3_oracle():
+    # eval_affine multiplies these six plain ints per letter
+    assert set(linear._CHAR_AFF) == set(M3_BY_CHAR)
+    for ch, six in linear._CHAR_AFF.items():
+        assert len(six) == 6 and all(type(e) is int for e in six), ch
+        assert _m3(six) == M3_BY_CHAR[ch], ch
+
+
 def test_inverse_letters_are_inverse_matrices():
     for c in "UV":
         el, inv = linear._CHAR_AFF[c], linear._CHAR_AFF[c.lower()]
-        assert inv == el.inverse()
-        assert m3_mul(el.matrix3(), inv.matrix3()) == M3_IDENTITY
-        assert m3_mul(inv.matrix3(), el.matrix3()) == M3_IDENTITY
+        assert inv == linear._six_ints(AffineElement(Vec2(*el[4:]), Mat2(*el[:4])).inverse())
+        assert m3_mul(_m3(el), _m3(inv)) == M3_IDENTITY
+        assert m3_mul(_m3(inv), _m3(el)) == M3_IDENTITY
 
 
 def test_eval_homomorphism_exhaustive():
@@ -258,16 +273,15 @@ _FINITE_ORDER_U = {3: Mat2(0, -1, 1, -1), 4: Mat2(0, -1, 1, 0), 6: Mat2(1, -1, 1
 def _patch_u(monkeypatch, order):
     # the sweep and eval_linear both read the linear parts of _CHAR_AFF
     u = _FINITE_ORDER_U[order]
-    monkeypatch.setitem(linear._CHAR_AFF, "U", AffineElement(Vec2(0, 0), u))
-    monkeypatch.setitem(linear._CHAR_AFF, "u", AffineElement(Vec2(0, 0), u.inverse()))
+    for ch, m in (("U", u), ("u", u.inverse())):
+        monkeypatch.setitem(linear._CHAR_AFF, ch, (m.a, m.b, m.c, m.d, 0, 0))
 
 
 @pytest.mark.parametrize("order", [None, 3, 4, 6])
 def test_freeness_sweep_matches_reference_sweep(monkeypatch, order):
     if order is not None:
         _patch_u(monkeypatch, order)
-    lin = {c: el.linear for c, el in linear._CHAR_AFF.items()}
-    letters = {c: (m.a, m.b, m.c, m.d) for c, m in lin.items()}
+    letters = {c: six[:4] for c, six in linear._CHAR_AFF.items()}
     for max_len in range(9):
         res = freeness_sweep(max_len)
         passed, _, _ = freeness_sweep_dfs(max_len, letters)
