@@ -168,24 +168,26 @@ def witness_sweep(n_max: int) -> Iterator[WitnessSchedule]:
     predecessor's verified endpoint, whatever the word's length.  A
     predecessor is dropped as soon as its one successor is made, so memory
     stays bounded by a few of the longest words instead of the whole sweep.
-    Endpoints are kept as plain pairs (n, 1 - n), with no MarkedPoint.
+    Only words are kept: a predecessor p's verified endpoint is the pair
+    (p, 1 - p), with no MarkedPoint.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    live: dict[int, tuple[Word, tuple[int, int]]] = {}  # n -> (word, verified endpoint)
+    live: dict[int, Word] = {}  # n -> its verified witness
     for i in range(2 * n_max + 1):
         n = (i + 1) // 2 if i % 2 else -(i // 2)
         if n in _BASE_WITNESSES:
             sched = witness_word(n)
         else:
-            pred, start = live.pop(_predecessor(n))
+            p = _predecessor(n)
+            pred = live.pop(p)
             gen, e = _power(n)
             if gen == pred.syllables[0][0]:  # it would merge: no normal form
                 raise AssertionError(f"power of n = {n} merges into its predecessor")
             syllable = ((gen, e),)
             word = Word._from_syllables(syllable + pred.syllables, abs(e) + pred._len)
-            sched = _certified(n, word, act(Word._from_syllables(syllable, abs(e)), start))
-        live[n] = (sched.word, (n, 1 - n))
+            sched = _certified(n, word, act(Word._from_syllables(syllable, abs(e)), (p, 1 - p)))
+        live[n] = sched.word
         yield sched
 
 

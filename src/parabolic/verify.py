@@ -40,7 +40,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .action import DEFAULT_WITNESS, act, loop_check, witness_sweep
-from .linear import _six_ints, cocycle, eval_affine, freeness_sweep
+from .linear import cocycle, eval_affine, freeness_sweep
 from .ranks import (
     _MAX_COUNT_MODULUS,
     abelianization,
@@ -182,13 +182,13 @@ def _witnesses(p: dict, ev: dict) -> str:
 
 def _line_loops(p: dict, ev: dict) -> str:
     # two paths: act walks each word's syllables on the point, and the
-    # affine map eval_affine multiplies out of the letters is applied to it,
-    # read once into its six ints.  The marked point n is the plain pair
-    # (n, 1 - n), and its image under U^-1 V is (1 - n, n)
+    # affine map eval_affine multiplies out of the letters is applied to it.
+    # The marked point n is the plain pair (n, 1 - n), and its image under
+    # U^-1 V is (1 - n, n)
     n_max = p["n_max"]
     swap = Word("uV")
-    sa, sb, sc, sd, sx, sy = _six_ints(eval_affine(swap))
-    la, lb, lc, ld, lx, ly = _six_ints(eval_affine(DEFAULT_WITNESS))
+    sa, sb, sc, sd, sx, sy = eval_affine(swap)
+    la, lb, lc, ld, lx, ly = eval_affine(DEFAULT_WITNESS)
     for n in range(-n_max, n_max + 1):
         m = 1 - n
         pt = (n, m)

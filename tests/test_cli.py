@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import gc
 import io
@@ -782,6 +783,20 @@ def test_import_loads_no_dataclasses():
         timeout=60,
     )
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stdout + proc.stderr
+
+
+def test_library_checks_raise_rather_than_assert():
+    # python -O strips assert statements, so every check of the package
+    # raises explicitly and still runs under -O
+    src = os.path.dirname(parabolic.__file__)
+    names = sorted(f for f in os.listdir(src) if f.endswith(".py"))
+    assert "linear.py" in names and "verify.py" in names
+    found = []
+    for name in names:
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        found += [f"{name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []
 
 
 # ---------------------------------------------------------------- argv fuzz

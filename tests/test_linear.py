@@ -37,7 +37,7 @@ def _words_up_to(max_len):
 
 def _lift(m):
     """The 3x3 block matrix of the linear map m, with zero translation."""
-    return AffineElement(Vec2(0, 0), m).matrix3()
+    return AffineElement(m.a, m.b, m.c, m.d, 0, 0).matrix3()
 
 
 def _random_word(rng, length):
@@ -49,6 +49,8 @@ def _random_word(rng, length):
 
 
 def test_generator_constants():
+    assert U_AFF == (1, 2, 0, 1, 0, 1) and V_AFF == (1, 0, 2, 1, 1, 0)
+    assert U_MAT == U_AFF.linear and V_MAT == V_AFF.linear
     assert (U_MAT.a, U_MAT.b, U_MAT.c, U_MAT.d) == (1, 2, 0, 1)
     assert (V_MAT.a, V_MAT.b, V_MAT.c, V_MAT.d) == (1, 0, 2, 1)
     assert U_AFF.translation == Vec2(0, 1)
@@ -60,12 +62,6 @@ def test_generator_constants():
 def test_mat2_det_guard():
     with pytest.raises(ValueError):
         Mat2(1, 0, 0, 2)
-
-
-def test_mat2_inverse():
-    m = Mat2(3, 2, 4, 3)
-    assert m3_mul(_lift(m), _lift(m.inverse())) == M3_IDENTITY
-    assert m3_mul(_lift(m.inverse()), _lift(m)) == M3_IDENTITY
 
 
 def test_vec2_is_exact():
@@ -94,21 +90,36 @@ def test_vec2_is_its_pair():
 
 def test_affine_compose_example():
     prod = m3_mul(U_AFF.matrix3(), V_AFF.matrix3())
-    assert prod == AffineElement(Vec2(1, 1), Mat2(5, 2, 2, 1)).matrix3()
-    assert AffineElement(Vec2(0, 0), IDENTITY).matrix3() == M3_IDENTITY
+    assert prod == AffineElement(5, 2, 2, 1, 1, 1).matrix3()
+    assert AffineElement(1, 0, 0, 1, 0, 0).matrix3() == M3_IDENTITY
 
 
 def test_affine_apply_examples():
     origin = Vec2(0, 0)
     assert U_AFF.apply(origin) == Vec2(0, 1)
     assert V_AFF.apply(origin) == Vec2(1, 0)
-    assert AffineElement(Vec2(0, 0), IDENTITY).apply(Vec2(9, -4)) == Vec2(9, -4)
+    assert AffineElement(1, 0, 0, 1, 0, 0).apply(Vec2(9, -4)) == Vec2(9, -4)
 
 
 def test_affine_inverse():
-    for g in (U_AFF, V_AFF, eval_affine(Word("UV")), eval_affine(Word("vU"))):
+    # a map with zero translation inverts its linear part alone
+    lin = AffineElement(3, 2, 4, 3, 0, 0)
+    assert lin.inverse() == AffineElement(3, -2, -4, 3, 0, 0)
+    for g in (U_AFF, V_AFF, lin, AffineElement(3, 2, 4, 3, 5, -1)):
+        assert type(g.inverse()) is AffineElement and g.inverse().inverse() == g
+    for g in (U_AFF, V_AFF, lin, eval_affine(Word("UV")), eval_affine(Word("vU"))):
         assert m3_mul(g.matrix3(), g.inverse().matrix3()) == M3_IDENTITY
         assert m3_mul(g.inverse().matrix3(), g.matrix3()) == M3_IDENTITY
+
+
+def test_eval_checks_the_determinant(monkeypatch):
+    # eval_affine checks the determinant of its product, as the Mat2
+    # constructor does, so a letter table of determinant 2 is refused on
+    # every path that evaluates a word
+    monkeypatch.setitem(linear._CHAR_AFF, "U", (1, 0, 0, 2, 0, 1))
+    for evaluate in (cocycle, eval_linear, eval_affine):
+        with pytest.raises(ValueError, match="^determinant must be 1, got 2$"):
+            evaluate(Word("U"))
 
 
 def test_eval_linear_examples():
@@ -119,7 +130,8 @@ def test_eval_linear_examples():
 
 def test_eval_affine_examples():
     assert eval_affine(Word("U")) == U_AFF
-    assert eval_affine(EMPTY) == AffineElement(Vec2(0, 0), IDENTITY)
+    assert eval_affine(EMPTY) == AffineElement(1, 0, 0, 1, 0, 0)
+    assert type(eval_affine(Word("uV"))) is AffineElement
     inv = eval_affine(Word("u"))
     assert inv.translation == Vec2(2, -1)
     assert inv.linear == Mat2(1, -2, 0, 1)
@@ -147,6 +159,8 @@ def test_letter_table_matches_the_3x3_oracle():
     # eval_affine multiplies these six plain ints per letter
     assert set(linear._CHAR_AFF) == set(M3_BY_CHAR)
     for ch, six in linear._CHAR_AFF.items():
+        # a plain tuple, which CPython unpacks faster than a NamedTuple
+        assert type(six) is tuple, ch
         assert len(six) == 6 and all(type(e) is int for e in six), ch
         assert _m3(six) == M3_BY_CHAR[ch], ch
 
@@ -154,7 +168,7 @@ def test_letter_table_matches_the_3x3_oracle():
 def test_inverse_letters_are_inverse_matrices():
     for c in "UV":
         el, inv = linear._CHAR_AFF[c], linear._CHAR_AFF[c.lower()]
-        assert inv == linear._six_ints(AffineElement(Vec2(*el[4:]), Mat2(*el[:4])).inverse())
+        assert inv == AffineElement(*el).inverse()
         assert m3_mul(_m3(el), _m3(inv)) == M3_IDENTITY
         assert m3_mul(_m3(inv), _m3(el)) == M3_IDENTITY
 
@@ -205,7 +219,8 @@ def test_apply_composition_associates():
         h = eval_affine(_random_word(rng, 6))
         p = Vec2(rng.randint(-50, 50), rng.randint(-50, 50))
         # the last column of (g h) t_p is (g h) applied to p
-        gh_p = m3_mul(m3_mul(g.matrix3(), h.matrix3()), AffineElement(p, IDENTITY).matrix3())
+        t_p = AffineElement(1, 0, 0, 1, *p).matrix3()
+        gh_p = m3_mul(m3_mul(g.matrix3(), h.matrix3()), t_p)
         r = g.apply(h.apply(p))
         assert (gh_p[0][2], gh_p[1][2]) == r
 
@@ -266,15 +281,19 @@ def test_freeness_sweep_reports_a_relation(monkeypatch):
     assert 0 < res.words_checked <= 2 * (3**4 - 1)
 
 
-# U replaced by a matrix of finite order, keyed by that order
-_FINITE_ORDER_U = {3: Mat2(0, -1, 1, -1), 4: Mat2(0, -1, 1, 0), 6: Mat2(1, -1, 1, 0)}
+# U replaced by a linear map of finite order, keyed by that order
+_FINITE_ORDER_U = {
+    3: AffineElement(0, -1, 1, -1, 0, 0),
+    4: AffineElement(0, -1, 1, 0, 0, 0),
+    6: AffineElement(1, -1, 1, 0, 0, 0),
+}
 
 
 def _patch_u(monkeypatch, order):
     # the sweep and eval_linear both read the linear parts of _CHAR_AFF
     u = _FINITE_ORDER_U[order]
-    for ch, m in (("U", u), ("u", u.inverse())):
-        monkeypatch.setitem(linear._CHAR_AFF, ch, (m.a, m.b, m.c, m.d, 0, 0))
+    for ch, el in (("U", u), ("u", u.inverse())):
+        monkeypatch.setitem(linear._CHAR_AFF, ch, tuple(el))
 
 
 @pytest.mark.parametrize("order", [None, 3, 4, 6])
