@@ -1,13 +1,15 @@
-"""Exact 2x2 integer matrices, affine maps of Z^2, and word evaluation.
+"""Affine maps of Z^2 as six exact ints, and word evaluation.
 
 Everything is plain Python int arithmetic, so entries may grow without
 overflow.  A word evaluates with its leftmost letter as the leftmost factor;
 the corresponding action on points therefore applies the rightmost letter
 first (see the action module).  An AffineElement is the six ints of its
-map, the linear part row-major and then the translation.  _CHAR_AFF is the
-one table of the four letters, each letter's six ints as a plain tuple:
-eval_affine multiplies its entries letter by letter, and eval_linear and
-freeness_sweep read their linear parts.
+map, the linear part row-major and then the translation.  Its linear part is
+its image in K = <U, V>, SL(2, Z) placed block-diagonally: the AffineElement
+with the same four ints and zero translation, so the group has one element
+type.  _CHAR_AFF is the one table of the four letters, each letter's six
+ints as a plain tuple: eval_affine multiplies its entries letter by letter,
+and eval_linear and freeness_sweep read their linear parts.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .words import Word, _NEXT_LETTERS, concat, invert
+
+
+def _no_arithmetic(self, other):
+    # a point or a group element is not a tuple to concatenate or repeat
+    return NotImplemented
 
 
 class Vec2(NamedTuple):
@@ -34,34 +41,7 @@ class Vec2(NamedTuple):
     def __repr__(self) -> str:
         return f"Vec2({self.x}, {self.y})"
 
-    def __add__(self, other):
-        return NotImplemented
-
-    __mul__ = __rmul__ = __add__
-
-
-class Mat2:
-    """2x2 integer matrix of determinant 1, stored row-major."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: int, b: int, c: int, d: int):
-        if a * d - b * c != 1:
-            raise ValueError(f"determinant must be 1, got {a * d - b * c}")
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    def apply(self, p: tuple[int, int]) -> Vec2:
-        x, y = p
-        return Vec2(self.a * x + self.b * y, self.c * x + self.d * y)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Mat2)
-            and (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-        )
-
-    def __repr__(self) -> str:
-        return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
+    __add__ = __mul__ = __rmul__ = _no_arithmetic
 
 
 class AffineElement(NamedTuple):
@@ -70,8 +50,9 @@ class AffineElement(NamedTuple):
 
     Its 3x3 block matrix is [[A, t], [0, 1]], so products compose as
     (t, A)(t', A') = (t + A t', A A'), the rule eval_affine follows.  The
-    fields are not checked; linear builds a Mat2, which checks the
-    determinant.
+    fields are not checked; linear, the element of K with the same A and
+    zero translation, checks that det A = 1.  Like Vec2, + and * raise
+    TypeError rather than concatenate or repeat the six ints.
     """
 
     a: int
@@ -82,8 +63,8 @@ class AffineElement(NamedTuple):
     y: int
 
     @property
-    def linear(self) -> Mat2:
-        return Mat2(self.a, self.b, self.c, self.d)
+    def linear(self) -> AffineElement:
+        return _checked(self.a, self.b, self.c, self.d, 0, 0)
 
     @property
     def translation(self) -> Vec2:
@@ -101,6 +82,15 @@ class AffineElement(NamedTuple):
     def matrix3(self) -> tuple[tuple[int, int, int], ...]:
         a, b, c, d, x, y = self
         return ((a, b, x), (c, d, y), (0, 0, 1))
+
+    __add__ = __mul__ = __rmul__ = _no_arithmetic
+
+
+def _checked(a: int, b: int, c: int, d: int, x: int, y: int) -> AffineElement:
+    """The AffineElement of these six ints, refused unless det A = 1."""
+    if a * d - b * c != 1:
+        raise ValueError(f"determinant must be 1, got {a * d - b * c}")
+    return AffineElement(a, b, c, d, x, y)
 
 
 U_AFF = AffineElement(1, 2, 0, 1, 0, 1)
@@ -127,15 +117,12 @@ def eval_affine(w: Word) -> AffineElement:
         # (t, A)(t', A') = (t + A t', A A')
         x, y = x + a * tx + b * ty, y + c * tx + d * ty
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-    det = a * d - b * c
-    if det != 1:
-        raise ValueError(f"determinant must be 1, got {det}")
-    return AffineElement(a, b, c, d, x, y)
+    return _checked(a, b, c, d, x, y)
 
 
-def eval_linear(w: Word) -> Mat2:
+def eval_linear(w: Word) -> AffineElement:
     """Product of the letter matrices, leftmost letter leftmost: the linear
-    part of eval_affine(w)."""
+    part of eval_affine(w), an element of K with zero translation."""
     return eval_affine(w).linear
 
 

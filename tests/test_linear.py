@@ -5,7 +5,6 @@ import pytest
 from parabolic import linear
 from parabolic.linear import (
     AffineElement,
-    Mat2,
     U_AFF,
     U_MAT,
     V_AFF,
@@ -28,16 +27,11 @@ from oracles import (
     translation_m3,
 )
 
-IDENTITY = Mat2(1, 0, 0, 1)
+IDENTITY = AffineElement(1, 0, 0, 1, 0, 0)
 
 
 def _words_up_to(max_len):
     return list(enumerate_reduced(max_len))
-
-
-def _lift(m):
-    """The 3x3 block matrix of the linear map m, with zero translation."""
-    return AffineElement(m.a, m.b, m.c, m.d, 0, 0).matrix3()
 
 
 def _random_word(rng, length):
@@ -51,8 +45,12 @@ def _random_word(rng, length):
 def test_generator_constants():
     assert U_AFF == (1, 2, 0, 1, 0, 1) and V_AFF == (1, 0, 2, 1, 1, 0)
     assert U_MAT == U_AFF.linear and V_MAT == V_AFF.linear
-    assert (U_MAT.a, U_MAT.b, U_MAT.c, U_MAT.d) == (1, 2, 0, 1)
-    assert (V_MAT.a, V_MAT.b, V_MAT.c, V_MAT.d) == (1, 0, 2, 1)
+    # the linear generators are elements of K: zero translation, and
+    # block-diagonal 3x3 matrices
+    assert U_MAT == (1, 2, 0, 1, 0, 0) and V_MAT == (1, 0, 2, 1, 0, 0)
+    assert type(U_MAT) is AffineElement and type(V_MAT) is AffineElement
+    assert U_MAT.matrix3() == ((1, 2, 0), (0, 1, 0), (0, 0, 1))
+    assert V_MAT.matrix3() == ((1, 0, 0), (2, 1, 0), (0, 0, 1))
     assert U_AFF.translation == Vec2(0, 1)
     assert V_AFF.translation == Vec2(1, 0)
     assert U_AFF.matrix3() == ((1, 2, 0), (0, 1, 1), (0, 0, 1))
@@ -60,18 +58,20 @@ def test_generator_constants():
 
 
 def test_mat2_det_guard():
-    with pytest.raises(ValueError):
-        Mat2(1, 0, 0, 2)
+    # the linear part is the element of K with zero translation, and building
+    # it checks the determinant
+    with pytest.raises(ValueError, match="^determinant must be 1, got 2$"):
+        AffineElement(1, 0, 0, 2, 0, 0).linear
 
 
 def test_mat2_inverse():
-    # Mat2 has no inverse of its own: a map with zero translation inverts
-    # its linear part alone, and the lift of that part to 3x3 checks it
-    m = Mat2(3, 2, 4, 3)
-    inv = AffineElement(m.a, m.b, m.c, m.d, 0, 0).inverse()
-    assert inv == AffineElement(3, -2, -4, 3, 0, 0)
-    assert m3_mul(_lift(m), _lift(inv.linear)) == M3_IDENTITY
-    assert m3_mul(_lift(inv.linear), _lift(m)) == M3_IDENTITY
+    # an element with zero translation inverts its linear part alone, and
+    # its 3x3 block-diagonal matrix checks it
+    m = AffineElement(3, 2, 4, 3, 0, 0)
+    inv = m.inverse()
+    assert inv == AffineElement(3, -2, -4, 3, 0, 0) and inv.linear == inv
+    assert m3_mul(m.matrix3(), inv.matrix3()) == M3_IDENTITY
+    assert m3_mul(inv.matrix3(), m.matrix3()) == M3_IDENTITY
 
 
 def test_vec2_is_exact():
@@ -91,10 +91,12 @@ def test_vec2_is_its_pair():
     assert {(7, -3): "p"}[v] == "p" and {v: "p"}[(7, -3)] == "p"
     x, y = v
     assert (x, y) == (7, -3) and tuple(v) == (7, -3)
-    # a point is not a tuple to concatenate or repeat
-    for op in (lambda: v + v, lambda: v + (1, 2), lambda: v * 2, lambda: 2 * v):
-        with pytest.raises(TypeError, match="unsupported operand"):
-            op()
+    # a point or a group element is not a tuple to concatenate or repeat
+    for g in (v, U_AFF, U_MAT):
+        ops = (lambda: g + g, lambda: g + V_MAT, lambda: g + (1, 2), lambda: g * 2, lambda: 2 * g)
+        for op in ops:
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op()
     assert str(v) == "(7, -3)" and repr(v) == "Vec2(7, -3)"
 
 
@@ -121,9 +123,8 @@ def test_affine_inverse():
 
 
 def test_eval_checks_the_determinant(monkeypatch):
-    # eval_affine checks the determinant of its product, as the Mat2
-    # constructor does, so a letter table of determinant 2 is refused on
-    # every path that evaluates a word
+    # eval_affine checks the determinant of its product, so a letter table
+    # of determinant 2 is refused on every path that evaluates a word
     monkeypatch.setitem(linear._CHAR_AFF, "U", (1, 0, 0, 2, 0, 1))
     for evaluate in (cocycle, eval_linear, eval_affine):
         with pytest.raises(ValueError, match="^determinant must be 1, got 2$"):
@@ -133,7 +134,7 @@ def test_eval_checks_the_determinant(monkeypatch):
 def test_eval_linear_examples():
     assert eval_linear(Word("U")) == U_MAT
     assert eval_linear(EMPTY) == IDENTITY
-    assert eval_linear(Word("UV")) == Mat2(5, 2, 2, 1)
+    assert eval_linear(Word("UV")) == AffineElement(5, 2, 2, 1, 0, 0)
 
 
 def test_eval_affine_examples():
@@ -142,7 +143,7 @@ def test_eval_affine_examples():
     assert type(eval_affine(Word("uV"))) is AffineElement
     inv = eval_affine(Word("u"))
     assert inv.translation == Vec2(2, -1)
-    assert inv.linear == Mat2(1, -2, 0, 1)
+    assert inv.linear == AffineElement(1, -2, 0, 1, 0, 0)
 
 
 def test_eval_matches_3x3_oracle():
@@ -203,9 +204,9 @@ def test_eval_homomorphism_random_longer():
         w1 = _random_word(rng, rng.randint(6, 14))
         w2 = _random_word(rng, rng.randint(6, 14))
         w = concat(w1, w2)
-        lin = m3_mul(_lift(eval_linear(w1)), _lift(eval_linear(w2)))
+        lin = m3_mul(eval_linear(w1).matrix3(), eval_linear(w2).matrix3())
         aff = m3_mul(eval_affine(w1).matrix3(), eval_affine(w2).matrix3())
-        assert _lift(eval_linear(w)) == lin
+        assert eval_linear(w).matrix3() == lin
         assert eval_affine(w).matrix3() == aff
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from parabolic.action import DEFAULT_WITNESS, witness_word
+from parabolic.linear import eval_affine, eval_linear
 from parabolic.ranks import (
     _SIEVE_PRIME,
     AbelianGroupDescriptor,
@@ -17,7 +18,7 @@ from parabolic.ranks import (
     stabilizer_index,
 )
 from parabolic.schreier import build_mod_q
-from parabolic.words import EMPTY, Word, concat, invert, parse
+from parabolic.words import EMPTY, Word, concat, enumerate_reduced, invert, parse
 
 from oracles import (
     act_letterwise,
@@ -190,6 +191,18 @@ def test_membership_matches_translation_oracle():
         assert membership(w) == ((tx, ty) == (0, 0))
         for q in (2, 3, 5):
             assert membership(w, q) == (tx % q == 0 and ty % q == 0)
+
+
+def test_k_membership_is_the_origin_stabilizer():
+    # an element of H lies in K = <U, V> iff its translation is zero, that
+    # is iff it equals its linear part; so H and K meet in the origin
+    # stabilizer, here read on the matrix path against the act_ints path
+    members = 0
+    for w in enumerate_reduced(8):
+        in_k = eval_affine(w) == eval_linear(w)
+        assert in_k == membership(w), w
+        members += in_k
+    assert members == 43
 
 
 def test_membership_of_words_fixing_the_origin_mod_the_sieve_prime():
