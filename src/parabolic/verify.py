@@ -69,9 +69,9 @@ _Q_SMALL = 50
 # from 2 * 3^ceil(L/2) - 1 matrix products: 4,373 at L = 14
 _MAX_SWEEP_LEN = 14
 # the witness sweep acts one syllable per witness and copies its
-# predecessor's syllables once, about n_max^2 pointers in all: 0.012 s at
-# 1000, 0.81 s at 10,000 (best of 15 and of 5 on a shared 2-core Xeon VM,
-# Python 3.11.7)
+# predecessor's syllables once, about n_max^2 pointers in all: 0.014 s at
+# 1000, 0.108 s at 4000 and 0.538 s at 10,000 (best of 3 on a shared 2-core
+# Xeon VM, Python 3.11.7)
 _MAX_N_MAX = 10_000
 
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import gc
@@ -12,7 +13,7 @@ import types
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parabolic
@@ -711,6 +712,11 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, monkeypatch, capsys):
         ["core", "--q", "3", "--depth", "4"],
         ["abelianization", "--q", "1"],
         ["frobnicate"],
+        # spellings cli._read declines, which argparse answers
+        ["rank", "--q=9"],
+        ["rank", "--fo", "json", "--q", "9"],
+        ["rank", "--q", "3", "--q", "9"],
+        ["member", "--word", "-x"],
     ]
     fresh = {}
     for argv in requests:
@@ -757,7 +763,8 @@ def test_import_does_not_build_the_parser():
         [
             sys.executable,
             "-c",
-            "import parabolic; from parabolic import cli; print(cli._parser is None)",
+            "import parabolic; from parabolic import cli;"
+            " print(cli._parser is None and cli._table is None)",
         ],
         capture_output=True,
         text=True,
@@ -924,13 +931,15 @@ def test_one_shot_commands_exit_cleanly_on_any_argv(argv):
 
 @st.composite
 def _edge_argv(draw):
-    """_cli_argv, or one of its argv respelled at argparse's edges."""
+    """_cli_argv, or one of its argv respelled at argparse's edges, or with
+    a value of a shape that decides whether cli._read or argparse answers."""
     argv = draw(_cli_argv())
     edit = draw(
         st.sampled_from(
             [
                 None, "help", "equals", "abbrev", "repeat", "dashdash", "positional",
-                "unknown", "bare", "empty", "unknown command", "top-level",
+                "unknown", "bare", "empty", "unknown command", "top-level", "value",
+                "choices",
             ]
         )
     )
@@ -942,12 +951,14 @@ def _edge_argv(draw):
         i = draw(st.sampled_from(options))
         argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     elif edit == "abbrev" and options:
-        # --wo for --word, --n-m for --n-max, or the whole option
+        # --wo for --word, --n-m for --n-max, the whole option, or "--",
+        # the prefix of every option
         i = draw(st.sampled_from(options))
-        argv[i] = argv[i][: draw(st.integers(3, len(argv[i])))]
+        argv[i] = argv[i][: draw(st.integers(2, len(argv[i])))]
     elif edit == "repeat" and options:
+        # argparse keeps the last value
         i = draw(st.sampled_from(options))
-        argv += argv[i : i + 2]
+        argv += [argv[i], draw(st.sampled_from([argv[i + 1], "3", "json", "uV"]))]
     elif edit == "dashdash":
         argv.insert(at, "--")
     elif edit == "positional":
@@ -962,6 +973,18 @@ def _edge_argv(draw):
         argv[0] = draw(st.sampled_from(["frobnicate", "ran", "Rank", "", "-", "--"]))
     elif edit == "top-level":
         argv.insert(0, draw(st.sampled_from(["-h", "--help", "--", "-x"])))
+    elif edit == "value" and options:
+        # values that start with "-" (argparse reads a negative number, "-"
+        # and "-1 2" as values, and "-x" and "--q" as options), the empty
+        # value and an Arabic-Indic 3, which int() reads
+        i = draw(st.sampled_from(options))
+        argv[i + 1] = draw(st.sampled_from(["-", "-x", "--q", "-3", "-0", "-1 2", "", "\u0663"]))
+    elif edit == "choices":
+        value = draw(st.sampled_from(["yaml", "JSON", "text ", ""]))
+        if "--format" in argv[:-1]:
+            argv[argv.index("--format") + 1] = value
+        else:
+            argv += ["--format", value]
     return argv
 
 
@@ -986,14 +1009,51 @@ def _main_outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _commands(parser):
+    """The subparser of each command of parser, by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_reader_models_every_command():
+    cli._parse(["rank", "--q", "3"])
+    assert sorted(cli._table) == sorted(_commands(cli._parser))
+
+
+def test_reader_leaves_unmodelled_commands_to_argparse():
+    parser = argparse.ArgumentParser(prog="p")
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("plain").add_argument("--x", type=int, default=3)
+    sub.add_parser("flag").add_argument("--x", action="store_true")
+    sub.add_parser("pair").add_argument("--x", nargs=2)
+    # parse_args converts a str default through the type
+    sub.add_parser("typed").add_argument("--x", type=int, default="3")
+    shared = sub.add_parser("shared")
+    shared.add_argument("--a", dest="x")
+    shared.add_argument("--b", dest="x")
+    assert list(cli._read_table(parser)) == ["plain"]
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(_edge_argv())
+# one well-formed argv for each spelling the reader leaves to argparse:
+# an abbreviation, a value outside its choices, a value argparse reads as
+# an option, a missing required option and a repeated option
+@example(["member", "--wo", "uV"])
+@example(["rank", "--q", "9", "--format", "yaml"])
+@example(["member", "--word", "-x"])
+@example(["rank"])
+@example(["rank", "--q", "3", "--q", "9"])
 def test_command_subparser_answers_like_the_top_level_parser(argv):
     parsed = _through(cli._parse, argv)
     # the parser main() holds, parsing the whole argv itself
     assert parsed == _through(cli._parser.parse_args, argv), argv
-    # main with no command's subparser to hand argv to
-    with mock.patch.object(cli, "_command_parser", lambda parser, name: None):
+    # the reader answers only options spelled in full, each given once
+    if cli._read(cli._table, argv) is not None:
+        spelled = _commands(cli._parser)[argv[0]]._option_string_actions
+        given = argv[1::2]
+        assert len(set(given)) == len(given) and all(o in spelled for o in given), argv
+    # main with a reader that declines every argv
+    with mock.patch.object(cli, "_read", lambda table, argv: None):
         full = _main_outcome(argv)
     assert _main_outcome(argv) == full, argv
     assert full[0] in (0, 1, 2), argv
