@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .action import DEFAULT_WITNESS, marked_point, witness_length, witness_word
 from .ranks import (
@@ -103,11 +104,11 @@ def _build_graph_from_args(args) -> object:
 
 
 def _cmd_graph(args) -> int:
-    if args.out:
+    if args.out is not None:
         _check_writable(args.out)
     g = _build_graph_from_args(args)
     payload = export(g, args.format)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
         print(f"{args.format} graph with {len(g)} vertices written to {args.out}")
@@ -216,158 +217,156 @@ def _cmd_snf(args) -> int:
     return 0
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
+class Option(NamedTuple):
+    """One --FLAG VALUE option of a command, as add_argument declares it."""
+
+    flag: str
+    type: Callable | None = None
+    choices: tuple | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
 
 
-# the parser main() reuses and the table _read reads argv by; both built on
-# main()'s first call, not at import
+_FORMAT = Option("--format", choices=("text", "json"), default="text")
+
+# every command, declared once: (name, help, function, options); build_parser
+# and the argv reader are both built from this table
+COMMANDS = (
+    (
+        "verify", "run every check and emit a report", _cmd_verify,
+        (
+            Option("--n-max", int, default=1000), Option("--q-max", int, default=200),
+            Option("--depth", int, default=10), Option("--sweep-len", int, default=10),
+            Option("--out", help=f"JSON report path (default ${OUTPUT_DIR_ENV}/verification.json)"),
+            _FORMAT,
+        ),
+    ),
+    (
+        "orbit", "build and verify the witness word for one marked point", _cmd_orbit,
+        (Option("--n", int, required=True), _FORMAT),
+    ),
+    (
+        "graph", "export an orbital graph", _cmd_graph,
+        (
+            Option("--q", int), Option("--depth", int),
+            Option("--format", choices=("dot", "json"), default="dot"), Option("--out"),
+        ),
+    ),
+    (
+        "core", "exact core mod q, or certified core of a ball", _cmd_core,
+        (
+            Option("--q", int), Option("--depth", int),
+            Option("--witness", default=DEFAULT_WITNESS.text), _FORMAT,
+        ),
+    ),
+    (
+        "rank", "stabilizer index and rank bound for one q", _cmd_rank,
+        (Option("--q", int, required=True), _FORMAT),
+    ),
+    (
+        "abelianization", "abelian invariants of the q-th subgroup", _cmd_abelianization,
+        (Option("--q", int, required=True), _FORMAT),
+    ),
+    (
+        "member", "does a word fix the origin (optionally mod q)?", _cmd_member,
+        (Option("--word", required=True), Option("--q", int), _FORMAT),
+    ),
+    (
+        "snf", "Smith normal form of an integer matrix", _cmd_snf,
+        (
+            Option("--matrix", required=True, help='rows separated by ";", e.g. "0 2 0 0; 0 0 2 0"'),
+            _FORMAT,
+        ),
+    ),
+)
+
+
+def _lookup(name, fn, options) -> tuple:
+    dests = [o.flag[2:].replace("-", "_") for o in options]
+    flags = {o.flag: (dest, o.type, o.choices) for dest, o in zip(dests, options)}
+    defaults = {"command": name, "fn": fn, **{dest: o.default for dest, o in zip(dests, options)}}
+    return flags, defaults, {dest for dest, o in zip(dests, options) if o.required}
+
+
+# what _read reads argv by, per command: (flag -> (dest, type, choices), the
+# namespace parse_args starts from, the dests of the required options); type
+# and choices are copied out, as reading them off each Option cost up to
+# 0.2 us per call (2-core Xeon VM, Python 3.11.7)
+_LOOKUP = {name: _lookup(name, fn, options) for name, _, fn, options in COMMANDS}
+# the parser main() reuses, built on its first call, not at import
 _parser: argparse.ArgumentParser | None = None
-_table: dict | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser on every call; main() keeps the one it built first."""
+    """A new parser from COMMANDS on every call; main() keeps the first."""
     parser = argparse.ArgumentParser(
         prog="parabolic",
         description="Exact verification toolkit for the affine orbital graphs of the"
         " Sanov generators and the rank bounds they certify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run every check and emit a report")
-    p.add_argument("--n-max", type=int, default=1000)
-    p.add_argument("--q-max", type=int, default=200)
-    p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--sweep-len", type=int, default=10)
-    p.add_argument("--out", help="JSON report path (default $%s/verification.json)" % OUTPUT_DIR_ENV)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("orbit", help="build and verify the witness word for one marked point")
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_orbit)
-
-    p = sub.add_parser("graph", help="export an orbital graph")
-    p.add_argument("--q", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_graph)
-
-    p = sub.add_parser("core", help="exact core mod q, or certified core of a ball")
-    p.add_argument("--q", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--witness", default=DEFAULT_WITNESS.text)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_core)
-
-    p = sub.add_parser("rank", help="stabilizer index and rank bound for one q")
-    p.add_argument("--q", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_rank)
-
-    p = sub.add_parser("abelianization", help="abelian invariants of the q-th subgroup")
-    p.add_argument("--q", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_abelianization)
-
-    p = sub.add_parser("member", help="does a word fix the origin (optionally mod q)?")
-    p.add_argument("--word", required=True)
-    p.add_argument("--q", type=int)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_member)
-
-    p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
-    p.add_argument("--matrix", required=True, help='rows separated by ";", e.g. "0 2 0 0; 0 0 2 0"')
-    _add_format(p)
-    p.set_defaults(fn=_cmd_snf)
-
+    for name, about, fn, options in COMMANDS:
+        p = sub.add_parser(name, help=about)
+        for o in options:
+            p.add_argument(
+                o.flag, type=o.type, choices=o.choices, default=o.default, required=o.required,
+                help=o.help,
+            )
+        p.set_defaults(fn=fn)
     return parser
 
 
-def _read_table(parser: argparse.ArgumentParser) -> dict:
-    """For each command that _read models, what its subparser holds:
-    {name: (option string -> action, the namespace's values when no option
-    is given, dests of the required actions, the subparser's negative-number
-    matcher)}.  A command is modelled when its actions, help aside, have
-    distinct dests and each is a plain store of one value whose default
-    parse_args leaves as it is: not a str, or a str with no type to convert
-    it."""
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    table = {}
-    for name, sub in commands.choices.items():
-        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
-        dests = [a.dest for a in actions]
-        if len(set(dests)) < len(dests) or any(
-            type(a) is not argparse._StoreAction
-            or a.nargs is not None
-            or (isinstance(a.default, str) and a.type is not None)
-            for a in actions
-        ):
-            continue
-        options = {s: a for a in actions for s in a.option_strings}
-        # parse_args sets the command first; the subparser's namespace
-        # holds its set_defaults, overridden by its actions' defaults
-        defaults = {commands.dest: name, **sub._defaults, **{a.dest: a.default for a in actions}}
-        required = [a.dest for a in actions if a.required]
-        table[name] = (options, defaults, required, sub._negative_number_matcher.match)
-    return table
-
-
-def _read(table: dict, argv: list) -> argparse.Namespace | None:
-    """The namespace parse_args gives argv, read off table, when argv is a
-    command of table and (--OPTION VALUE) pairs that _parse lets it answer;
-    None for any other argv."""
-    if len(argv) % 2 == 0 or not isinstance(argv[0], str) or argv[0] not in table:
+def _read(argv: list) -> argparse.Namespace | None:
+    r"""The namespace parse_args gives argv, read off _LOOKUP, when argv is
+    COMMAND (--OPTION VALUE)* with each option spelled in full and given
+    once, each value passing its type and choices, and each required option
+    given; None for any other argv.  A value that starts with - is read only
+    if the rest is decimal digits (str.isdecimal: the Unicode digits that
+    \d matches), which argparse reads as a negative number on Python
+    3.10-3.12 (^-\d+$|^-\d*\.\d+$) and 3.13 (-\.?\d) alike."""
+    if len(argv) % 2 == 0 or not isinstance(argv[0], str) or argv[0] not in _LOOKUP:
         return None
-    options, defaults, required, negative = table[argv[0]]
+    flags, defaults, required = _LOOKUP[argv[0]]
     args = argparse.Namespace()
     values = vars(args)
     values.update(defaults)
     seen = set()
-    for option, text in zip(argv[1::2], argv[2::2]):
-        if not (isinstance(option, str) and isinstance(text, str)):
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if not (isinstance(flag, str) and isinstance(text, str)) or flag not in flags:
             return None
-        action = options.get(option)
-        if action is None or action.dest in seen:
-            return None
-        if text[:1] == "-" and not negative(text):
+        dest, convert, choices = flags[flag]
+        if dest in seen or (text[:1] == "-" and not text[1:].isdecimal()):
             return None
         value = text
-        if action.type is not None:
+        if convert is not None:
             try:
-                value = action.type(text)
+                value = convert(text)
             except (TypeError, ValueError, argparse.ArgumentTypeError):
                 return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        seen.add(action.dest)
-        values[action.dest] = value
-    if not seen.issuperset(required):
-        return None
-    return args
+        seen.add(dest)
+        values[dest] = value
+    return args if seen.issuperset(required) else None
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     """The namespace the top-level parser gives argv (sys.argv[1:] if None),
-    or its exit.  An argv COMMAND (--OPTION VALUE)* that _read models is
-    read straight off that command's subparser, in 1.6-2.1 us per call
-    against 10.7-18.0 us through the subparser's parse_known_args (best of
-    5 x 3,000 on three queries-workload requests, 2-core Xeon VM, Python
-    3.11.7).  Any other argv goes through the top-level parser, which alone
-    prints usage, help and errors: an unknown command or option, an
+    or its exit.  _read answers a well-formed argv in 1.7-2.3 us per call,
+    against 10.7-18.0 us through the command's subparser (best of 5 x 3,000
+    on three queries-workload requests, 2-core Xeon VM, Python 3.11.7).  The
+    top-level parser, which alone prints usage, help and errors, parses
+    every argv _read declines: an unknown command or option, an
     abbreviation, --opt=value, a repeated option, -h, --, a missing value,
-    a value that starts with - and is not a negative number, one its type
-    or choices refuse, or a missing required option."""
-    global _parser, _table
+    any other value that starts with -, one its type or choices refuse, or
+    a missing required option."""
+    global _parser
     if _parser is None:
         _parser = build_parser()
-        _table = _read_table(_parser)
     if argv is None:
         argv = sys.argv[1:]
-    args = _read(_table, argv)
+    args = _read(argv)
     if args is None:
         args = _parser.parse_args(argv)
     return args
@@ -375,11 +374,11 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.  May be called repeatedly in
-    one process: the parser and the table of the argv reader depend on no
-    argv and are built on the first call, and each call parses into a fresh
-    namespace and computes its answer anew.  A well-formed argv is read off
-    its command's subparser; argparse parses the rest and reports its
-    errors (see _parse)."""
+    one process: the parser is built on the first call, and each call parses
+    into a fresh namespace and computes its answer anew.  The commands are
+    declared once, in COMMANDS; a well-formed argv is read off that table,
+    and argparse, built from it too, parses the rest and reports its errors
+    (see _parse)."""
     args = _parse(argv)
     try:
         return args.fn(args)

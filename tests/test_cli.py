@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 import types
 from unittest import mock
@@ -346,8 +347,7 @@ def test_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys
 
 
 def test_verify_out_naming_no_file_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
-    # a path with no file name is refused before any check; graph --out ""
-    # means stdout
+    # a path with no file name is refused before any check
     def never(*args):
         raise AssertionError("work started before the destination was checked")
 
@@ -357,8 +357,21 @@ def test_verify_out_naming_no_file_is_refused_before_any_work(tmp_path, monkeypa
         assert main(["verify", "--out", out]) == 2
         err = capsys.readouterr().err
         assert err == f"error: cannot write {out!r}: it names no file\n"
-    assert main(["graph", "--q", "2", "--out", ""]) == 0
-    assert capsys.readouterr().out.startswith("digraph orbital {")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_graph_out_naming_no_file_is_refused_before_any_build(tmp_path, monkeypatch, capsys):
+    # the empty path too: it is refused, not read as stdout
+    def never(*args):
+        raise AssertionError("build started before the destination was checked")
+
+    monkeypatch.setattr(cli, "build_mod_q", never)
+    monkeypatch.setattr(cli, "build_ball", never)
+    monkeypatch.chdir(tmp_path)
+    for region in (["--q", "2"], ["--depth", "3"]):
+        for out in ("", "missing/"):
+            assert main(["graph", *region, "--out", out]) == 2
+            assert capsys.readouterr() == ("", f"error: cannot write {out!r}: it names no file\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -764,7 +777,7 @@ def test_import_does_not_build_the_parser():
             sys.executable,
             "-c",
             "import parabolic; from parabolic import cli;"
-            " print(cli._parser is None and cli._table is None)",
+            " print(cli._parser is None)",
         ],
         capture_output=True,
         text=True,
@@ -929,15 +942,56 @@ def test_one_shot_commands_exit_cleanly_on_any_argv(argv):
 # ---------------------------------------------------------------- dispatch
 
 
+def _sometimes_dashed(text):
+    # argparse reads a value that starts with "-" as an option, unless it is
+    # "-", a negative number or holds a space
+    return text.flatmap(lambda t: st.sampled_from([t, "-" + t]))
+
+
+# the values of well-formed options beside verify's sizes and the choices,
+# drawn within the guards at the sizes _cli_argv draws
+_OPTION_VALUES = {
+    "--n": st.integers(-300, 300).map(str),
+    "--q": st.integers(-3, 40).map(str),
+    "--depth": st.integers(-3, 6).map(str),
+    "--word": _sometimes_dashed(_word_text(10**12)),
+    "--witness": _sometimes_dashed(_word_text(99)),
+    "--matrix": _sometimes_dashed(_matrix_text()),
+    "--out": st.just(os.devnull),
+}
+
+
+@st.composite
+def _declared_argv(draw):
+    """A well-formed argv of one of cli.COMMANDS, its options in any order:
+    each required option, each of verify's but --format (its defaults run at
+    full size and write to the working directory), and each other option
+    half the time, with a value of the option's type and choices."""
+    name, _, _, options = draw(st.sampled_from(cli.COMMANDS))
+    pairs = []
+    for o in options:
+        if o.choices is not None:
+            value = st.sampled_from(o.choices)
+        elif name == "verify" and o.flag in _VERIFY_FLAGS:
+            value = st.integers(*_VERIFY_FLAGS[o.flag][0]).map(str)
+        else:
+            value = _OPTION_VALUES[o.flag]
+        if o.required or (name == "verify" and o.flag != "--format") or draw(st.booleans()):
+            pairs.append([o.flag, draw(value)])
+    return [name, *(text for pair in draw(st.permutations(pairs)) for text in pair)]
+
+
 @st.composite
 def _edge_argv(draw):
-    """_cli_argv, or one of its argv respelled at argparse's edges, or with
-    a value of a shape that decides whether cli._read or argparse answers."""
-    argv = draw(_cli_argv())
+    """A well-formed argv or one of _cli_argv's, half the time each, as it
+    is or respelled at argparse's edges, or with a value of a shape that
+    decides whether cli._read or argparse answers."""
+    argv = draw(_declared_argv() | _cli_argv())
+    # a third of the argv are kept as drawn
     edit = draw(
         st.sampled_from(
             [
-                None, "help", "equals", "abbrev", "repeat", "dashdash", "positional",
+                *[None] * 6, "help", "equals", "abbrev", "repeat", "dashdash", "positional",
                 "unknown", "bare", "empty", "unknown command", "top-level", "value",
                 "choices",
             ]
@@ -1009,28 +1063,43 @@ def _main_outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@contextlib.contextmanager
+def _empty_working_dir():
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+
+
 def _commands(parser):
     """The subparser of each command of parser, by name."""
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def test_reader_models_every_command():
-    cli._parse(["rank", "--q", "3"])
-    assert sorted(cli._table) == sorted(_commands(cli._parser))
-
-
-def test_reader_leaves_unmodelled_commands_to_argparse():
-    parser = argparse.ArgumentParser(prog="p")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("plain").add_argument("--x", type=int, default=3)
-    sub.add_parser("flag").add_argument("--x", action="store_true")
-    sub.add_parser("pair").add_argument("--x", nargs=2)
-    # parse_args converts a str default through the type
-    sub.add_parser("typed").add_argument("--x", type=int, default="3")
-    shared = sub.add_parser("shared")
-    shared.add_argument("--a", dest="x")
-    shared.add_argument("--b", dest="x")
-    assert list(cli._read_table(parser)) == ["plain"]
+    # build_parser declares exactly cli.COMMANDS: each subparser's actions,
+    # help aside, are the declared options field by field, with the dest the
+    # reader's lookup gives, and its fn is the declared function
+    subparsers = _commands(cli.build_parser())
+    assert list(subparsers) == [name for name, _, _, _ in cli.COMMANDS]
+    for name, _, fn, options in cli.COMMANDS:
+        sub = subparsers[name]
+        flags = cli._LOOKUP[name][0]
+        assert [
+            (a.option_strings, a.dest, a.type, a.choices, a.default, a.required, a.help, a.nargs)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ] == [
+            ([o.flag], flags[o.flag][0], o.type, o.choices, o.default, o.required, o.help, None)
+            for o in options
+        ], name
+        assert sub.get_default("fn") is fn, name
+        # parse_args would convert a str default through the type; the reader
+        # takes each default as it is
+        assert not any(isinstance(o.default, str) and o.type for o in options), name
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -1048,14 +1117,16 @@ def test_command_subparser_answers_like_the_top_level_parser(argv):
     # the parser main() holds, parsing the whole argv itself
     assert parsed == _through(cli._parser.parse_args, argv), argv
     # the reader answers only options spelled in full, each given once
-    if cli._read(cli._table, argv) is not None:
+    if cli._read(argv) is not None:
         spelled = _commands(cli._parser)[argv[0]]._option_string_actions
         given = argv[1::2]
         assert len(set(given)) == len(given) and all(o in spelled for o in given), argv
-    # main with a reader that declines every argv
-    with mock.patch.object(cli, "_read", lambda table, argv: None):
+    # main with a reader that declines every argv, each run in an empty
+    # working directory, where verify with no --out writes its report
+    with _empty_working_dir(), mock.patch.object(cli, "_read", lambda argv: None):
         full = _main_outcome(argv)
-    assert _main_outcome(argv) == full, argv
+    with _empty_working_dir():
+        assert _main_outcome(argv) == full, argv
     assert full[0] in (0, 1, 2), argv
 
 
